@@ -30,7 +30,6 @@ the speedup ratios.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from _shared import check_against_baseline, write_bench_artifact
@@ -38,6 +37,7 @@ from repro import perf
 from repro.apps import catalog
 from repro.common.wire import clear_wire_memo
 from repro.core.orchestrator import Campaign, CampaignConfig
+from repro.core.parallel import usable_cpus
 from repro.core.report import app_report_to_dict, render_table
 
 ARTIFACT = "BENCH_campaign_wallclock.json"
@@ -97,7 +97,7 @@ def _pair(rounds: int = 2, **config_kwargs) -> dict:
 def measure() -> dict:
     return {
         "app": APP,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cpus(),
         "serial": _pair(),
         "process4": _pair(workers=4, parallel_backend="process",
                           blacklist_threshold=999),

@@ -9,9 +9,10 @@ Two claims are measured on the HDFS campaign:
 2. **Process backend**: with profiles decoupled (``blacklist_threshold``
    high enough that no cross-profile state couples scheduling), the
    fork-based backend beats the GIL-bound thread backend on multi-core
-   hosts.  The assertion is conditional on ``os.cpu_count()`` — on a
-   single-core runner process fan-out cannot win and only the
-   equal-findings invariant is checked.
+   hosts.  The assertion is conditional on the usable CPU count
+   (``parallel.usable_cpus()``, which honours an affinity mask such as
+   ``taskset -c 0``) — on a single-core runner process fan-out cannot
+   win and only the equal-findings invariant is checked.
 
 The measured rows are written as a JSON artifact (path from the
 ``EXECCACHE_BENCH_JSON`` environment variable, default
@@ -26,6 +27,7 @@ import time
 
 from repro.apps import catalog
 from repro.core.orchestrator import Campaign, CampaignConfig
+from repro.core.parallel import usable_cpus
 from repro.core.report import app_report_to_dict, render_table
 
 APP = "hdfs"
@@ -72,7 +74,7 @@ def measure():
     process, process_wall = _run(workers=4, parallel_backend="process",
                                  blacklist_threshold=999)
     rows["backends"] = {
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cpus(),
         "workers": 4,
         "wall_thread_s": thread_wall,
         "wall_process_s": process_wall,

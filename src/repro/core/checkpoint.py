@@ -146,9 +146,9 @@ def fsync_directory(path: str) -> None:
 class CampaignCheckpoint:
     """Append-only JSONL journal shared by one or more app campaigns.
 
-    Thread-compatible: writes are serialized under a lock, and each write
-    is a single flushed line, so a crash leaves at most one truncated
-    record at the tail (which :meth:`load` discards).
+    Thread- and process-compatible: each record is one ``os.write`` on
+    an ``O_APPEND`` descriptor, so concurrent writers never interleave,
+    and a crash leaves at most one torn line (which :meth:`load` skips).
     """
 
     def __init__(self, path: str) -> None:
@@ -174,8 +174,8 @@ class CampaignCheckpoint:
             return 0
         # errors="replace": a crash mid-append can leave raw garbage bytes
         # (not just a truncated JSON line) at the tail; undecodable bytes
-        # become U+FFFD, json.loads refuses them, and the loop below stops
-        # trusting the file there instead of load() blowing up.
+        # become U+FFFD, json.loads refuses them, and the line is skipped
+        # instead of load() blowing up.
         with open(self.path, errors="replace") as handle:
             for line in handle:
                 line = line.strip()
@@ -184,10 +184,10 @@ class CampaignCheckpoint:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    # torn tail write from the crashed run; everything
-                    # after it would be from a *different* crashed run,
-                    # so stop trusting the file here.
-                    break
+                    # A torn write from a crashed run.  Appends always
+                    # start on a fresh line, so the lines after it come
+                    # from resumed runs that passed check_header.
+                    continue
                 kind = record.get("kind")
                 if kind == "header":
                     self._headers[record["app"]] = record
@@ -281,14 +281,25 @@ class CampaignCheckpoint:
         self._done[test_name] = record
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True)
+        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             creating = not os.path.exists(self.path)
-            with open(self.path, "a") as handle:
-                handle.write(line)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                         0o666)
+            try:
+                # A crash mid-append leaves a line with no newline; start
+                # on a fresh line, or this record would be glued onto it.
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
+                # One write per record on an O_APPEND descriptor: records
+                # from concurrent processes (application lanes sharing a
+                # journal) never interleave.
+                while data:
+                    data = data[os.write(fd, data):]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             if creating:
                 # The first append creates the file; without a directory
                 # fsync the new name itself is not yet durable.

@@ -42,10 +42,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.plan import PLAN_REUSE, sample_cells
 from repro.core.prerun import TestProfile
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX
+    fcntl = None  # type: ignore[assignment]
 
 #: Percent of pooled parameters priced as heterogeneous-unsafe up front.
 #: The paper reports a small minority of parameters unsafe; 8% matches
@@ -86,6 +91,9 @@ class CostBook:
     def __init__(self, path: str) -> None:
         self.path = path
         self._costs: Dict[str, Dict[str, float]] = {}
+        #: tests this process observed: :meth:`save` writes them over the
+        #: on-disk book and keeps every other entry as its writer left it.
+        self._observed: Set[str] = set()
 
     @staticmethod
     def beside_checkpoint(checkpoint_path: str) -> str:
@@ -93,38 +101,53 @@ class CostBook:
 
     # ------------------------------------------------------------------
     def load(self) -> None:
+        self._costs.update(self._read())
+
+    def _read(self) -> Dict[str, Dict[str, float]]:
         try:
             with open(self.path) as handle:
                 raw = json.load(handle)
         except (OSError, ValueError):
-            return
-        if not isinstance(raw, dict):
-            return
-        costs = raw.get("costs", {})
-        if isinstance(costs, dict):
-            for name, entry in costs.items():
-                if isinstance(entry, dict):
-                    self._costs[str(name)] = {
-                        "executions": float(entry.get("executions", 0.0)),
-                        "wall_s": float(entry.get("wall_s", 0.0)),
-                        "samples": float(entry.get("samples", 0.0)),
-                    }
+            return {}
+        costs = raw.get("costs", {}) if isinstance(raw, dict) else {}
+        if not isinstance(costs, dict):
+            return {}
+        return {str(name): {"executions": float(entry.get("executions", 0.0)),
+                            "wall_s": float(entry.get("wall_s", 0.0)),
+                            "samples": float(entry.get("samples", 0.0))}
+                for name, entry in costs.items() if isinstance(entry, dict)}
 
     def save(self) -> None:
-        payload = json.dumps({"version": 1, "costs": self._costs},
-                             sort_keys=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        from repro.core.checkpoint import fsync_directory
-        fsync_directory(self.path)
+        """Merge this process's observations into the on-disk book.
+
+        Several campaigns may share one book (application lanes under
+        ``evaluate --checkpoint``), so the read-merge-replace runs under
+        an exclusive lock and each writer uses its own temporary file.
+        """
+        lock = os.open(self.path + ".lock", os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            if fcntl is not None:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            merged = self._read()
+            merged.update((name, self._costs[name])
+                          for name in self._observed)
+            self._costs = merged
+            tmp = "%s.%d.tmp" % (self.path, os.getpid())
+            with open(tmp, "w") as handle:
+                handle.write(json.dumps({"version": 1, "costs": merged},
+                                        sort_keys=True))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+            from repro.core.checkpoint import fsync_directory
+            fsync_directory(self.path)
+        finally:
+            os.close(lock)  # releases the flock
 
     # ------------------------------------------------------------------
     def observe(self, test: str, executions: int,
                 wall_s: Optional[float] = None) -> None:
+        self._observed.add(test)
         entry = self._costs.get(test)
         if entry is None:
             entry = {"executions": float(executions),

@@ -2,9 +2,9 @@
 
 :class:`Campaign` drives ZebraConf end-to-end for one application, and
 :func:`run_full_campaign` reproduces the paper's whole evaluation across
-all target applications.  Unit tests are independent, so campaigns can
-fan out across a thread pool (the paper used up to 100 machines; §4
-"Test in parallel").
+all target applications.  Unit tests are independent, so profiles can
+fan out across worker processes, and whole applications across forked
+lanes (the paper used up to 100 machines; §4 "Test in parallel").
 """
 
 from __future__ import annotations
@@ -1308,7 +1308,12 @@ def application_campaigns(config: Optional[CampaignConfig] = None
 
 
 def run_full_campaign(config: Optional[CampaignConfig] = None) -> CampaignReport:
-    report = CampaignReport()
-    for campaign in application_campaigns(config):
-        report.apps.append(campaign.run())
-    return report
+    """Every application's campaign, in catalog order.  Applications run
+    side by side in forked lanes when :func:`repro.core.lanes.lane_count`
+    allows it; findings are identical either way."""
+    from repro.core.lanes import lane_count, run_in_lanes
+    campaigns = application_campaigns(config)
+    lanes = lane_count(campaigns[0].config, len(campaigns))
+    if lanes > 1:
+        return CampaignReport(apps=run_in_lanes(campaigns, lanes))
+    return CampaignReport(apps=[campaign.run() for campaign in campaigns])

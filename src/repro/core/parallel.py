@@ -48,6 +48,7 @@ profile set.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict
@@ -129,6 +130,15 @@ def _run_profile_worker(test_name: str) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the platform
+    has one (``taskset -c 0`` means one CPU), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -138,6 +139,66 @@ class TestJournal:
         resumed.check_header("synth", {"alpha": 1e-4})  # same: fine
         with pytest.raises(CheckpointError):
             resumed.check_header("synth", {"alpha": 0.05})
+
+    def test_resume_after_a_torn_tail_keeps_its_progress(self, tmp_path):
+        """A resumed run appends after a crashed run's torn record: the
+        append must start on a fresh line, and load must skip the tear
+        instead of stopping there — or a second crash loses the resumed
+        run's work."""
+        path = str(tmp_path / "ck.jsonl")
+        result = evaluated_result()
+        first = CampaignCheckpoint(path)
+        first.record_test_done("synth::t1", [result], PoolStats(), 1)
+        with open(path, "a") as handle:
+            handle.write('{"kind": "test-do')  # SIGKILL mid-append
+        resumed = CampaignCheckpoint(path)
+        assert resumed.load() == 1
+        resumed.record_test_done("synth::t2", [result], PoolStats(), 2)
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "test-done", "te\xff')  # second crash
+        again = CampaignCheckpoint(path)
+        assert again.load() == 2
+        again.record_test_done("synth::t3", [result], PoolStats(), 3)
+        final = CampaignCheckpoint(path)
+        assert final.load() == 3
+        assert final.finished_tests == ["synth::t1", "synth::t2", "synth::t3"]
+
+    def test_concurrent_large_appends_never_interleave(self, tmp_path):
+        """Four processes appending records larger than a write buffer
+        to one journal (application lanes share it): every record must
+        come back whole."""
+        path = str(tmp_path / "ck.jsonl")
+        result = evaluated_result()
+        padding = "x" * 20000
+
+        def append_many(prefix):
+            checkpoint = CampaignCheckpoint(path)
+            for index in range(40):
+                checkpoint.record_test_done(
+                    "synth::%s%02d" % (prefix, index), [result], PoolStats(),
+                    index, error=padding)
+
+        children = []
+        for prefix in "abcd":
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                code = 1
+                try:
+                    append_many(prefix)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        for pid in children:
+            assert os.waitpid(pid, 0)[1] == 0
+        with open(path) as handle:
+            # a writer that sees another's record mid-write starts on a
+            # fresh line; the blank line that leaves behind is harmless
+            lines = [line for line in handle.read().splitlines() if line]
+        assert len(lines) == 160
+        assert all(json.loads(line)["error"] == padding for line in lines)
+        fresh = CampaignCheckpoint(path)
+        assert fresh.load() == 160
 
 
 class TestCampaignResume:

@@ -12,6 +12,7 @@ checkpoint resume.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -214,6 +215,36 @@ class TestCostBook:
         assert fresh.measured("synth::T.a") == book.measured("synth::T.a")
         assert fresh.measured("synth::T.b") == book.measured("synth::T.b")
         assert fresh.measured("synth::T.c") is None
+
+    def test_concurrent_savers_keep_each_others_entries(self, tmp_path):
+        """Four processes sharing one book (application lanes under
+        ``evaluate --checkpoint``) save different entries at once: no
+        save may fail, and the book ends with every writer's entries."""
+        path = str(tmp_path / "ck.jsonl.weights.json")
+        children = []
+        for prefix in "abcd":
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                code = 1
+                try:
+                    book = CostBook(path)
+                    book.load()
+                    for index in range(30):
+                        book.observe("synth::T.%s%02d" % (prefix, index),
+                                     index + 1)
+                        book.save()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        for pid in children:
+            assert os.waitpid(pid, 0)[1] == 0
+        fresh = CostBook(path)
+        fresh.load()
+        for prefix in "abcd":
+            for index in range(30):
+                entry = fresh.measured("synth::T.%s%02d" % (prefix, index))
+                assert entry is not None and entry["executions"] == index + 1
 
     def test_missing_and_corrupt_files_are_tolerated(self, tmp_path):
         missing = CostBook(str(tmp_path / "nope.json"))

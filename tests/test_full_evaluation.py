@@ -1,18 +1,45 @@
 """End-to-end evaluation tests: the paper's §7 results must reproduce.
 
-These all share one cached full campaign (the ``full_report`` session
+Most share one cached full campaign (the ``full_report`` session
 fixture, ~20s) and assert the evaluation's headline numbers and shapes.
+The lane tests at the end prove that running applications side by side
+(repro.core.lanes) reports exactly what the in-process loop reports.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
 import pytest
 
+from repro import cli
 from repro.apps import catalog
-from repro.core.report import (render_stage_counts, render_summary,
+from repro.common.faults import DiskFaultPlan, FaultPlan
+from repro.core import lanes, parallel
+from repro.core.checkpoint import CheckpointError
+from repro.core.orchestrator import (Campaign, CampaignConfig,
+                                     application_campaigns, run_full_campaign)
+from repro.core.report import (app_report_to_dict, findings_projection,
+                               render_stage_counts, render_summary,
                                render_unsafe_params)
+from repro.core.tracelog import TraceLog
 from repro.core.triage import (FP_PRIVATE_ONLY, FP_SHARED_IPC,
                                FP_STRICT_ASSERTION, FP_UNREALISTIC)
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_DIR = os.path.join(REPO_ROOT, "src")
+#: per-app findings digests of the serial evaluation (the end-to-end
+#: benchmark's golden file).
+EVALUATE_GOLDEN = os.path.join(REPO_ROOT, "benchmarks", "e2e", "golden",
+                               "evaluate.json")
 
 
 class TestHeadlineNumbers:
@@ -148,3 +175,281 @@ class TestMachineTimeAndRendering:
         text = render_stage_counts(full_report.apps)
         for app in catalog.APP_NAMES:
             assert app in text
+
+
+# ---------------------------------------------------------------------------
+# application lanes: the same reports as the in-process loop
+# ---------------------------------------------------------------------------
+#: a slice of the Table 3 parameters, so each mode below costs a third
+#: of a full evaluation: every app still pre-runs, pools, bisects and
+#: confirms.  The default settings are compared in full.
+FEW_PARAMS = frozenset(sorted(
+    param for app in catalog.APP_NAMES
+    for param in catalog.spec_for(app).expected_unsafe)[::4])
+
+
+def _records(reports):
+    """Each app's ``app_report_to_dict`` as canonical JSON."""
+    records = []
+    for report in reports:
+        record = app_report_to_dict(report)
+        if record["store"] is not None:
+            # Segments scanned at open count every app's segments in a
+            # shared store, so they depend on which apps opened it first.
+            record["store"] = dict(record["store"], segments=None)
+        records.append(json.dumps(record, sort_keys=True))
+    return records
+
+
+def _in_lanes(config):
+    """Two lanes; fails if any campaign ran in this process instead (a
+    lane that died, say on an unpicklable report, would be re-run here
+    and hide behind an identical result)."""
+    parent, real_run = os.getpid(), Campaign.run
+
+    def run(self):
+        assert os.getpid() != parent, "%s ran in-process" % self.app
+        return real_run(self)
+
+    Campaign.run = run
+    try:
+        return lanes.run_in_lanes(application_campaigns(config), 2)
+    finally:
+        Campaign.run = real_run
+
+
+def _in_process(config):
+    return [campaign.run() for campaign in application_campaigns(config)]
+
+
+@pytest.fixture(scope="module")
+def in_process_records():
+    return _records(_in_process(CampaignConfig()))
+
+
+def _findings_digest(report):
+    blob = json.dumps(findings_projection(app_report_to_dict(report)),
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_lanes_match_in_process_and_golden(in_process_records):
+    reports = _in_lanes(CampaignConfig())
+    assert [report.app for report in reports] == list(catalog.APP_NAMES)
+    assert _records(reports) == in_process_records
+    with open(EVALUATE_GOLDEN) as handle:
+        golden = json.load(handle)
+    assert {report.app: _findings_digest(report) for report in reports} \
+        == golden
+
+
+@pytest.mark.parametrize("mode", ["checkpoint", "observe", "audit", "chaos"])
+def test_lanes_match_in_process(tmp_path, mode):
+    def config(side):
+        settings = {
+            "checkpoint": {"checkpoint_path": str(tmp_path / side)},
+            "observe": {"observe": True},
+            "audit": {"audit": True},
+            "chaos": {"fault_plan": FaultPlan.moderate(7)},
+        }[mode]
+        return CampaignConfig(only_params=FEW_PARAMS, **settings)
+
+    laned, serial = _in_lanes(config("lanes")), _in_process(config("serial"))
+    assert _records(laned) == _records(serial)
+    if mode == "observe":
+        assert [r.observation.metrics.render_prometheus() for r in laned] \
+            == [r.observation.metrics.render_prometheus() for r in serial]
+    if mode == "chaos":
+        assert any(report.fault_counts for report in laned)
+
+
+def test_lanes_match_in_process_with_store_then_incremental(tmp_path):
+    def config(side, **extra):
+        return CampaignConfig(store_path=str(tmp_path / side),
+                              only_params=FEW_PARAMS, **extra)
+
+    assert _records(_in_lanes(config("lanes"))) \
+        == _records(_in_process(config("serial")))
+    laned = _in_lanes(config("lanes", incremental=True))
+    assert _records(laned) == _records(_in_process(config("serial",
+                                                          incremental=True)))
+    plans = [report.plan.to_dict() for report in laned]
+    assert all(plan["reused"] == len(plan["profiles"]) for plan in plans)
+
+
+FALLBACKS = {
+    "workers": {"workers": 2},
+    "trace": {"trace": TraceLog()},
+    "progress-stream": {"progress_stream": io.StringIO()},
+    "progress-hook": {"progress_hook": lambda snapshot: None},
+    "cancel-event": {"cancel_event": threading.Event()},
+    "distributed": {"distributed": "127.0.0.1:0"},
+    "disk-faults": {"disk_fault_plan": DiskFaultPlan(seed=1,
+                                                     torn_write_prob=0.5)},
+    "no-fork": {},
+    "one-cpu": {},
+    "other-thread": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_each_fallback_condition_runs_in_process(monkeypatch, name):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    # only_params=() leaves nothing but the pre-run: cheap
+    config = CampaignConfig(only_params=frozenset(), **FALLBACKS[name])
+    assert lanes.lane_count(CampaignConfig(), 6) == 4
+    assert lanes.lane_count(CampaignConfig(disk_fault_plan=DiskFaultPlan()),
+                            6) == 4  # an all-zero plan is inactive
+    if name == "no-fork":
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+    elif name == "one-cpu":
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    elif name == "other-thread":
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert lanes.lane_count(config, 6) == 1
+    if name == "distributed":
+        return  # running it would start a coordinator and wait for a fleet
+
+    def no_lanes(campaigns, count):
+        raise AssertionError("lanes used despite a fallback condition")
+
+    monkeypatch.setattr(lanes, "run_in_lanes", no_lanes)
+    report = run_full_campaign(config)
+    assert [app.app for app in report.apps] == list(catalog.APP_NAMES)
+
+
+def test_killed_lane_is_rerun_in_process(monkeypatch, in_process_records):
+    parent, real_run = os.getpid(), Campaign.run
+
+    def run(self):
+        if self.app == "yarn" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(self)
+
+    monkeypatch.setattr(Campaign, "run", run)
+    reports = lanes.run_in_lanes(application_campaigns(CampaignConfig()), 2)
+    assert _records(reports) == in_process_records
+
+
+def test_lane_error_is_reraised_for_first_failing_app(monkeypatch):
+    def run(self):
+        if self.app == "hbase":
+            time.sleep(0.5)  # so that yarn's error arrives first
+        if self.app in ("hbase", "yarn"):
+            raise CheckpointError("journal refused for %s" % self.app)
+        return self.app
+
+    monkeypatch.setattr(Campaign, "run", run)
+    # hbase is earlier in catalog order, so its error is the one the
+    # serial loop would have raised
+    with pytest.raises(CheckpointError, match="refused for hbase$") as info:
+        _in_lanes(CampaignConfig())
+    assert "Traceback" in str(info.value.__cause__)
+
+
+def test_cli_refusal_from_a_lane_keeps_exit_code(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    journal = tmp_path / "ck.jsonl"
+    journal.write_text(json.dumps({"kind": "header", "app": "flink",
+                                   "alpha": 0.5}) + "\n")
+    assert cli.main(["evaluate", "--checkpoint", str(journal),
+                     "--param", "akka.ssl.enabled"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint %s was written by a campaign "
+                          "with different settings" % journal)
+
+
+def _processes():
+    """(pid, parent pid, command line) of every live, non-zombie process."""
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+            with open("/proc/%s/cmdline" % entry, "rb") as handle:
+                cmdline = handle.read().decode(errors="replace")
+        except OSError:
+            continue
+        if fields[0] != "Z":
+            yield int(entry), int(fields[1]), cmdline
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or not parallel.fork_available(),
+                    reason="needs fork and /proc")
+def test_lanes_exit_promptly_when_their_parent_dies():
+    campaigns = application_campaigns(CampaignConfig())
+    parent = os.fork()
+    if parent == 0:  # pragma: no cover - the lanes' parent
+        try:
+            Campaign.run = lambda self: time.sleep(120)  # lanes stay busy
+            lanes.run_in_lanes(campaigns, 2)
+        finally:
+            os._exit(1)
+    try:
+        deadline = time.monotonic() + 30
+        lane_pids = set()
+        while len(lane_pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            lane_pids = {pid for pid, ppid, _ in _processes()
+                         if ppid == parent}
+        assert len(lane_pids) == 2
+    finally:
+        os.kill(parent, signal.SIGKILL)
+        os.waitpid(parent, 0)
+
+    def alive():
+        return lane_pids & {pid for pid, _, _ in _processes()}
+
+    deadline = time.monotonic() + 3
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or not parallel.fork_available(),
+                    reason="needs fork and /proc")
+def test_sigkilled_evaluate_leaves_no_lanes_and_resumes_identically(
+        tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+
+    def evaluate(journal, out):
+        argv = [sys.executable, "-m", "repro", "evaluate",
+                "--checkpoint", str(journal), "--json", str(out)]
+        for param in sorted(FEW_PARAMS):
+            argv += ["--param", param]
+        return argv
+
+    journal = tmp_path / "killed.jsonl"
+    child = subprocess.Popen(evaluate(journal, tmp_path / "unused.json"),
+                             env=env, stdout=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline and child.poll() is None:
+        if journal.exists() and \
+                journal.read_text(errors="replace").count('"test-done"') >= 8:
+            break
+        time.sleep(0.05)
+    assert child.poll() is None, "evaluate finished before it was killed"
+    child.send_signal(signal.SIGKILL)
+    child.wait(timeout=30)
+
+    def leftovers():  # lanes share the killed parent's command line
+        return [pid for pid, _, cmdline in _processes()
+                if str(journal) in cmdline]
+
+    deadline = time.monotonic() + 10
+    while leftovers() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert leftovers() == []
+
+    subprocess.run(evaluate(journal, tmp_path / "resumed.json"), env=env,
+                   stdout=subprocess.DEVNULL, check=True, timeout=300)
+    subprocess.run(evaluate(tmp_path / "whole.jsonl", tmp_path / "whole.json"),
+                   env=env, stdout=subprocess.DEVNULL, check=True,
+                   timeout=300)
+    assert (tmp_path / "resumed.json").read_bytes() \
+        == (tmp_path / "whole.json").read_bytes()

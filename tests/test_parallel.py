@@ -113,6 +113,14 @@ class TestProcessBackend:
         sequential = synthetic_campaign(config=decoupled_config()).run()
         assert full_dict(report) == full_dict(sequential)
 
+    def test_usable_cpus_honours_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        assert parallel.usable_cpus() == 1  # e.g. under taskset -c 0
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+        assert parallel.usable_cpus() == 8  # platforms without affinity
+
     def test_unknown_backend_rejected(self):
         campaign = synthetic_campaign(config=CampaignConfig(
             workers=2, parallel_backend="carrier-pigeon"))
