@@ -1,4 +1,4 @@
-"""Execution-cache effectiveness and parallel-backend throughput.
+"""Execution-cache effectiveness and supervised-pool throughput.
 
 Two claims are measured on the HDFS campaign:
 
@@ -6,10 +6,10 @@ Two claims are measured on the HDFS campaign:
    executions are served from the content-addressed cache, cutting total
    unit-test executions by >= 40% while every verdict stays byte-identical
    to the uncached run (the cache-soundness invariant).
-2. **Process backend**: with profiles decoupled (``blacklist_threshold``
-   high enough that no cross-profile state couples scheduling), the
-   fork-based backend beats the GIL-bound thread backend on multi-core
-   hosts.  The assertion is conditional on the usable CPU count
+2. **Supervised pool**: with profiles decoupled (``blacklist_threshold``
+   high enough that no cross-profile state couples scheduling), four
+   supervised workers beat the serial loop on multi-core hosts.  The
+   assertion is conditional on the usable CPU count
    (``parallel.usable_cpus()``, which honours an affinity mask such as
    ``taskset -c 0``) — on a single-core runner process fan-out cannot
    win and only the equal-findings invariant is checked.
@@ -69,16 +69,15 @@ def measure():
         "verdicts_identical": _verdict_view(uncached) == _verdict_view(cached),
     }
 
-    thread, thread_wall = _run(workers=4, parallel_backend="thread",
-                               blacklist_threshold=999)
-    process, process_wall = _run(workers=4, parallel_backend="process",
-                                 blacklist_threshold=999)
+    serial, serial_wall = _run(blacklist_threshold=999)
+    supervised, supervised_wall = _run(workers=4, blacklist_threshold=999)
     rows["backends"] = {
         "cpu_count": usable_cpus(),
         "workers": 4,
-        "wall_thread_s": thread_wall,
-        "wall_process_s": process_wall,
-        "findings_identical": _verdict_view(thread) == _verdict_view(process),
+        "wall_serial_s": serial_wall,
+        "wall_supervised_s": supervised_wall,
+        "findings_identical":
+            _verdict_view(serial) == _verdict_view(supervised),
     }
     return rows
 
@@ -99,9 +98,9 @@ def test_execcache_and_backends(benchmark):
          ["wall uncached -> cached",
           "%.1fs -> %.1fs" % (cache["wall_uncached_s"],
                               cache["wall_cached_s"])]]))
-    print("thread vs process at %d workers (%d CPUs): %.1fs vs %.1fs"
+    print("serial vs supervised x%d (%d CPUs): %.1fs vs %.1fs"
           % (backends["workers"], backends["cpu_count"],
-             backends["wall_thread_s"], backends["wall_process_s"]))
+             backends["wall_serial_s"], backends["wall_supervised_s"]))
 
     artifact = os.environ.get("EXECCACHE_BENCH_JSON", "bench_execcache.json")
     with open(artifact, "w") as sink:
@@ -113,8 +112,8 @@ def test_execcache_and_backends(benchmark):
     assert cache["saved_fraction"] >= 0.40
     assert cache["cache_hits"] > 0
 
-    # backends agree on findings regardless of scheduling
+    # serial and pooled runs agree on findings regardless of scheduling
     assert backends["findings_identical"]
-    # fork fan-out only beats the GIL when there are cores to fan onto
+    # fork fan-out only beats the serial loop with cores to fan onto
     if backends["cpu_count"] >= 2:
-        assert backends["wall_process_s"] < backends["wall_thread_s"]
+        assert backends["wall_supervised_s"] < backends["wall_serial_s"]

@@ -1,13 +1,13 @@
 """§4 "Test in parallel": unit tests are independent, so campaigns fan
 out across workers (the paper used up to 100 machines / 2,000 containers).
 
-The bench runs the HDFS campaign at several worker *thread* counts.  The
+The bench runs the HDFS campaign at several worker counts; every width
+above one forks that many supervised worker *processes*.  The
 load-bearing property is **independence**: findings must be identical at
-every width.  Thread-level parallelism itself buys nothing here — the
-simulated tests are pure-Python CPU work serialized by the GIL, so the
-sweep typically shows flat-to-slower wall times; the paper's speedup
-came from process/machine-level fan-out, which the same independence
-enables.
+every width.  Wall time scales with the usable CPUs, not the worker
+count — past them, extra workers only add fork and pipe overhead, which
+the gate below bounds; the paper's speedup came from machine-level
+fan-out, which the same independence enables.
 """
 
 from __future__ import annotations
@@ -54,5 +54,5 @@ def test_parallel_scaling(benchmark):
     # findings are identical at every parallelism — the property that
     # makes machine-level fan-out safe
     assert len({r["true_problems"] for r in rows}) == 1
-    # thread overhead stays bounded (no pathological contention)
+    # pool overhead stays bounded (no pathological contention)
     assert widest <= serial * 1.7

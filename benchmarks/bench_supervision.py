@@ -1,20 +1,21 @@
-"""Supervision overhead: supervised vs bare process backend.
+"""Supervised pool vs the serial loop.
 
-The supervised pool (``repro/core/supervise.py``) adds pipes,
-heartbeats, deadline bookkeeping, and parent-side polling on top of the
-bare ``ProcessPoolExecutor``.  On a healthy campaign — no crashes, no
-hangs — all of that should be nearly free: the design target is < 5%
-wall-clock overhead on the HDFS campaign.
+``--workers N > 1`` runs every profile on the supervised pool
+(``repro/core/supervise.py``): forked workers on pipes, heartbeats,
+deadline bookkeeping, and parent-side polling.  The only other way to
+run a campaign on one host is the serial loop, so that is the baseline.
+Measured on the HDFS campaign with profiles decoupled
+(``blacklist_threshold`` high so no cross-profile state couples
+scheduling):
 
-Measured here with profiles decoupled (``blacklist_threshold`` high so
-no cross-profile state couples scheduling):
-
-* the supervised and bare runs report **identical findings** (the
-  supervisor may only change *how* workers run, never what they find);
-* wall-clock overhead is printed and archived; the hard assertion is
-  deliberately looser than the 5% target (shared CI runners jitter more
-  than the supervisor costs) — it exists to catch order-of-magnitude
-  regressions like a hot polling loop.
+* the supervised and serial runs report **identical findings** (the
+  pool may only change *how* profiles run, never what they find);
+* the supervised ×4 wall clock is at most 1.25 × the serial wall clock.
+  The gate assumes at least two usable CPUs, as CI runners have: there
+  the pool must not lose to serial by more than scheduler jitter, so it
+  catches order-of-magnitude regressions such as a hot polling loop.
+  Four workers on one usable CPU only contend for it (1.35 × serial
+  under ``taskset -c 0`` on a 2-vCPU host), and the gate fails there.
 
 Rows are written as a JSON artifact (path from the
 ``SUPERVISION_BENCH_JSON`` environment variable, default
@@ -29,23 +30,21 @@ import time
 
 from repro.apps import catalog
 from repro.core.orchestrator import Campaign, CampaignConfig
+from repro.core.parallel import usable_cpus
 from repro.core.report import app_report_to_dict, render_table
 
 APP = "hdfs"
 WORKERS = 4
-#: design target (documented, printed) vs CI gate (noise-tolerant).
-TARGET_OVERHEAD = 0.05
-MAX_OVERHEAD = 0.25
+#: supervised x4 wall clock may not exceed this multiple of serial.
+MAX_WALL_RATIO = 1.25
 
 
-def _run(**config_kwargs):
+def _run(workers):
     spec = catalog.spec_for(APP)
     campaign = Campaign(APP, spec.registry,
                         dependency_rules=spec.dependency_rules,
-                        config=CampaignConfig(workers=WORKERS,
-                                              parallel_backend="process",
-                                              blacklist_threshold=999,
-                                              **config_kwargs))
+                        config=CampaignConfig(workers=workers,
+                                              blacklist_threshold=999))
     started = time.time()
     report = campaign.run()
     return report, time.time() - started
@@ -62,34 +61,34 @@ def _findings_view(report):
 
 
 def measure():
-    bare, bare_wall = _run(supervise=False)
-    supervised, supervised_wall = _run(supervise=True)
-    overhead = supervised_wall / bare_wall - 1
+    serial, serial_wall = _run(1)
+    supervised, supervised_wall = _run(WORKERS)
     return {
         "app": APP,
         "workers": WORKERS,
-        "wall_bare_s": bare_wall,
+        "cpu_count": usable_cpus(),
+        "wall_serial_s": serial_wall,
         "wall_supervised_s": supervised_wall,
-        "overhead_fraction": overhead,
-        "target_overhead_fraction": TARGET_OVERHEAD,
+        "wall_ratio": supervised_wall / serial_wall,
+        "max_wall_ratio": MAX_WALL_RATIO,
         "workers_spawned": supervised.supervision.workers_spawned,
         "crashes": supervised.supervision.crashes,
         "findings_identical":
-            _findings_view(bare) == _findings_view(supervised),
+            _findings_view(serial) == _findings_view(supervised),
     }
 
 
 def test_supervision_overhead(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    print("\nSupervision overhead (%s campaign, %d process workers):"
-          % (rows["app"], rows["workers"]))
+    print("\nSupervised pool vs serial loop (%s campaign, %d workers, "
+          "%d CPUs):" % (rows["app"], rows["workers"], rows["cpu_count"]))
     print(render_table(
         ["metric", "value"],
-        [["wall bare backend", "%.2fs" % rows["wall_bare_s"]],
+        [["wall serial", "%.2fs" % rows["wall_serial_s"]],
          ["wall supervised", "%.2fs" % rows["wall_supervised_s"]],
-         ["overhead", "%.1f%% (target < %.0f%%)"
-          % (100 * rows["overhead_fraction"], 100 * TARGET_OVERHEAD)],
+         ["supervised / serial", "%.2f (gate <= %.2f)"
+          % (rows["wall_ratio"], MAX_WALL_RATIO)],
          ["workers spawned", rows["workers_spawned"]]]))
 
     artifact = os.environ.get("SUPERVISION_BENCH_JSON",
@@ -102,6 +101,4 @@ def test_supervision_overhead(benchmark):
     assert rows["findings_identical"]
     # a healthy campaign needs no crash machinery
     assert rows["crashes"] == 0
-    # noise-tolerant gate; the 5% design target is tracked via the
-    # archived artifact, not asserted on shared runners
-    assert rows["overhead_fraction"] < MAX_OVERHEAD
+    assert rows["wall_ratio"] <= MAX_WALL_RATIO

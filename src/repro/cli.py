@@ -94,14 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--workers", type=int, default=1,
                         help="local execution slots; >1 runs leased "
                              "profiles through the supervised process pool")
-    worker.add_argument("--parallel-backend", choices=("thread", "process"),
-                        default="process",
-                        help="local backend for --workers > 1 "
-                             "(default process)")
-    worker.add_argument("--supervise", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="contain crashes of local pool workers "
-                             "(default on)")
     worker.add_argument("--worker-redelivery", type=int, default=2,
                         metavar="N",
                         help="local in-pool redeliveries before a profile "
@@ -220,14 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers (default 1); combine with "
-                             "--parallel-backend process for real speedup "
-                             "on the CPU-bound simulations")
-    parser.add_argument("--parallel-backend", choices=("thread", "process"),
-                        default="thread",
-                        help="how --workers fans out unit-test profiles: "
-                             "GIL-bound threads (default) or forked "
-                             "processes (true parallelism)")
+                        help="parallel workers (default 1); >1 runs "
+                             "profiles on the supervised pool of forked "
+                             "processes (serially where fork is "
+                             "unavailable)")
+    parser.add_argument("--parallel-backend", choices=("process",),
+                        help="accepted for compatibility and ignored: "
+                             "--workers > 1 always forks processes")
     parser.add_argument("--schedule", choices=("lpt", "catalog"),
                         default="lpt",
                         help="dispatch order for --workers > 1: "
@@ -347,14 +338,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                                 help="probability %s; applies only to the "
                                      "--store disk layer, seeded by "
                                      "--fault-seed" % text)
-    resilience.add_argument("--supervise", default=True,
-                            action=argparse.BooleanOptionalAction,
-                            help="supervise process workers: contain "
-                                 "crashes, reap hung workers, quarantine "
-                                 "poison profiles (default on; "
-                                 "--no-supervise restores the bare "
-                                 "executor, where one dead child aborts "
-                                 "the campaign)")
     resilience.add_argument("--profile-deadline", type=float, default=None,
                             metavar="SECONDS",
                             help="real-time wall-clock budget per unit-test "
@@ -534,9 +517,7 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             disk_fault_plan=_disk_fault_plan(args),
                             dist_secret=args.dist_secret,
                             audit=args.audit,
-                            parallel_backend=args.parallel_backend,
                             schedule=args.schedule,
-                            supervise=args.supervise,
                             profile_deadline_s=args.profile_deadline,
                             worker_rlimit_cpu_s=args.worker_rlimit_cpu,
                             worker_rlimit_mem_mb=args.worker_rlimit_mem,
@@ -866,8 +847,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.core.distrib import run_worker
         worker_config = CampaignConfig(
             workers=args.workers,
-            parallel_backend=args.parallel_backend,
-            supervise=args.supervise,
             worker_redelivery=args.worker_redelivery,
             crash_loop_threshold=args.crash_loop_threshold,
             profile_deadline_s=args.profile_deadline,

@@ -93,9 +93,9 @@ class FaultPlan:
     #: probability that a supervised worker *process* hard-dies
     #: (``os._exit``) just before running a profile — the harness-level
     #: chaos that makes the supervisor itself testable.  Consulted only
-    #: by the process supervisor (repro.core.supervise); sequential and
-    #: thread backends never kill their own process.  Not part of the
-    #: ``moderate`` preset for the same reason.
+    #: by the process supervisor (repro.core.supervise); a serial run
+    #: never kills its own process.  Not part of the ``moderate`` preset
+    #: for the same reason.
     worker_crash_prob: float = 0.0
 
     @property

@@ -55,10 +55,11 @@ _TIME_LIMIT: ContextVar[Optional[float]] = ContextVar(
 class _KernelStats(threading.local):
     """Volatile per-thread counters for the ``zc_runtime_sim_*`` metrics.
 
-    Thread-local so concurrently running profiles on the thread backend
-    attribute their own deltas; forked process workers inherit a private
-    copy.  These feed *volatile* metrics only — they describe how much
-    work the kernel avoided, never the simulated outcome.
+    Thread-local so campaigns running side by side on the service
+    daemon's job threads attribute their own deltas; forked process
+    workers inherit a private copy.  These feed *volatile* metrics only
+    — they describe how much work the kernel avoided, never the
+    simulated outcome.
     """
 
     def __init__(self) -> None:

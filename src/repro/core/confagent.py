@@ -34,7 +34,8 @@ TestGenerator can exclude the (unit test, parameter) combinations that
 would otherwise produce false positives (§6.2, Observation 3).
 
 Agents are scoped with a :mod:`contextvars` context variable so that
-parallel TestRunner workers (threads) each see their own session; when no
+concurrent campaigns (the service daemon's job threads) each see their
+own session; when no
 session is active, a shared inert :class:`NullAgent` makes the hook points
 in :class:`repro.common.configuration.Configuration` free.
 """

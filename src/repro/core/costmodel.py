@@ -30,11 +30,12 @@ Profiles likely to be answered from the execution cache are discounted
 (so they sort *later*): a cache hit costs microseconds, and burning a
 worker slot on it early starves the genuinely expensive work behind it.
 
-The dispatch order is consumed by ``core.supervise`` (supervised queue
-+ thread submission order) and ``core.parallel`` (bare process
-submission order); ``CampaignConfig.schedule`` selects ``"lpt"``
-(default) or ``"catalog"`` (legacy order, also the perf-baseline mode
-of ``benchmarks/bench_campaign_wallclock.py``).
+The dispatch order is consumed by the supervised pool's queue
+(``Campaign._run_locally`` -> ``core.supervise``) and the distributed
+coordinator's lease queue; serial runs keep catalog order.
+``CampaignConfig.schedule`` selects ``"lpt"`` (default) or
+``"catalog"`` (legacy order, also the perf-baseline mode of
+``benchmarks/bench_campaign_wallclock.py``).
 """
 
 from __future__ import annotations

@@ -576,9 +576,9 @@ class Coordinator:
 def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
                              checkpoint: Optional[Any],
                              tests_by_name: Mapping[str, UnitTest]
-                             ) -> List[Any]:
+                             ) -> Dict[str, Any]:
     """Run ``profiles`` over the remote fleet, locally finishing whatever
-    the fleet could not.  Outcomes come back aligned with ``profiles``."""
+    the fleet could not.  Outcomes come back keyed by test name."""
     config = campaign.config
     host, port = net.parse_address(config.distributed)
     campaign.distribution.enabled = True
@@ -589,22 +589,11 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
                               host=host, port=port)
     outcomes, remaining = coordinator.serve()
     if remaining:
-        # Graceful degradation: the local machine finishes the campaign
-        # with whichever backend ``workers`` selects.  ``remaining``
-        # keeps LPT order, which is what the local pool wants anyway.
+        # Graceful degradation: the local machine finishes the campaign.
         campaign.distribution.local_profiles = len(remaining)
-        if config.workers > 1:
-            from repro.core.supervise import run_profiles_parallel
-            fresh = run_profiles_parallel(campaign, remaining, checkpoint,
-                                          tests_by_name)
-            for profile, outcome in zip(remaining, fresh):
-                outcomes[profile.test.full_name] = outcome
-        else:
-            for profile in remaining:
-                outcome = campaign._run_profile_contained(profile, checkpoint)
-                campaign._profile_committed(outcome)
-                outcomes[profile.test.full_name] = outcome
-    return [outcomes[p.test.full_name] for p in profiles]
+        outcomes.update(campaign._run_locally(remaining, checkpoint,
+                                              tests_by_name))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +602,7 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
 def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
                           observe: bool, base: Any) -> Any:
     """Coordinator-sent findings-shaping settings + local execution shape
-    (worker count, backend, supervision knobs) -> the worker's config."""
+    (worker count, supervision knobs) -> the worker's config."""
     from repro.common.faults import FaultPlan
     from repro.core.orchestrator import CampaignConfig
     plan_record = settings.get("fault_plan")
@@ -647,8 +636,6 @@ def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
         disk_fault_plan=base.disk_fault_plan,
         dist_secret=base.dist_secret,
         workers=base.workers,
-        parallel_backend=base.parallel_backend,
-        supervise=base.supervise,
         schedule=base.schedule,
         profile_deadline_s=base.profile_deadline_s,
         worker_rlimit_cpu_s=base.worker_rlimit_cpu_s,
@@ -918,10 +905,10 @@ def _run_batch(campaign: Any, batch: Sequence[Tuple[str, int]],
                profiles_by_name: Mapping[str, Any],
                tests_by_name: Mapping[str, UnitTest]) -> None:
     """Run one lease batch on the local pool, shipping each outcome as it
-    commits (the supervised pool streams through its outcome sink)."""
+    commits.  At ``--workers > 1`` the whole supervised-pool failure
+    story (crash containment, redelivery, deadlines, rlimits, its own
+    quarantine) applies to each remote batch."""
     from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-    from repro.core.supervise import (Supervisor,
-                                      _run_profile_contained_noraise)
     runnable = []
     for task, _ in batch:
         profile = profiles_by_name.get(task)
@@ -934,22 +921,6 @@ def _run_batch(campaign: Any, batch: Sequence[Tuple[str, int]],
                 error_kind=HARNESS_ERROR))
             continue
         runnable.append(profile)
-    if not runnable:
-        return
-    config = campaign.config
-    if (config.workers > 1 and config.parallel_backend == "process"
-            and config.supervise and parallel.fork_available()):
-        # The whole supervised-pool failure story (crash containment,
-        # redelivery, deadlines, rlimits, its own quarantine) applies to
-        # each remote batch; its commit hook doubles as our ship hook.
-        supervisor = Supervisor(campaign, runnable, None, tests_by_name,
-                                outcome_sink=shipper.ship)
-        campaign.supervision = supervisor.stats
-        supervisor.run()
-    else:
-        for profile in runnable:
-            outcome = _run_profile_contained_noraise(campaign, profile)
-            parallel.commit_outcome(campaign, None,
-                                    profile.test.full_name, outcome,
-                                    replay_tracker=False)
-            shipper.ship(profile.test.full_name, outcome)
+    if runnable:
+        campaign._run_locally(runnable, None, tests_by_name,
+                              outcome_sink=shipper.ship)

@@ -131,10 +131,9 @@ def execution_seed(test_name: str, canonical: Any, trial: int) -> int:
 class ExecutionCache:
     """Memoizes ``RunOutcome``s for one campaign.
 
-    Thread-safe (one campaign's worker threads share it); under the
-    process backend each worker inherits a fork-time copy, which is
-    lossless because cache keys include the unit-test name and each
-    worker owns whole unit-test profiles.
+    Thread-safe; under the supervised pool each worker inherits a
+    fork-time copy, which is lossless because cache keys include the
+    unit-test name and each worker owns whole unit-test profiles.
     """
 
     def __init__(self, context: Optional[Mapping[str, Any]] = None) -> None:

@@ -90,7 +90,6 @@ SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "app": (None, "app"),
     "params": (None, "params"),
     "workers": (1, "int"),
-    "parallel_backend": ("thread", "choice:thread,process"),
     "schedule": ("lpt", "choice:lpt,catalog"),
     "exec_cache": (False, "bool"),
     "store": (True, "bool"),
@@ -99,7 +98,6 @@ SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "sample_k": (None, "int?"),
     "sample_seed": (0, "int"),
     "audit": (False, "bool"),
-    "supervise": (True, "bool"),
     "pool_size": (None, "int?"),
     "blacklist_threshold": (3, "int"),
     "disable_ipc_sharing": (False, "bool"),
@@ -335,7 +333,12 @@ class JobQueue:
             root = os.path.join(jobs_root, name)
             try:
                 with open(os.path.join(root, "spec.json")) as handle:
-                    spec = canonical_spec(json.load(handle))
+                    raw = json.load(handle)
+                if isinstance(raw, dict):
+                    # an older daemon may have persisted keys since retired
+                    raw = {key: value for key, value in raw.items()
+                           if key in SPEC_SCHEMA}
+                spec = canonical_spec(raw)
                 with open(os.path.join(root, "status.json")) as handle:
                     status = json.load(handle)
             except (OSError, ValueError, JobSpecError):
@@ -496,7 +499,6 @@ class JobQueue:
         spec = job.spec
         config = CampaignConfig(
             workers=spec["workers"],
-            parallel_backend=spec["parallel_backend"],
             schedule=spec["schedule"],
             exec_cache=spec["exec_cache"],
             store_path=self.store_path if spec["store"] else None,
@@ -505,7 +507,6 @@ class JobQueue:
             sample_k=spec["sample_k"],
             sample_seed=spec["sample_seed"],
             audit=spec["audit"],
-            supervise=spec["supervise"],
             max_pool_size=spec["pool_size"],
             blacklist_threshold=spec["blacklist_threshold"],
             disable_ipc_sharing=spec["disable_ipc_sharing"],

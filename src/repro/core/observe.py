@@ -448,8 +448,8 @@ class MetricsRegistry:
         """Prometheus text-format snapshot.
 
         The default (``include_volatile=False``) is the *deterministic*
-        snapshot: byte-identical across serial, thread, process, and
-        supervised runs of the same seeded campaign.
+        snapshot: byte-identical across serial and supervised-pool runs
+        of the same seeded campaign.
         """
         lines: List[str] = []
         by_name: Dict[str, List[Tuple[Tuple[Tuple[str, str], ...], Any]]] = {}
@@ -543,7 +543,7 @@ class Observation:
     """Span collector + metrics registry + modelled-time clock.
 
     Used from a single thread: the campaign parent owns one, and every
-    profile runner (serial, thread, or forked worker) builds its own,
+    profile runner (serial or forked worker) builds its own,
     shipped back as a wire dict and adopted by the parent.
 
     ``sim_now`` only advances via :meth:`advance_sim` — per execution

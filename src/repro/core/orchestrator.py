@@ -17,6 +17,7 @@ from repro.common.faults import FaultPlan
 from repro.common.node import NODE_TYPES
 from repro.common.params import ParamRegistry
 from repro.common.simulation import kernel_stats_snapshot
+from repro.core import parallel
 from repro.core.confagent import UNIT_TEST
 from repro.core.checkpoint import (CampaignCheckpoint, result_from_dict,
                                    result_to_dict)
@@ -40,7 +41,8 @@ from repro.core.testgen import DependencyRule, TestGenerator
 from repro.core.triage import ParamVerdict, triage_report
 
 #: ProfileOutcome.error_kind for an exception contained *in-process*
-#: (the worker/thread survived; partial accounting was preserved).
+#: (the campaign or worker process survived; partial accounting was
+#: preserved).
 HARNESS_ERROR = "harness-error"
 
 
@@ -174,20 +176,12 @@ class CampaignConfig:
     #: checkpoint_settings(): a resumed campaign may toggle it freely
     #: because the audit never touches the journal.
     audit: bool = False
-    #: how ``workers > 1`` fans out profiles: "thread" (GIL-bound, cheap)
-    #: or "process" (fork-based, true parallelism over the pure-Python
-    #: simulation).  Ignored at workers == 1.
-    parallel_backend: str = "thread"
-    #: dispatch order for ``workers > 1``: "lpt" hands profiles to the
-    #: pool longest-predicted-first (see repro.core.costmodel), "catalog"
+    #: dispatch order for the supervised pool: "lpt" hands profiles to it
+    #: longest-predicted-first (see repro.core.costmodel), "catalog"
     #: keeps corpus order.  Results are folded in catalog order either
     #: way, so findings and deterministic metrics are identical; only
-    #: wall-clock makespan changes.  Ignored at workers == 1.
+    #: wall-clock makespan changes.  Serial runs keep catalog order.
     schedule: str = "lpt"
-    #: run the process backend under the supervisor (repro.core.supervise):
-    #: crashed/hung workers are killed, reaped and respawned instead of
-    #: aborting the campaign.  ``False`` restores the bare executor.
-    supervise: bool = True
     #: wall-clock seconds a worker may spend on one profile before the
     #: supervisor SIGKILLs it and quarantines the profile (None = no
     #: deadline).  This is *real* time — it catches CPU-bound hangs the
@@ -246,11 +240,11 @@ class CampaignConfig:
     #: broken consumer must not degrade the campaign.  Used by the
     #: service layer (repro.core.jobqueue) to stream NDJSON events.
     progress_hook: Optional[Any] = None
-    #: threading.Event polled between profiles; when set the campaign
-    #: raises CampaignCancelled instead of starting the next profile.
-    #: Checked in the serial loop and at the start of every profile on
-    #: the thread backend; the process/distributed backends only observe
-    #: it between pool drains, so in-flight profiles there finish first.
+    #: threading.Event; when set the campaign raises CampaignCancelled
+    #: instead of starting the next profile.  The serial loop checks it
+    #: before each profile; the supervised pool checks it on every tick
+    #: and kills its in-flight workers (their profiles rerun on resume).
+    #: A distributed coordinator only observes it once its fleet drains.
     #: Deliberately NOT part of checkpoint_settings(): cancellation is a
     #: runtime act, not a campaign setting.
     cancel_event: Optional[Any] = None
@@ -315,6 +309,10 @@ class ProfileOutcome:
     #: observability layer is on (crosses the process/supervision wire
     #: with the rest of the outcome); None otherwise.
     observation: Optional[Dict[str, Any]] = None
+    #: ``[kind, sim_at, data]`` TraceLog events a forked worker recorded
+    #: for this profile, folded into ``config.trace`` in catalog order;
+    #: None for a profile that traced straight into the campaign's log.
+    trace_events: Optional[List[List[Any]]] = None
 
 
 class Campaign:
@@ -459,9 +457,6 @@ class Campaign:
                     continue
             pending.append(profile)
 
-        backend = self.config.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ValueError("unknown parallel backend %r" % backend)
         schedule = self.config.schedule
         if schedule not in ("lpt", "catalog"):
             raise ValueError("unknown schedule %r" % schedule)
@@ -470,34 +465,15 @@ class Campaign:
         self.distribution = DistributionStats()
         if self.config.distributed is not None and pending:
             # Remote fleet first; whatever it cannot finish degrades to
-            # the local pool inside run_profiles_distributed.  Outcomes
+            # _run_locally inside run_profiles_distributed.  Outcomes
             # are keyed by test and folded in catalog order below, so
             # where a profile ran cannot change findings.
             from repro.core.distrib import run_profiles_distributed
-            fresh = run_profiles_distributed(self, pending, checkpoint,
-                                             tests_by_name)
-        elif self.config.workers > 1 and pending:
-            # Dispatch order is a pure makespan concern: outcomes are
-            # keyed by test and folded back in catalog order below, so
-            # reordering here cannot change findings or deterministic
-            # metrics.
-            if schedule == "lpt":
-                pending = self.cost_model.lpt_order(pending)
-            # Both backends share the supervisor module's as-completed
-            # collection: each finished profile is journaled immediately,
-            # so a crash loses at most the in-flight profiles.
-            from repro.core.supervise import run_profiles_parallel
-            fresh = run_profiles_parallel(self, pending, checkpoint,
-                                          tests_by_name)
-        else:
-            fresh = []
-            for profile in pending:
-                self._check_cancelled()
-                outcome = self._run_profile_contained(profile, checkpoint)
-                self._profile_committed(outcome)
-                fresh.append(outcome)
-        for profile, outcome in zip(pending, fresh):
-            outcome_by_test[profile.test.full_name] = outcome
+            outcome_by_test.update(run_profiles_distributed(
+                self, pending, checkpoint, tests_by_name))
+        elif pending:
+            outcome_by_test.update(self._run_locally(pending, checkpoint,
+                                                     tests_by_name))
         self._persist_profile_records(usable, outcome_by_test)
 
         results: List[InstanceResult] = []
@@ -510,9 +486,13 @@ class Campaign:
         degraded_errors: Dict[str, str] = {}
         predicted_total = 0
         prediction_error = 0
+        trace = self.config.trace
         for profile in usable:
             name = profile.test.full_name
             outcome = outcome_by_test[name]
+            if trace is not None and outcome.trace_events:
+                for kind, sim_at, data in outcome.trace_events:
+                    trace.emit(kind, sim_at=sim_at, **data)
             results.extend(outcome.results)
             _merge_stats(pool_stats, outcome.stats)
             executions += outcome.executions
@@ -864,12 +844,47 @@ class Campaign:
         book.observe(name, outcome.executions, wall_s=wall_s)
         book.save()
 
+    def _run_locally(self, profiles: Sequence[TestProfile],
+                     checkpoint: Optional[CampaignCheckpoint],
+                     tests_by_name: Mapping[str, UnitTest],
+                     outcome_sink: Optional[Any] = None
+                     ) -> Dict[str, ProfileOutcome]:
+        """Run ``profiles`` on this host; outcomes keyed by test name.
+
+        ``workers > 1`` with ``fork`` available runs the supervised pool
+        (repro.core.supervise); anything else runs serially, in the
+        order given.  Every outcome commits through
+        :func:`repro.core.parallel.commit_outcome` the moment it
+        finishes, then goes to ``outcome_sink(name, outcome)`` if set.
+        """
+        if self.config.workers > 1 and parallel.fork_available():
+            # Dispatch order is a pure makespan concern: outcomes are
+            # keyed by test and folded back in catalog order, so
+            # reordering here cannot change findings or deterministic
+            # metrics.
+            if self.config.schedule == "lpt":
+                profiles = self.cost_model.lpt_order(profiles)
+            from repro.core.supervise import run_profiles_parallel
+            return run_profiles_parallel(self, profiles, checkpoint,
+                                         tests_by_name, outcome_sink)
+        outcomes: Dict[str, ProfileOutcome] = {}
+        for profile in profiles:
+            self._check_cancelled()
+            name = profile.test.full_name
+            outcome = self._run_profile_contained(profile, checkpoint)
+            parallel.commit_outcome(self, checkpoint, name, outcome)
+            if outcome_sink is not None:
+                outcome_sink(name, outcome)
+            outcomes[name] = outcome
+        return outcomes
+
     def _run_profile_contained(self, profile: TestProfile,
                                checkpoint: Optional[CampaignCheckpoint]
                                ) -> ProfileOutcome:
-        """Run one profile; contain harness crashes; journal the outcome."""
+        """Run one profile, containing harness crashes as a degraded
+        outcome instead of letting them abort the campaign."""
         try:
-            outcome = self._run_test_profile(profile, checkpoint)
+            return self._run_test_profile(profile, checkpoint)
         except Exception:  # noqa: BLE001 - graceful degradation
             outcome = ProfileOutcome(error=traceback.format_exc(),
                                      error_kind=HARNESS_ERROR)
@@ -877,14 +892,7 @@ class Campaign:
             if trace is not None:
                 trace.emit("test-error", app=self.app,
                            test=profile.test.full_name, error=outcome.error)
-        if checkpoint is not None:
-            checkpoint.record_test_done(
-                profile.test.full_name, outcome.results, outcome.stats,
-                outcome.executions, fault_counts=outcome.fault_counts,
-                retries=outcome.retries, error=outcome.error,
-                error_kind=outcome.error_kind)
-        self._record_measured_cost(profile.test.full_name, outcome)
-        return outcome
+            return outcome
 
     # ------------------------------------------------------------------
     # observability (repro.core.observe)
@@ -948,9 +956,9 @@ class Campaign:
                            reused: bool = False) -> None:
         """Fold one finished profile into the live campaign observation.
 
-        Called from the serial loop, checkpoint restore, and
-        ``parallel.commit_outcome`` (thread/process/supervised backends)
-        — always on the parent's committing thread, in completion order.
+        Called from checkpoint restore, plan-REUSE folds, and
+        ``parallel.commit_outcome`` — always on the parent's committing
+        thread, in completion order.
         Metric merges are commutative, so that order does not affect the
         final snapshot; spans are adopted later, in profile order.
         """
@@ -1135,10 +1143,9 @@ class Campaign:
 
         With observation on, the profile gets its *own* Observation —
         single-threaded by construction whether it runs in the serial
-        loop, a worker thread, or a forked worker — serialised onto the
-        outcome so the parent can merge it deterministically.
+        loop or a forked worker — serialised onto the outcome so the
+        parent can merge it deterministically.
         """
-        self._check_cancelled()
         if not self._observing():
             return self._profile_body(profile, checkpoint, None)
         obs = Observation(metrics=MetricsRegistry(

@@ -34,9 +34,9 @@ class FrequentFailureTracker:
     enough to stop testing it: it is reported unsafe and never pooled
     again.
 
-    One tracker is shared by every worker thread of a campaign
-    (``CampaignConfig.workers > 1``), so the read-modify-write in
-    :meth:`record_unsafe` is guarded by a lock — without it two threads
+    One tracker serves a whole campaign, and a distributed coordinator
+    commits into it from its connection threads, so the read-modify-write
+    in :meth:`record_unsafe` is guarded by a lock — without it two threads
     confirming the same parameter concurrently could each observe a
     below-threshold set and the parameter would never be blacklisted.
     """

@@ -1,12 +1,13 @@
-"""Supervised worker pool: crash containment for parallel campaigns.
+"""Supervised worker pool: how a campaign runs profiles in parallel.
 
-The bare process backend (:mod:`repro.core.parallel`) dies with the
-first worker that segfaults, OOMs, or ``os._exit``s — ``BrokenProcessPool``
-aborts the whole campaign — and a CPU-bound hung child blocks the pool
-forever, because the simulated-time watchdog cannot see *real-time*
-hangs.  A campaign over thousands of flaky unit-test executions (§5,
-§7.2) needs the harness itself to tolerate worker failure, so this
-module owns its workers directly instead of borrowing an executor:
+At ``workers > 1`` (where ``fork`` is available) a campaign runs its
+profiles here; otherwise it runs them serially (see
+``Campaign._run_locally``).  A plain executor dies with the first
+worker that segfaults, OOMs, or ``os._exit``s, and a CPU-bound hung
+child blocks it forever, because the simulated-time watchdog cannot see
+*real-time* hangs.  A campaign over thousands of flaky unit-test
+executions (§5, §7.2) needs the harness itself to tolerate worker
+failure, so this module owns its workers directly:
 
 * each worker is a **forked child on an explicit duplex pipe**; the
   parent sends ``{"task", "delivery"}`` messages and consumes results
@@ -48,15 +49,17 @@ Worker lifecycle::
 Quarantined profiles are journaled like any finished test: a resume
 does not retry poison — delete the journal line to force a re-run.
 
-Thread backend and fork-free platforms share the same as-completed
-collection (:func:`run_profiles_in_threads`): results are journaled in
-the parent the moment each profile finishes (completion order — resume
-correctness is keyed by test name, and the final report folds outcomes
-back in profile order either way).  Threads cannot be killed, so the
-supervision features above are process-backend only.
+The parent checks ``CampaignConfig.cancel_event`` on every tick: once
+it is set, nothing more is dispatched, the workers are shut down (busy
+ones SIGKILLed), and :class:`~repro.core.orchestrator.CampaignCancelled`
+propagates — profiles committed before the cancel are already journaled.
 
-Like every parallel backend (see :mod:`repro.core.parallel`),
-cross-profile blacklist propagation follows scheduling order, which is
+Each forked profile records ``--trace`` events into a fresh
+:class:`~repro.core.tracelog.TraceLog` and ships them back with its
+outcome; the campaign appends them in catalog order when it folds the
+outcomes, so the runner's ``retry``/``fault`` events match a serial run.
+
+Cross-profile blacklist propagation follows completion order, which is
 timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
 decoupled profiles (a ``blacklist_threshold`` no run reaches).
 """
@@ -70,13 +73,13 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from multiprocessing import connection
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core import parallel
 from repro.core.registry import UnitTest
 from repro.core.runner import WORKER_CRASH
+from repro.core.tracelog import TraceLog
 
 try:
     import resource
@@ -99,60 +102,19 @@ _CHILD_STATE: Dict[str, Any] = {}
 
 
 # ---------------------------------------------------------------------------
-# backend dispatch (the orchestrator's single entry point)
+# entry point (Campaign._run_locally at workers > 1 with fork)
 # ---------------------------------------------------------------------------
 def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
                           checkpoint: Optional[Any],
-                          tests_by_name: Mapping[str, UnitTest]
-                          ) -> List[Any]:
-    """Fan ``profiles`` over ``campaign.config.workers`` slots.
-
-    ``parallel_backend == "process"`` (with fork available) uses the
-    supervised pool — or the bare executor under ``--no-supervise``;
-    everything else shares the thread-backed as-completed collection.
-    Outcomes come back aligned with ``profiles``.
-    """
-    config = campaign.config
-    if config.parallel_backend == "process" and parallel.fork_available():
-        if config.supervise:
-            supervisor = Supervisor(campaign, profiles, checkpoint,
-                                    tests_by_name)
-            campaign.supervision = supervisor.stats
-            return supervisor.run()
-        return parallel.run_profiles_in_processes(campaign, profiles,
-                                                  checkpoint, tests_by_name)
-    return run_profiles_in_threads(campaign, profiles, checkpoint)
-
-
-def run_profiles_in_threads(campaign: Any, profiles: Sequence[Any],
-                            checkpoint: Optional[Any]) -> List[Any]:
-    """Thread backend behind the same as-completed collection contract.
-
-    Worker threads share the live campaign (tracker confirmations are
-    recorded in place, so no parent-side replay), but journaling is
-    still hoisted to the collecting thread and happens per completed
-    profile — the incremental-journaling guarantee is backend-uniform.
-    """
-    outcomes: Dict[str, Any] = {}
-    with ThreadPoolExecutor(max_workers=campaign.config.workers) as pool:
-        futures = {pool.submit(_run_profile_contained_noraise, campaign, p):
-                   p.test.full_name for p in profiles}
-        for future in as_completed(futures):
-            name = futures[future]
-            outcome = future.result()
-            parallel.commit_outcome(campaign, checkpoint, name, outcome,
-                                    replay_tracker=False)
-            outcomes[name] = outcome
-    return [outcomes[p.test.full_name] for p in profiles]
-
-
-def _run_profile_contained_noraise(campaign: Any, profile: Any) -> Any:
-    try:
-        return campaign._run_test_profile(profile, checkpoint=None)
-    except Exception:  # noqa: BLE001 - degrade, never kill the pool
-        from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-        return ProfileOutcome(error=traceback.format_exc(),
-                              error_kind=HARNESS_ERROR)
+                          tests_by_name: Mapping[str, UnitTest],
+                          outcome_sink: Optional[Any] = None
+                          ) -> Dict[str, Any]:
+    """Fan ``profiles`` over ``campaign.config.workers`` supervised
+    workers; outcomes come back keyed by test name."""
+    supervisor = Supervisor(campaign, profiles, checkpoint, tests_by_name,
+                            outcome_sink=outcome_sink)
+    campaign.supervision = supervisor.stats
+    return supervisor.run()
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +145,7 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             pass
     campaign = _CHILD_STATE["campaign"]
     profiles = _CHILD_STATE["profiles"]
-    # A forked TraceLog would interleave writes from many processes into
-    # one fd; counters still flow back through the outcome dicts.
-    campaign.config.trace = None
+    tracing = campaign.config.trace is not None
     _apply_rlimits(rlimit_cpu, rlimit_mem)
 
     send_lock = threading.Lock()
@@ -212,13 +172,18 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
         name, delivery = msg["task"], msg["delivery"]
         if plan is not None and plan.worker_crash_decision(name, delivery):
             os._exit(INJECTED_CRASH_EXIT)
+        if tracing:
+            # One log per profile; the parent folds it in catalog order.
+            campaign.config.trace = TraceLog()
         try:
-            outcome = campaign._run_test_profile(profiles[name],
-                                                 checkpoint=None)
+            outcome = campaign._run_profile_contained(profiles[name], None)
         except BaseException:  # noqa: BLE001 - the wire carries the stack
             from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
             outcome = ProfileOutcome(error=traceback.format_exc(),
                                      error_kind=HARNESS_ERROR)
+        if tracing:
+            outcome.trace_events = [[event.kind, event.sim_at, event.data]
+                                    for event in campaign.config.trace]
         record = parallel.profile_outcome_to_dict(outcome)
         try:
             with send_lock:
@@ -303,7 +268,7 @@ class Supervisor:
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
-    def run(self) -> List[Any]:
+    def run(self) -> Dict[str, Any]:
         _CHILD_STATE["campaign"] = self.campaign
         _CHILD_STATE["profiles"] = {p.test.full_name: p
                                     for p in self.profiles}
@@ -312,6 +277,8 @@ class Supervisor:
             for _ in range(self.slots):
                 self.workers.append(self._spawn())
             while True:
+                # Only the parent's copy of the cancel event is ever set.
+                self.campaign._check_cancelled()
                 self._dispatch()
                 if not self._busy() and (not self.queue or self.halted):
                     break
@@ -320,7 +287,7 @@ class Supervisor:
         finally:
             self._shutdown()
             _CHILD_STATE.clear()
-        return [self.outcomes[p.test.full_name] for p in self.profiles]
+        return self.outcomes
 
     # -- worker lifecycle ----------------------------------------------
     def _spawn(self) -> _Worker:

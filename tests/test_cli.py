@@ -83,6 +83,29 @@ class TestCampaignCommand:
         assert "reported" in capsys.readouterr().out
 
 
+class TestLocalBackendFlags:
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "flink", "--parallel-backend", "thread"],
+        ["campaign", "flink", "--no-supervise"],
+        ["worker", "--connect", "127.0.0.1:1", "--parallel-backend",
+         "process"],
+        ["worker", "--connect", "127.0.0.1:1", "--no-supervise"],
+    ])
+    def test_retired_backend_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+    def test_parallel_backend_process_still_runs_the_supervised_pool(
+            self, tmp_path):
+        out_path = tmp_path / "flink.json"
+        assert main(["campaign", "flink", "--workers", "2",
+                     "--parallel-backend", "process",
+                     "--json", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["supervision"]["enabled"]
+
+
 class TestObservabilityFlags:
     def test_campaign_exports_validate_and_reconcile(self, capsys, tmp_path):
         spans = str(tmp_path / "spans.jsonl")

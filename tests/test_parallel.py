@@ -1,10 +1,9 @@
-"""Tests for the process-backed profile scheduler (repro.core.parallel)."""
+"""Tests for running profiles on the supervised pool: the wire format
+(repro.core.parallel) and equivalence with the serial loop."""
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.core import parallel
 from repro.core.orchestrator import Campaign, CampaignConfig, ProfileOutcome
@@ -20,14 +19,15 @@ from test_orchestrator import synthetic_campaign
 def full_dict(report):
     record = app_report_to_dict(report)
     # Supervision counters are run-scoped operations (workers spawned,
-    # respawns...), not findings: backends legitimately differ there.
+    # respawns...), not findings: serial and pooled runs differ there.
     record.pop("supervision")
     return json.dumps(record, sort_keys=True)
 
 
 def decoupled_config(**kw):
     """Profiles fully independent (no cross-profile blacklist coupling),
-    so any backend and any scheduling order must agree byte for byte."""
+    so serial and pooled runs in any scheduling order agree byte for
+    byte."""
     return CampaignConfig(blacklist_threshold=999, **kw)
 
 
@@ -65,20 +65,19 @@ class TestProfileOutcomeRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# backend equivalence
+# pooled == serial
 # ---------------------------------------------------------------------------
 class TestProcessBackend:
     def test_process_backend_matches_sequential_byte_for_byte(self):
         sequential = synthetic_campaign(config=decoupled_config()).run()
-        process = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process")).run()
+        process = synthetic_campaign(config=decoupled_config(workers=2)).run()
         assert full_dict(sequential) == full_dict(process)
 
     def test_process_backend_with_exec_cache(self):
         sequential = synthetic_campaign(
             config=decoupled_config(exec_cache=True)).run()
         process = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process", exec_cache=True)).run()
+            workers=2, exec_cache=True)).run()
         normalize = lambda r: {  # noqa: E731
             k: v for k, v in app_report_to_dict(r).items()
             if k not in ("exec_cache", "supervision")}
@@ -89,29 +88,27 @@ class TestProcessBackend:
 
     def test_process_backend_replays_blacklist_into_parent(self):
         report = synthetic_campaign(config=CampaignConfig(
-            workers=2, parallel_backend="process",
-            blacklist_threshold=1)).run()
+            workers=2, blacklist_threshold=1)).run()
         assert set(report.blacklisted) >= {"synth.mode", "synth.level"}
 
     def test_process_backend_journals_checkpoint_in_parent(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         first = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process",
-            checkpoint_path=path)).run()
+            workers=2, checkpoint_path=path)).run()
         # Resume: every profile is restored from the parent-written
         # journal, reproducing the first report (restored outcomes keep
         # their journaled execution counts).
         resumed = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process",
-            checkpoint_path=path)).run()
+            workers=2, checkpoint_path=path)).run()
         assert full_dict(resumed) == full_dict(first)
 
-    def test_fork_unavailable_falls_back_to_threads(self, monkeypatch):
+    def test_fork_unavailable_runs_serially(self, monkeypatch):
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        report = synthetic_campaign(config=decoupled_config(
-            workers=2, parallel_backend="process")).run()
+        report = synthetic_campaign(config=decoupled_config(workers=2)).run()
+        assert not report.supervision.enabled
         sequential = synthetic_campaign(config=decoupled_config()).run()
-        assert full_dict(report) == full_dict(sequential)
+        assert (app_report_to_dict(report)
+                == app_report_to_dict(sequential))
 
     def test_usable_cpus_honours_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0},
@@ -120,12 +117,6 @@ class TestProcessBackend:
         assert parallel.usable_cpus() == 1  # e.g. under taskset -c 0
         monkeypatch.delattr(parallel.os, "sched_getaffinity")
         assert parallel.usable_cpus() == 8  # platforms without affinity
-
-    def test_unknown_backend_rejected(self):
-        campaign = synthetic_campaign(config=CampaignConfig(
-            workers=2, parallel_backend="carrier-pigeon"))
-        with pytest.raises(ValueError):
-            campaign.run()
 
     def test_degraded_profile_survives_the_pipe(self, monkeypatch):
         """A profile that crashes inside a worker comes back as a degraded
@@ -144,6 +135,5 @@ class TestProcessBackend:
         monkeypatch.setattr(PooledTester, "run", exploding_run)
         report = synthetic_campaign(
             tests=[broken, safe_only_test()],
-            config=decoupled_config(workers=2,
-                                    parallel_backend="process")).run()
+            config=decoupled_config(workers=2)).run()
         assert broken.full_name in report.degraded_tests

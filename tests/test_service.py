@@ -138,10 +138,31 @@ def test_canonical_spec_fills_defaults_and_sorts():
     {"app": "flink", "faults": {"gamma_rays": 0.5}},
     {"app": "flink", "parallel_backend": "quantum"},
     [],
+    # retired with the thread and bare process backends
+    {"app": "flink", "parallel_backend": "process"},
+    {"app": "flink", "supervise": True},
 ])
 def test_canonical_spec_rejects(bad):
     with pytest.raises(JobSpecError):
         canonical_spec(bad)
+
+
+def test_jobs_persisted_with_retired_keys_still_load(tmp_path):
+    state = tmp_path / "state"
+    root = state / "jobs" / "c000007"
+    root.mkdir(parents=True)
+    (root / "spec.json").write_text(json.dumps(dict(
+        canonical_spec({"app": "flink"}), parallel_backend="thread",
+        supervise=True)))
+    (root / "status.json").write_text(json.dumps({"state": "done"}))
+    queue = JobQueue(str(state))
+    queue.start()
+    try:
+        job = queue.jobs["c000007"]  # not skipped as a half-created dir
+        assert job.state == "done"
+        assert job.spec == canonical_spec({"app": "flink"})
+    finally:
+        queue.stop()
 
 
 def test_parse_listen():
@@ -170,6 +191,19 @@ def test_submit_poll_report_bytes_identical_to_cli(daemon, tmp_path):
     ref_json, ref_md = cli_reference(tmp_path, "flink")
     assert served_json == ref_json
     assert served_md == ref_md
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+def test_pooled_job_finds_what_the_serial_cli_finds(daemon, tmp_path):
+    job = daemon.submit({"app": "flink", "store": False, "workers": 2,
+                         "blacklist_threshold": 999})
+    daemon.wait_done(job["id"])
+    served = daemon.get_json("/v1/campaigns/%s/report" % job["id"])
+    assert served["supervision"]["enabled"]  # forked from the job thread
+    ref_json, _ = cli_reference(tmp_path, "flink",
+                                extra=("--blacklist-threshold", "999"))
+    assert (findings_projection(served)
+            == findings_projection(json.loads(ref_json)))
 
 
 def test_report_404_until_done_and_listing(daemon):

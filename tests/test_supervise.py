@@ -8,16 +8,19 @@ supervised workers may be sacrificed.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
 from repro.common.faults import FaultPlan
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.orchestrator import Campaign, CampaignConfig
-from repro.core.report import app_report_to_dict
+from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
+from repro.core.report import app_report_to_dict, findings_projection
 from repro.core.reportmd import app_report_markdown
+from repro.core.tracelog import TraceLog
 from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
                            client_vs_service_test, hanging_test,
                            hard_crash_test, safe_only_test, spinning_test,
@@ -30,7 +33,6 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def campaign(tests, **config_kwargs):
     config_kwargs.setdefault("workers", 2)
-    config_kwargs.setdefault("parallel_backend", "process")
     config_kwargs.setdefault("blacklist_threshold", 999)  # decouple profiles
     return Campaign("synth", SYNTH_REGISTRY, tests=tests,
                     config=CampaignConfig(**config_kwargs))
@@ -143,29 +145,6 @@ class TestCrashContainment:
 # incremental journaling + resume
 # ---------------------------------------------------------------------------
 class TestIncrementalJournaling:
-    def test_bare_backend_journals_completed_profiles_before_dying(
-            self, tmp_path):
-        """--no-supervise keeps the bare executor: a dead child still
-        aborts the campaign, but everything journaled up to that point
-        survives, and a *supervised* resume finishes the job."""
-        path = str(tmp_path / "ck.jsonl")
-        tests = lambda: [two_service_test(), safe_only_test(),  # noqa: E731
-                         hard_crash_test()]
-        # catalog schedule: the crasher must be *dispatched* last so some
-        # work finishes (and journals) before the bare pool breaks; LPT
-        # dispatch order depends on measured pre-run weights.
-        with pytest.raises(Exception):
-            campaign(tests(), supervise=False, checkpoint_path=path,
-                     schedule="catalog").run()
-        salvage = CampaignCheckpoint(path)
-        assert salvage.load() >= 1  # incremental: finished work survived
-
-        resumed = campaign(tests(), checkpoint_path=path,
-                           worker_redelivery=0).run()
-        assert "synth::TestSynth.testWorkerCrash" in resumed.quarantined_tests
-        after = CampaignCheckpoint(path)
-        assert after.load() == 3  # every profile now journaled
-
     def test_quarantined_profile_is_journaled_and_not_retried(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         tests = lambda: [hard_crash_test(), safe_only_test()]  # noqa: E731
@@ -182,19 +161,59 @@ class TestIncrementalJournaling:
         record.pop("supervision"), record_first.pop("supervision")
         assert record == record_first
 
-    def test_thread_backend_shares_the_incremental_contract(self, tmp_path):
+
+# ---------------------------------------------------------------------------
+# cancellation + trace events across the pipe
+# ---------------------------------------------------------------------------
+def healthy_tests():
+    return [two_service_test(), client_vs_service_test(), safe_only_test(),
+            two_service_test(name="TestSynth.testExchangeAgain")]
+
+
+class TestCancellation:
+    def test_cancel_event_stops_the_pool_and_resume_finishes(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        tests = lambda: [two_service_test(), client_vs_service_test(),  # noqa: E731
-                         safe_only_test()]
-        first = campaign(tests(), parallel_backend="thread",
-                         checkpoint_path=path).run()
-        assert not first.supervision.enabled  # threads can't be killed
-        journal = CampaignCheckpoint(path)
-        assert journal.load() == 3
-        resumed = campaign(tests(), parallel_backend="thread",
-                           checkpoint_path=path).run()
-        assert (app_report_to_dict(resumed)
-                == app_report_to_dict(first))
+        cancel = threading.Event()
+        commits = []
+
+        def hook(snapshot):
+            commits.append(snapshot["done"])
+            cancel.set()
+
+        cancelled = campaign(healthy_tests(), checkpoint_path=path,
+                             cancel_event=cancel, progress_hook=hook)
+        with pytest.raises(CampaignCancelled):
+            cancelled.run()
+        assert cancelled.supervision.enabled  # the pool saw the cancel
+        assert multiprocessing.active_children() == []
+        # committed before the cancel: journaled; in flight or queued: not
+        assert CampaignCheckpoint(path).load() == len(commits)
+        assert 1 <= len(commits) < len(healthy_tests())
+
+        resumed = campaign(healthy_tests(), checkpoint_path=path).run()
+        uncancelled = campaign(healthy_tests()).run()
+        assert (findings_projection(app_report_to_dict(resumed))
+                == findings_projection(app_report_to_dict(uncancelled)))
+
+
+class TestTraceEvents:
+    def test_runner_events_cross_the_pipe_in_catalog_order(self):
+        plan = FaultPlan(seed=5, infra_error_prob=0.3)
+
+        def runner_events(workers):
+            trace = TraceLog()
+            report = campaign(healthy_tests(), workers=workers,
+                              fault_plan=plan, trace=trace).run()
+            # exec-cache hits are left out: each worker owns a private
+            # cache (and the cache is off here anyway)
+            return report, [(e.kind, e.sim_at, e.data) for e in trace
+                            if e.kind in ("retry", "fault")]
+
+        serial_report, serial = runner_events(1)
+        pooled_report, pooled = runner_events(2)
+        assert pooled_report.supervision.enabled
+        assert {kind for kind, _, _ in serial} == {"retry", "fault"}
+        assert pooled == serial
 
 
 # ---------------------------------------------------------------------------
