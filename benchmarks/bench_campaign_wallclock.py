@@ -16,8 +16,8 @@ code path, kept alive exactly so this bench can regress against it) and
 
 * **serial** — one worker, no pool.  Isolates the kernel fast path;
   the ratio is pure interpreter work and travels across hosts.
-* **process x4** — the deployment configuration (process backend, 4
-  workers): worker processes inherit the kernel fast path and the
+* **process x4** — the deployment configuration (the supervised pool,
+  4 workers): worker processes inherit the kernel fast path and the
   parent adds LPT packing.
 
 Both pairs must clear the tentpole's >= 25% wall-clock-reduction bar.

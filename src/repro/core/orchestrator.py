@@ -423,7 +423,7 @@ class Campaign:
                              % (self.config.sample, ", ".join(SAMPLE_MODES)))
         checkpoint = self._open_checkpoint()
         self._cache = self._build_cache()
-        # Built once per run: checkpoint restore and the process backend
+        # Built once per run: checkpoint restore and the supervised pool
         # both need it, and rebuilding it per restored profile made large
         # resumes quadratic.
         tests_by_name = {t.full_name: t for t in self.tests}

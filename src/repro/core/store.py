@@ -25,8 +25,8 @@ an aspiration:
   that drift would fabricate findings.
 * **Concurrent writers.**  Each writer claims a fresh segment under a
   brief exclusive ``flock`` on ``LOCK``, then holds a lifetime ``flock``
-  on its own segment.  Forked children (process backend, supervised
-  pool) detect the pid change and claim their own segment lazily — the
+  on its own segment.  Forked children (supervised pool workers,
+  application lanes) detect the pid change and claim their own segment lazily — the
   inherited parent handle is left untouched because flock is per
   open-file-description.  GC skips any segment whose lock is still held.
 * **Degradation over loss.**  A failed append (ENOSPC, I/O error — real

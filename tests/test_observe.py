@@ -3,8 +3,8 @@
 The load-bearing invariants tested here:
 
 * metric merges are commutative (fold order never matters), so the
-  deterministic snapshot is byte-identical across serial, thread,
-  process, and supervised backends of the same seeded campaign;
+  deterministic snapshot is byte-identical across serial and
+  supervised-pool runs of the same seeded campaign;
 * span sim-times are a pure function of campaign content — two runs of
   the same campaign produce the same span tree;
 * exported artifacts satisfy their own validators and reconcile exactly

@@ -4,7 +4,7 @@ The headline contracts:
 
 1. **Plans are deterministic.**  The same store contents, registry diff
    and seed produce the same plan and the same findings — across
-   serial/thread/process backends and across interruption + resume.
+   serial and supervised-pool runs and across interruption + resume.
 2. **Incremental equals cold.**  Whatever the plan folds back from the
    store, the findings stay byte-identical to a full cold campaign over
    the same corpus and registry.
