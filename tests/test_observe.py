@@ -318,16 +318,24 @@ class TestBackendEquivalence:
     def serial(self):
         return equivalence_campaign().run()
 
+    def test_thread_backend_metrics_byte_identical(self, serial):
+        # workers=3 once ran on threads; it now runs on the supervised pool
+        # (serially without fork) and must still match serial byte for byte.
+        three_workers = equivalence_campaign(workers=3).run()
+        assert three_workers.observation.metrics.render_prometheus() \
+            == serial.observation.metrics.render_prometheus()
+        assert span_skeleton(three_workers.observation) \
+            == span_skeleton(serial.observation)
+
     @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="supervision needs fork")
     def test_supervised_backend_metrics_byte_identical(self, serial):
-        for workers in (2, 3):
-            supervised = equivalence_campaign(workers=workers).run()
-            assert supervised.supervision.enabled
-            assert supervised.observation.metrics.render_prometheus() \
-                == serial.observation.metrics.render_prometheus()
-            assert span_skeleton(supervised.observation) \
-                == span_skeleton(serial.observation)
+        supervised = equivalence_campaign(workers=2).run()
+        assert supervised.supervision.enabled
+        assert supervised.observation.metrics.render_prometheus() \
+            == serial.observation.metrics.render_prometheus()
+        assert span_skeleton(supervised.observation) \
+            == span_skeleton(serial.observation)
 
 
 # ---------------------------------------------------------------------------
