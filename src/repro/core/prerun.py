@@ -13,16 +13,24 @@ The pre-run executes every unit test exactly once under a recording
   inconsistencies and hence false positives);
 * whether the test already fails with its original homogeneous
   configuration (broken-at-baseline tests are dropped).
+
+A pre-run is a pure function of the test's code and the IPC-sharing
+switch, so :func:`prerun_corpus` runs each test at most once per process
+and switch value; every later campaign in the process (a daemon job, an
+incremental-edit loop) gets copies of the first profile.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.common.ipc import ipc_sharing_enabled
 from repro.core.confagent import UNIT_TEST, ConfAgent
 from repro.core.registry import TestContext, UnitTest
 
@@ -54,9 +62,11 @@ class TestProfile:
     #: baseline failure message, if the test failed its pre-run.
     baseline_error: Optional[str] = None
     starts_nodes: bool = False
-    #: wall seconds the single pre-run execution took.  Volatile (host
-    #: dependent) — used only as the per-execution weight in the cost
-    #: model's makespan scheduling, never in findings or reports.
+    #: wall seconds the single pre-run execution took: the first
+    #: measurement in this process, since later pre-runs of the same
+    #: test reuse its profile.  Volatile (host dependent) — used only as
+    #: the per-execution weight in the cost model's makespan scheduling,
+    #: never in findings or reports.
     prerun_wall_s: float = 0.0
 
     @property
@@ -93,8 +103,46 @@ def prerun_test(test: UnitTest) -> TestProfile:
     return profile
 
 
+#: Profiles already measured in this process: test function -> IPC-
+#: sharing switch -> profile with ``test=None``.  Weak keys, and values
+#: that never reference the test, so a throwaway test's entry dies with
+#: its function.
+_MEMO: "weakref.WeakKeyDictionary[Callable[..., None], Dict[bool, Any]]" = \
+    weakref.WeakKeyDictionary()
+_MEMO_LOCK = threading.Lock()
+
+
+def _copy(profile: TestProfile, test: Optional[UnitTest]) -> TestProfile:
+    """A copy of ``profile`` for ``test`` that shares no mutable state."""
+    return replace(
+        profile, test=test, groups=dict(profile.groups),
+        params_by_group={group: set(params) for group, params
+                         in profile.params_by_group.items()},
+        uncertain_params=set(profile.uncertain_params),
+        explicit_sets=set(profile.explicit_sets),
+        read_sites={site: dict(counts)
+                    for site, counts in profile.read_sites.items()})
+
+
 def prerun_corpus(tests: List[UnitTest]) -> List[TestProfile]:
-    return [prerun_test(test) for test in tests]
+    """Pre-run every test, each at most once per process.
+
+    The memo key is the whole input of :func:`prerun_test`: the test's
+    function (never its name) and :func:`ipc_sharing_enabled`.  A repeat
+    therefore equals a fresh pre-run in every field but
+    ``prerun_wall_s``, and every call returns independent copies.
+    """
+    sharing = ipc_sharing_enabled()
+    profiles = []
+    for test in tests:
+        with _MEMO_LOCK:
+            memo = _MEMO.get(test.fn, {}).get(sharing)
+        if memo is None:
+            memo = replace(prerun_test(test), test=None)
+            with _MEMO_LOCK:
+                memo = _MEMO.setdefault(test.fn, {}).setdefault(sharing, memo)
+        profiles.append(_copy(memo, test))
+    return profiles
 
 
 @dataclass

@@ -33,6 +33,11 @@ an aspiration:
   or injected via :class:`repro.common.faults.DiskFaultPlan`) retires
   the writer and the store continues read-only; the campaign's findings
   never depend on the store being writable.
+* **Decode once per process.**  ``open`` keeps, per segment, the serving
+  state it built for each ``(app, digest)``, keyed by a SHA-256 of the
+  segment's bytes.  A later open in the same process re-reads and
+  re-hashes every segment but decodes only new or changed ones, so a
+  warm open serves exactly what a full scan would.
 
 The serving path plugs into the campaign as
 :class:`StoreBackedExecutionCache`, a drop-in ``ExecutionCache`` whose
@@ -42,14 +47,16 @@ and whose stores also append a durable record.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
 import threading
 import zlib
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 from repro.common.errors import ReproError
 from repro.common.faults import DiskFaultPlan, FaultyFile
@@ -123,9 +130,13 @@ def _frame(payload: bytes) -> bytes:
     return MAGIC + _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _payload(record: Mapping[str, Any]) -> bytes:
+    return json.dumps(record, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def _encode(record: Mapping[str, Any]) -> bytes:
-    return _frame(json.dumps(record, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8"))
+    return _frame(_payload(record))
 
 
 def iter_frames(data: bytes) -> Iterator[Tuple[str, Any]]:
@@ -191,12 +202,22 @@ class _SegmentScan:
         return bool(self.corrupt or self.truncated)
 
 
-def _scan_segment(path: str) -> _SegmentScan:
-    scan = _SegmentScan(name=os.path.basename(path))
+def _read_segment(path: str) -> Optional[bytes]:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            return handle.read()
     except OSError:
+        return None
+
+
+def _scan_segment(path: str) -> _SegmentScan:
+    """Read and decode one segment; no per-process reuse."""
+    return _scan_data(os.path.basename(path), _read_segment(path))
+
+
+def _scan_data(name: str, data: Optional[bytes]) -> _SegmentScan:
+    scan = _SegmentScan(name=name)
+    if data is None:  # unreadable
         scan.corrupt += 1
         return scan
     for kind, value in iter_frames(data):
@@ -210,6 +231,171 @@ def _scan_segment(path: str) -> _SegmentScan:
         else:
             scan.truncated += 1
     return scan
+
+
+@dataclass(frozen=True)
+class _PackedProfile:
+    """A stored whole-profile record kept as its zlib-compressed JSON
+    payload, a quarter of its encoded size; a session decodes it on
+    first lookup.  ``confirmed`` stays decoded because
+    :meth:`ResultStore.confirmed_params` reads it from every record."""
+
+    payload: bytes
+    confirmed: Any
+
+    @classmethod
+    def pack(cls, record: Mapping[str, Any]) -> "_PackedProfile":
+        return cls(zlib.compress(_payload(record), 1),
+                   record.get("confirmed", ()))
+
+    def decode(self) -> Dict[str, Any]:
+        return json.loads(zlib.decompress(self.payload))
+
+
+#: A session map value: packed until first looked up, or appended.
+_ProfileSlot = Union[_PackedProfile, Dict[str, Any]]
+
+
+@dataclass
+class _Served:
+    """One segment's contribution to an open of one ``(app, digest)``.
+
+    Maps hold the segment's newest record per key, in first-seen order,
+    so applying segments in name order leaves a session's maps exactly
+    as a record-by-record scan would.  ``error`` is the StoreError that
+    a future-version header raises once the records before it are in.
+    Shared by every session that opens the same bytes, so never mutated
+    after it is built.
+    """
+
+    counts: Dict[str, int] = field(default_factory=dict)
+    det: Dict[str, RunOutcome] = field(default_factory=dict)
+    seeded: Dict[Tuple[str, int], RunOutcome] = field(default_factory=dict)
+    profiles_by_key: Dict[str, _PackedProfile] = field(default_factory=dict)
+    profile_by_test: Dict[str, _PackedProfile] = field(default_factory=dict)
+    error: Optional[str] = None
+
+
+def _serve_scan(scan: _SegmentScan, app: str, digest: int) -> _Served:
+    """The serving state of one scanned segment for ``(app, digest)``."""
+    served = _Served()
+    counts = served.counts
+    counts["segments"] = 1
+    counts["corrupt_records"] = scan.corrupt
+    counts["truncated_tails"] = scan.truncated
+
+    def bump(name: str) -> None:
+        counts[name] = counts.get(name, 0) + 1
+
+    # equal outcomes share one object: lookups hand out copies anyway.
+    outcomes: Dict[Tuple[Any, ...], RunOutcome] = {}
+    loaded = 0
+    for record in scan.records:
+        kind = record.get("kind")
+        if kind == "header":
+            version = record.get("version")
+            if isinstance(version, int) and version > STORE_VERSION:
+                served.error = (
+                    "store segment %s was written by format version %d; "
+                    "this build reads up to version %d — refusing to guess"
+                    % (scan.name, version, STORE_VERSION))
+                return served
+            continue
+        if kind == "report":
+            bump("reports_loaded")
+            continue
+        if kind == "profile":
+            # Profile records are filtered by app only, NOT by corpus
+            # digest: reusing them across registry drift is the whole
+            # point — the per-profile content key embeds the parameter
+            # definitions, so staleness is decided per profile, not per
+            # substrate.
+            if record.get("app") != app:
+                continue
+            key = record.get("key")
+            test = record.get("test")
+            if not isinstance(key, str) or not isinstance(test, str) \
+                    or not isinstance(record.get("record"), dict):
+                bump("corrupt_records")
+                continue
+            packed = _PackedProfile.pack(record)
+            served.profiles_by_key[key] = packed
+            served.profile_by_test[test] = packed
+            bump("profiles_loaded")
+            continue
+        if kind != "entry" or record.get("app") != app:
+            continue
+        if record.get("digest") != digest:
+            bump("stale_refused")
+            continue
+        fields = _outcome_fields(record)
+        if fields is None:
+            bump("corrupt_records")
+            continue
+        outcome = outcomes.get(fields)
+        if outcome is None:
+            outcome = outcomes[fields] = RunOutcome(*fields)
+        key = record["key"]
+        seed = record.get("seed")
+        if seed is None:
+            served.det[key] = outcome
+        else:
+            served.seeded[(key, int(seed))] = outcome
+        loaded += 1
+    counts["entries_loaded"] = loaded
+    if scan.damaged:
+        counts["salvaged_records"] = len(scan.records)
+    return served
+
+
+#: Segment name -> (SHA-256 of its bytes, {(app, digest): _Served}).
+_SegmentMemo = Dict[str, Tuple[bytes, Dict[Tuple[str, int], _Served]]]
+
+#: Per-process decoded segments, per segments directory, most recently
+#: opened last.  Only ``ResultStore.open`` reads it; see
+#: :func:`_decoded_segments` and :func:`_serve_segment`.
+_DECODED: "OrderedDict[str, _SegmentMemo]" = OrderedDict()
+_DECODED_LOCK = threading.Lock()
+#: Stores whose decoded segments are kept; opening another one drops
+#: the least recently opened.
+_DECODED_ROOTS = 8
+
+
+def _decoded_segments(segments_dir: str, paths: Sequence[str]
+                      ) -> _SegmentMemo:
+    """This directory's memo, minus segments that no longer exist."""
+    names = {os.path.basename(path) for path in paths}
+    where = os.path.abspath(segments_dir)
+    with _DECODED_LOCK:
+        memo = _DECODED.pop(where, {})
+        for name in [name for name in memo if name not in names]:
+            del memo[name]
+        _DECODED[where] = memo
+        while len(_DECODED) > _DECODED_ROOTS:
+            _DECODED.popitem(last=False)
+    return memo
+
+
+def _serve_segment(memo: _SegmentMemo, path: str, app: str,
+                   digest: int) -> _Served:
+    """The serving state of one segment for ``(app, digest)``: from
+    ``memo`` when this process already decoded these exact bytes for
+    this substrate, else from a full scan, which is then memoised."""
+    name = os.path.basename(path)
+    data = _read_segment(path)
+    if data is None:
+        return _serve_scan(_scan_data(name, None), app, digest)
+    sha = hashlib.sha256(data).digest()
+    with _DECODED_LOCK:
+        cached = memo.get(name)
+        if cached is None or cached[0] != sha:
+            cached = memo[name] = (sha, {})
+        served = cached[1].get((app, digest))
+    if served is None:
+        served = _serve_scan(_scan_data(name, data), app, digest)
+        with _DECODED_LOCK:
+            cached[1][(app, digest)] = served
+    return served
 
 
 class ResultStore:
@@ -238,8 +424,8 @@ class ResultStore:
         # whole-profile records for incremental planning (repro.core.plan):
         # newest record per content key, and per test name (so a changed
         # test is classified RERUN rather than NEW).
-        self._profiles_by_key: Dict[str, Dict[str, Any]] = {}
-        self._profile_by_test: Dict[str, Dict[str, Any]] = {}
+        self._profiles_by_key: Dict[str, _ProfileSlot] = {}
+        self._profile_by_test: Dict[str, _ProfileSlot] = {}
         self._writer: Optional[Any] = None
         self._writer_pid: Optional[int] = None
         self._writer_dead = False
@@ -261,6 +447,18 @@ class ResultStore:
                 for name in sorted(names)
                 if name.startswith(_SEGMENT_PREFIX)
                 and name.endswith(_SEGMENT_SUFFIX)]
+
+    def _next_segment_name(self) -> str:
+        """One past the highest existing segment index, so a new segment
+        sorts, and is read, after every older one: "newest wins" across
+        segments depends on it.  Callers hold ``LOCK``."""
+        highest = 0
+        for path in self._segment_paths():
+            stem = os.path.basename(path)[len(_SEGMENT_PREFIX):
+                                          -len(_SEGMENT_SUFFIX)]
+            if stem.isdigit():
+                highest = max(highest, int(stem))
+        return "%s%06d%s" % (_SEGMENT_PREFIX, highest + 1, _SEGMENT_SUFFIX)
 
     def _ensure_layout(self) -> None:
         try:
@@ -356,86 +554,35 @@ class ResultStore:
     def open(self, app: str, digest: int) -> StoreStats:
         """Scan the store and build the serving maps for one substrate.
 
-        Never raises on damage; raises :class:`StoreError` only for an
-        unusable root or a store written by a newer format version.
+        Segments whose exact bytes this process already decoded for
+        ``(app, digest)`` are served from memory (see
+        :func:`_serve_segment`); the maps and ``StoreStats`` are the same
+        either way.  Never raises on damage; raises :class:`StoreError`
+        only for an unusable root or a store written by a newer format
+        version.
         """
         self._ensure_layout()
         self.app = app
         self.digest = digest
-        for path in self._segment_paths():
-            scan = _scan_segment(path)
-            self._ingest(scan)
+        paths = self._segment_paths()
+        memo = _decoded_segments(self.segments_dir, paths)
+        for path in paths:
+            self._apply(_serve_segment(memo, path, app, digest))
         self._reconcile_manifest()
         return self.stats
 
-    def _check_version(self, record: Mapping[str, Any], name: str) -> None:
-        version = record.get("version")
-        if isinstance(version, int) and version > STORE_VERSION:
-            raise StoreError(
-                "store segment %s was written by format version %d; this "
-                "build reads up to version %d — refusing to guess"
-                % (name, version, STORE_VERSION))
-
-    def _ingest(self, scan: _SegmentScan) -> None:
+    def _apply(self, served: _Served) -> None:
+        """Fold one segment's serving state into this session's own maps
+        (the shared state itself is never written)."""
         with self._lock:
-            self.stats.segments += 1
-            self.stats.corrupt_records += scan.corrupt
-            self.stats.truncated_tails += scan.truncated
-        loaded = 0
-        for record in scan.records:
-            kind = record.get("kind")
-            if kind == "header":
-                self._check_version(record, scan.name)
-                continue
-            if kind == "report":
-                with self._lock:
-                    self.stats.reports_loaded += 1
-                continue
-            if kind == "profile":
-                # Profile records are filtered by app only, NOT by corpus
-                # digest: reusing them across registry drift is the whole
-                # point — the per-profile content key embeds the parameter
-                # definitions, so staleness is decided per profile, not
-                # per substrate.
-                if record.get("app") != self.app:
-                    continue
-                key = record.get("key")
-                test = record.get("test")
-                if not isinstance(key, str) or not isinstance(test, str) \
-                        or not isinstance(record.get("record"), dict):
-                    with self._lock:
-                        self.stats.corrupt_records += 1
-                    continue
-                with self._lock:
-                    self._profiles_by_key[key] = record
-                    self._profile_by_test[test] = record
-                    self.stats.profiles_loaded += 1
-                continue
-            if kind != "entry":
-                continue
-            if record.get("app") != self.app:
-                continue
-            if record.get("digest") != self.digest:
-                with self._lock:
-                    self.stats.stale_refused += 1
-                continue
-            outcome = _outcome_from_record(record)
-            if outcome is None:
-                with self._lock:
-                    self.stats.corrupt_records += 1
-                continue
-            key = record["key"]
-            seed = record.get("seed")
-            with self._lock:
-                if seed is None:
-                    self._det[key] = outcome
-                else:
-                    self._seeded[(key, int(seed))] = outcome
-                loaded += 1
-        with self._lock:
-            self.stats.entries_loaded += loaded
-            if scan.damaged:
-                self.stats.salvaged_records += len(scan.records)
+            for name, count in served.counts.items():
+                setattr(self.stats, name, getattr(self.stats, name) + count)
+            self._det.update(served.det)
+            self._seeded.update(served.seeded)
+            self._profiles_by_key.update(served.profiles_by_key)
+            self._profile_by_test.update(served.profile_by_test)
+        if served.error is not None:
+            raise StoreError(served.error)
 
     # ------------------------------------------------------------------
     # serving
@@ -458,13 +605,20 @@ class ResultStore:
 
     def lookup_profile(self, key: str) -> Optional[Dict[str, Any]]:
         """The newest whole-profile record with this content key."""
-        with self._lock:
-            return self._profiles_by_key.get(key)
+        return self._profile(self._profiles_by_key, key)
 
     def profile_for_test(self, test: str) -> Optional[Dict[str, Any]]:
         """The newest whole-profile record for this unit test (any key)."""
+        return self._profile(self._profile_by_test, test)
+
+    def _profile(self, table: Dict[str, _ProfileSlot], key: str
+                 ) -> Optional[Dict[str, Any]]:
+        """``table[key]``, decoded into this session's map on first use."""
         with self._lock:
-            return self._profile_by_test.get(test)
+            record = table.get(key)
+            if isinstance(record, _PackedProfile):
+                record = table[key] = record.decode()
+            return record
 
     def confirmed_params(self) -> Set[str]:
         """Every parameter the newest stored profiles confirmed unsafe —
@@ -472,7 +626,10 @@ class ResultStore:
         with self._lock:
             confirmed: Set[str] = set()
             for record in self._profile_by_test.values():
-                confirmed.update(str(p) for p in record.get("confirmed", ()))
+                listed = record.confirmed \
+                    if isinstance(record, _PackedProfile) \
+                    else record.get("confirmed", ())
+                confirmed.update(str(p) for p in listed)
             return confirmed
 
     # ------------------------------------------------------------------
@@ -483,13 +640,7 @@ class ResultStore:
         writable handle (header already durable) or None on failure."""
         lock = self._claim_lock()
         try:
-            existing = {os.path.basename(p) for p in self._segment_paths()}
-            index = len(existing) + 1
-            while True:
-                name = "%s%06d%s" % (_SEGMENT_PREFIX, index, _SEGMENT_SUFFIX)
-                if name not in existing:
-                    break
-                index += 1
+            name = self._next_segment_name()
             path = os.path.join(self.segments_dir, name)
             try:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
@@ -731,19 +882,18 @@ class ResultStore:
                         live_reports[(str(record.get("app")),
                                       record.get("digest"))] = record
                     elif kind == "profile":
-                        live_profiles[(str(record.get("app")),
-                                       str(record.get("key")))] = record
+                        # re-insert, so the dict stays oldest-first and
+                        # the newest record per test is written last.
+                        slot = (str(record.get("app")),
+                                str(record.get("key")))
+                        live_profiles.pop(slot, None)
+                        live_profiles[slot] = record
                 compacted.append(os.path.basename(path))
             if not compacted:
                 return {"compacted_segments": 0, "kept_segments": len(skipped),
                         "entries": 0, "profiles": 0, "reports": 0,
                         "dropped_damage": dropped_damage}
-            index = 1
-            existing = {os.path.basename(p) for p in self._segment_paths()}
-            while "%s%06d%s" % (_SEGMENT_PREFIX, index,
-                                _SEGMENT_SUFFIX) in existing:
-                index += 1
-            name = "%s%06d%s" % (_SEGMENT_PREFIX, index, _SEGMENT_SUFFIX)
+            name = self._next_segment_name()
             path = os.path.join(self.segments_dir, name)
             with open(path, "wb") as handle:
                 handle.write(_encode({"kind": "header",
@@ -753,8 +903,8 @@ class ResultStore:
                                       "writer_pid": os.getpid()}))
                 for slot in sorted(live_entries, key=repr):
                     handle.write(_encode(live_entries[slot]))
-                for slot in sorted(live_profiles, key=repr):
-                    handle.write(_encode(live_profiles[slot]))
+                for record in live_profiles.values():
+                    handle.write(_encode(record))
                 for who in sorted(live_reports, key=repr):
                     handle.write(_encode(live_reports[who]))
                 handle.flush()
@@ -788,20 +938,21 @@ class ResultStore:
                 lock.close()
 
 
-def _outcome_from_record(record: Mapping[str, Any]) -> Optional[RunOutcome]:
+def _outcome_fields(record: Mapping[str, Any]) -> Optional[Tuple[Any, ...]]:
+    """An entry's ``RunOutcome`` fields, in declaration order, or None
+    when the record is malformed."""
     payload = record.get("outcome")
     if not isinstance(payload, dict):
         return None
     try:
-        return RunOutcome(
-            ok=bool(payload["ok"]),
-            error_type=str(payload.get("error_type", "")),
-            error_message=str(payload.get("error_message", "")),
-            timed_out=bool(payload.get("timed_out", False)),
-            infra=bool(payload.get("infra", False)),
-            retries=int(payload.get("retries", 0)),
-            faults=int(payload.get("faults", 0)),
-            rng_used=bool(payload.get("rng_used", False)))
+        return (bool(payload["ok"]),
+                str(payload.get("error_type", "")),
+                str(payload.get("error_message", "")),
+                bool(payload.get("timed_out", False)),
+                bool(payload.get("infra", False)),
+                int(payload.get("retries", 0)),
+                int(payload.get("faults", 0)),
+                bool(payload.get("rng_used", False)))
     except (KeyError, TypeError, ValueError):
         return None
 

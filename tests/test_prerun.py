@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
+from repro.common.ipc import set_ipc_sharing
 from repro.core.confagent import UNIT_TEST
 from repro.core.prerun import PreRunSummary, prerun_corpus, prerun_test
 from synthetic_app import (broken_baseline_test, client_vs_service_test,
@@ -64,3 +71,102 @@ class TestSummary:
         assert summary.tests_without_nodes == 1
         assert summary.tests_broken_at_baseline == 1
         assert summary.tests_with_uncertain_confs == 1
+
+
+def fields_but_wall(profile):
+    return {f.name: getattr(profile, f.name)
+            for f in dataclasses.fields(profile) if f.name != "prerun_wall_s"}
+
+
+class TestPerProcessReuse:
+    """``prerun_corpus`` answers a repeat from memory; a memoised profile
+    must equal a fresh :func:`prerun_test` under the same switch."""
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_repeat_equals_fresh_across_the_catalog(self, corpus, sharing):
+        tests = corpus.all_tests()
+        previous = set_ipc_sharing(sharing)
+        try:
+            prerun_corpus(tests)
+            repeat = prerun_corpus(tests)
+            fresh = [prerun_test(test) for test in tests]
+        finally:
+            set_ipc_sharing(previous)
+        for test, again, new in zip(tests, repeat, fresh):
+            assert again.test is test
+            assert fields_but_wall(again) == fields_but_wall(new), \
+                test.full_name
+
+    def test_the_switch_changes_profiles(self, corpus):
+        # why the switch is part of the key: without it the parametrized
+        # test above would serve one mode's profiles to the other.
+        tests = corpus.all_tests()
+        previous = set_ipc_sharing(False)
+        try:
+            unshared = [prerun_test(test) for test in tests]
+        finally:
+            set_ipc_sharing(previous)
+        shared = [prerun_test(test) for test in tests]
+        differ = [a.test.full_name for a, b in zip(shared, unshared)
+                  if fields_but_wall(a) != fields_but_wall(b)]
+        assert len(differ) > len(tests) // 2
+
+    def test_returned_profiles_are_independent(self):
+        test = two_service_test()
+        fresh = fields_but_wall(prerun_test(test))
+        first = prerun_corpus([test])[0]
+        first.groups["Service"] = 99
+        first.params_by_group["Service"].add("mutated")
+        first.uncertain_params.add("mutated")
+        first.explicit_sets.add("mutated")
+        next(iter(first.read_sites.values()))["mutated"] = 1
+        first.prerun_wall_s = 99.0
+        second = prerun_corpus([test])[0]
+        assert fields_but_wall(second) == fresh
+        assert second.prerun_wall_s != 99.0
+
+    def test_same_name_different_body_gets_its_own_profile(self):
+        name = "TestSynth.testShared"
+        two, lone, none = prerun_corpus([
+            two_service_test(name), client_vs_service_test(name),
+            no_node_test(name)])
+        assert two.groups == {"Service": 2}
+        assert lone.groups.get(UNIT_TEST) == 1
+        assert not none.starts_nodes
+        assert [fields_but_wall(p) for p in prerun_corpus(
+            [two.test, lone.test, none.test])] == \
+            [fields_but_wall(p) for p in (two, lone, none)]
+
+    def test_threads_prerunning_at_once_get_fresh_profiles(self):
+        tests = [two_service_test("TestSynth.testRace%d" % i)
+                 for i in range(3)] + [no_node_test("TestSynth.testRace")]
+        fresh = [fields_but_wall(prerun_test(test)) for test in tests]
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def prerun(index):
+            barrier.wait()
+            results[index] = [fields_but_wall(p)
+                              for p in prerun_corpus(tests)]
+
+        threads = [threading.Thread(target=prerun, args=(i,))
+                   for i in range(len(results))]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [fresh] * len(results)
+
+    def test_memo_does_not_keep_tests_alive(self):
+        test = two_service_test("TestSynth.testThrowaway")
+        prerun_corpus([test])
+        test_ref, fn_ref = weakref.ref(test), weakref.ref(test.fn)
+        del test
+        gc.collect()
+        assert test_ref() is None and fn_ref() is None

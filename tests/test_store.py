@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -32,7 +35,8 @@ from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.report import app_report_to_dict, findings_projection
 from repro.core.runner import RunOutcome
 from repro.core.store import (MAGIC, STORE_VERSION, ResultStore, StoreError,
-                              _encode, iter_frames)
+                              _encode, _scan_segment, _serve_scan,
+                              iter_frames)
 from synthetic_app import (SYNTH_REGISTRY, client_vs_service_test,
                            safe_only_test, two_service_test)
 
@@ -277,6 +281,254 @@ class TestResultStore:
         writer.close()
         fresh = opened(tmp_path)
         assert fresh.stats.entries_loaded == 2
+
+    def test_new_segment_after_gc_is_read_last(self, tmp_path):
+        for key in ("k1", "k2"):
+            session = opened(tmp_path)
+            session.append_profile(key, "T", {"executions": 1})
+            session.close()
+        ResultStore(str(tmp_path / "store")).gc()
+        assert opened(tmp_path).profile_for_test("T")["key"] == "k2"
+        third = opened(tmp_path)
+        third.append_profile("k3", "T", {"executions": 3})
+        third.close()
+        assert opened(tmp_path).profile_for_test("T")["key"] == "k3"
+        names = [os.path.basename(p) for p in segment_paths(third)]
+        assert names == ["seg-000003.log", "seg-000004.log"]
+
+    def test_gc_keeps_the_newest_profile_per_test(self, tmp_path):
+        # keys that sort against their age: compaction must keep age order
+        for key in ("kb", "ka"):
+            session = opened(tmp_path)
+            session.append_profile(key, "T", {"executions": 1})
+            session.close()
+        ResultStore(str(tmp_path / "store")).gc()
+        assert opened(tmp_path).profile_for_test("T")["key"] == "ka"
+
+
+# ---------------------------------------------------------------------------
+# per-process reuse: a warm open serves exactly what a full scan does
+# ---------------------------------------------------------------------------
+def cold_open(root, app, digest, store=None):
+    """An open built from uncached scans: nothing memoised is consulted."""
+    store = store or ResultStore(root)
+    store.app, store.digest = app, digest
+    for path in store._segment_paths():
+        store._apply(_serve_scan(_scan_segment(path), app, digest))
+    return store
+
+
+def served(store):
+    """Everything an opened store answers, stats first (lookups count)."""
+    stats = asdict(store.stats)
+    return (stats,
+            list(store._det), list(store._seeded),
+            list(store._profiles_by_key), list(store._profile_by_test),
+            [store.lookup_entry(key, 0) for key in store._det],
+            [store.lookup_entry(key, seed) for key, seed in store._seeded],
+            store.lookup_entry("absent", 0),
+            [store.lookup_profile(key) for key in store._profiles_by_key],
+            [store.profile_for_test(test) for test in store._profile_by_test],
+            store.confirmed_params())
+
+
+@pytest.fixture(scope="module")
+def six_app_store(tmp_path_factory):
+    """A cold six-application store and each app's corpus digest."""
+    from repro.apps import catalog
+    from repro.core.orchestrator import run_full_campaign
+    root = str(tmp_path_factory.mktemp("six") / "store")
+    run_full_campaign(CampaignConfig(store_path=root))
+    digests = {}
+    for app in catalog.APP_NAMES:
+        spec = catalog.spec_for(app)
+        digests[app] = corpus_digest(Campaign(app, spec.registry))
+    return root, digests
+
+
+def flip_byte(path):
+    blob = bytearray(open(path, "rb").read())
+    blob[len(blob) // 2] ^= 0xFF
+    open(path, "wb").write(bytes(blob))
+
+
+def truncate_tail(path):
+    size = os.path.getsize(path)
+    with open(path, "r+b") as handle:
+        handle.truncate(size - 37)
+
+
+def append_segment(root, app, digest):
+    writer = ResultStore(root)
+    writer.open(app, digest)
+    writer.append_entry("appended", None, outcome(ok=False, error_type="E"))
+    writer.append_profile("appended-key", "appended::T", {"executions": 2},
+                          confirmed=["p.appended"])
+    writer.close()
+
+
+def replace_root(root, source):
+    """``rmtree`` + ``copytree`` of a different store whose only segment
+    reuses the name of one the process already decoded."""
+    other = root + "-other"
+    shutil.copytree(source, other)
+    compacted = ResultStore(other).gc()["segment"]
+    segments = os.path.join(other, "segments")
+    os.rename(os.path.join(segments, compacted),
+              os.path.join(segments, "seg-000001.log"))
+    shutil.rmtree(root)
+    shutil.copytree(other, root)
+
+
+class TestWarmOpenEqualsCold:
+    """Each scenario warms this process on a copy of the six-app store,
+    changes the store on disk, then compares a warm open of every app
+    with :func:`cold_open`."""
+
+    def _compare(self, root, digests):
+        for app, digest in digests.items():
+            warm = ResultStore(root)
+            warm.open(app, digest)
+            assert served(warm) == served(cold_open(root, app, digest)), app
+
+    def _copy(self, tmp_path, six_app_store):
+        source, digests = six_app_store
+        root = str(tmp_path / "store")
+        shutil.copytree(source, root)
+        self._compare(root, digests)  # warms every (segment, app)
+        return root, digests
+
+    def _segments(self, root):
+        return sorted(os.path.join(root, "segments", name)
+                      for name in os.listdir(os.path.join(root, "segments")))
+
+    def test_clean_store_twice(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        self._compare(root, digests)
+
+    def test_segment_appended_between_opens(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        append_segment(root, "hdfs", digests["hdfs"])
+        self._compare(root, digests)
+
+    def test_live_segment_grew(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        writer = ResultStore(root)
+        writer.open("yarn", digests["yarn"])
+        writer.append_entry("live-1", None, outcome())
+        self._compare(root, digests)
+        writer.append_entry("live-2", 4, outcome(rng_used=True))
+        writer.append_profile("live-key", "yarn::T", {"executions": 1})
+        self._compare(root, digests)
+        writer.close()
+
+    def test_byte_flipped_in_place(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        path = self._segments(root)[1]
+        size = os.path.getsize(path)
+        flip_byte(path)
+        assert os.path.getsize(path) == size
+        self._compare(root, digests)
+
+    def test_truncated_tail(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        truncate_tail(self._segments(root)[0])
+        self._compare(root, digests)
+
+    def test_deleted_segment(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        os.unlink(self._segments(root)[2])
+        self._compare(root, digests)
+
+    def test_root_replaced_by_another_store(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        replace_root(root, six_app_store[0])
+        self._compare(root, digests)
+
+    def test_after_gc(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        append_segment(root, "flink", digests["flink"])
+        self._compare(root, digests)
+        ResultStore(root).gc()
+        self._compare(root, digests)
+
+    def test_segment_of_another_app(self, tmp_path, six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        append_segment(root, "synth", 7)
+        self._compare(root, dict(digests, synth=7))
+
+    def test_future_version_raises_on_every_open(self, tmp_path,
+                                                  six_app_store):
+        root, digests = self._copy(tmp_path, six_app_store)
+        with open(self._segments(root)[3], "ab") as handle:
+            handle.write(_encode({"kind": "header",
+                                  "version": STORE_VERSION + 1,
+                                  "app": "hdfs", "digest": 1}))
+        for _ in range(3):
+            warm, cold = ResultStore(root), ResultStore(root)
+            with pytest.raises(StoreError):
+                warm.open("hdfs", digests["hdfs"])
+            with pytest.raises(StoreError):
+                cold_open(root, "hdfs", digests["hdfs"], store=cold)
+            # the counters up to the refusal match as well
+            assert asdict(warm.stats) == asdict(cold.stats)
+
+    def test_four_threads_open_at_once(self, tmp_path, six_app_store):
+        source, digests = six_app_store
+        root = str(tmp_path / "store")
+        shutil.copytree(source, root)  # a new root: nothing memoised
+        apps = ["hdfs", "hdfs", "mapreduce", "flink"]
+        previous = sys.getswitchinterval()
+        for _ in range(2):
+            barrier = threading.Barrier(len(apps))
+            opened_stores = [ResultStore(root) for _ in apps]
+
+            def open_one(index):
+                barrier.wait()
+                opened_stores[index].open(apps[index], digests[apps[index]])
+
+            threads = [threading.Thread(target=open_one, args=(i,))
+                       for i in range(len(apps))]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            for app, store in zip(apps, opened_stores):
+                assert served(store) == served(
+                    cold_open(root, app, digests[app])), app
+            append_segment(root, "hdfs", digests["hdfs"])
+
+
+class TestSessionIsolation:
+    def test_append_never_reaches_another_session(self, tmp_path):
+        store = opened(tmp_path)
+        store.append_profile("k", "T", {"executions": 1})
+        store.close()
+        first, second = opened(tmp_path), opened(tmp_path)
+        first.append_profile("k-new", "T", {"executions": 2})
+        first.close()
+        assert second.lookup_profile("k-new") is None
+        assert second.profile_for_test("T")["key"] == "k"
+        for path in segment_paths(first)[1:]:
+            os.unlink(path)  # the appended segment is gone from disk
+        assert opened(tmp_path).lookup_profile("k-new") is None
+
+    def test_looked_up_records_are_per_session(self, tmp_path):
+        store = opened(tmp_path)
+        store.append_profile("k", "T", {"executions": 1},
+                             confirmed=["p.x"])
+        store.close()
+        first = opened(tmp_path)
+        first.lookup_profile("k")["record"]["executions"] = -1
+        first.profile_for_test("T")["confirmed"].append("p.y")
+        second = opened(tmp_path)
+        assert second.lookup_profile("k")["record"]["executions"] == 1
+        assert second.confirmed_params() == {"p.x"}
 
 
 # ---------------------------------------------------------------------------
