@@ -3,13 +3,13 @@
 The full six-application campaign takes ~20-30s; several benches need its
 results, so it is computed once per process and cached here.
 
-This module also owns the *perf trajectory*: benches that measure a
-speedup call :func:`write_bench_artifact` to persist a ``BENCH_*.json``
-(CI uploads them per commit) and :func:`check_against_baseline` to fail
-on a >10% regression versus the baselines committed under
-``benchmarks/baselines/``.  Baselines store only *ratios* (speedups,
-reduction factors) — absolute wall-clock numbers are host property, but
-the fast-path / legacy-path ratio travels across machines.
+This module also owns the *perf trajectory*: benches call
+:func:`write_bench_artifact` to persist a ``BENCH_*.json`` (CI uploads
+them per commit).  A bench with a committed ratio baseline under
+``benchmarks/baselines/`` also calls :func:`check_against_baseline` to
+fail on a >10% regression.  Only ``BENCH_sampling.json`` has one today:
+its recall and execution-savings ratios hold on any host, where
+absolute wall-clock numbers would not.
 """
 
 from __future__ import annotations

@@ -219,12 +219,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel-backend", choices=("process",),
                         help="accepted for compatibility and ignored: "
                              "--workers > 1 always forks processes")
-    parser.add_argument("--schedule", choices=("lpt", "catalog"),
-                        default="lpt",
-                        help="dispatch order for --workers > 1: "
-                             "longest-predicted-first from the cost model "
-                             "(default) or legacy catalog order; findings "
-                             "are identical either way")
     parser.add_argument("--exec-cache", action="store_true",
                         help="memoize executions in a content-addressed "
                              "cache, so identical homogeneous baselines and "
@@ -517,7 +511,6 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             disk_fault_plan=_disk_fault_plan(args),
                             dist_secret=args.dist_secret,
                             audit=args.audit,
-                            schedule=args.schedule,
                             profile_deadline_s=args.profile_deadline,
                             worker_rlimit_cpu_s=args.worker_rlimit_cpu,
                             worker_rlimit_mem_mb=args.worker_rlimit_mem,

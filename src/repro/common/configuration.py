@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-import repro.perf as perf
 from repro.common.errors import ConfigurationError
 from repro.common.params import ParamRegistry
-from repro.core.confagent import NO_OVERRIDE, agent_getter, current_agent
+from repro.core.confagent import NO_OVERRIDE, current_agent
 
 _UNSET = object()
 
@@ -55,11 +54,7 @@ class Configuration:
         an assignment for this object's node), explicitly set value,
         registry default, the ``default`` argument.
         """
-        # ``get`` is the hottest call in the harness (every parameter read
-        # in every profiled execution lands here); the bound-method alias
-        # skips one Python frame per lookup versus ``current_agent()``.
-        agent = agent_getter() if perf.FAST_PATH else current_agent()
-        injected = agent.intercept_get(self, name)
+        injected = current_agent().intercept_get(self, name)
         if injected is not NO_OVERRIDE:
             return injected
         if name in self._properties:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-import repro.perf as perf
 from repro.common.configuration import Configuration
 from repro.common.errors import RpcError, SocketTimeout
 from repro.common.faults import current_injector
@@ -227,12 +226,12 @@ class IpcComponent:
         # confs' contents and the agent's injection mapping, so a repeat
         # check with unchanged mutation counters and ownership epoch must
         # pass again.  Skipped while the agent records usage (the pre-run
-        # needs every ``get`` observed) and with the fast path off.
-        # Failures are never memoised — each failing call must raise and
-        # count, exactly like the unmemoised loop.
+        # needs every ``get`` observed).  Failures are never memoised —
+        # each failing call must raise and count, exactly like the
+        # unmemoised loop.
         agent = current_agent()
         memo_key = None
-        if perf.FAST_PATH and not getattr(agent, "record_usage", False):
+        if not getattr(agent, "record_usage", False):
             memo_key = (id(own_conf),
                         getattr(caller_conf, "_mutations", -1),
                         getattr(own_conf, "_mutations", -1),

@@ -8,20 +8,18 @@ each ``randrange`` call costs two Python frames (``randrange`` →
 directly.
 
 Seeds are part of the findings contract — the execution cache keys
-seed-sensitive outcomes by the exact draw sequence — so the fast path
-must consume the underlying Mersenne stream *bit-for-bit* like the
-per-call loop.  It replicates CPython's
-``Random._randbelow_with_getrandbits`` exactly: ``k = bound.bit_length()``
-bits per attempt, rejecting draws ``>= bound``.  Per-seed stream
-equality fast-vs-legacy is asserted in tests/test_rngblock.py.
+seed-sensitive outcomes by the exact draw sequence — so the block must
+consume the underlying Mersenne stream *bit-for-bit* like the per-call
+loop.  It replicates CPython's ``Random._randbelow_with_getrandbits``
+exactly: ``k = bound.bit_length()`` bits per attempt, rejecting draws
+``>= bound``.  tests/test_rngblock.py asserts per-seed stream equality
+against the plain ``randrange`` loop.
 """
 
 from __future__ import annotations
 
 import random
 from typing import List
-
-import repro.perf as perf
 
 
 def randrange_block(rng: random.Random, bound: int, count: int) -> List[int]:
@@ -35,8 +33,6 @@ def randrange_block(rng: random.Random, bound: int, count: int) -> List[int]:
         return []
     if bound <= 0:
         raise ValueError("empty range for randrange_block(%d)" % bound)
-    if not perf.FAST_PATH:
-        return [rng.randrange(bound) for _ in range(count)]
     k = bound.bit_length()
     out: List[int] = []
     append = out.append

@@ -34,8 +34,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
-import repro.perf as perf
-
 
 class SimulationError(Exception):
     """Internal kernel misuse (e.g. waiting on an already-consumed event)."""
@@ -341,8 +339,7 @@ class Simulator:
         # Heartbeat/timeout-reset patterns cancel timers far faster than
         # the loop pops them; once the dead entries dominate, sweep them
         # in one pass instead of paying log(bloated n) on every push/pop.
-        if (cancelled >= COMPACT_MIN_CANCELLED and cancelled > self._live
-                and perf.FAST_PATH):
+        if cancelled >= COMPACT_MIN_CANCELLED and cancelled > self._live:
             self._compact()
 
     def _compact(self) -> None:
@@ -502,9 +499,7 @@ class Simulator:
         self.run_until(self._now + duration)
 
     def pending_events(self) -> int:
-        if perf.FAST_PATH:
-            return self._live
-        return sum(1 for _, _, t in self._heap if not t.cancelled)
+        return self._live
 
 
 class PeriodicTask:

@@ -26,7 +26,6 @@ import json
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import repro.perf as perf
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 
 _PLAIN_MAGIC = b"ZCP1"
@@ -46,15 +45,13 @@ SUPPORTED_CODECS = tuple(sorted(_CODECS))
 def _xor_stream(data: bytes, key: bytes) -> bytes:
     if not key:
         raise ValueError("empty encryption key")
-    key_len = len(key)
-    if perf.FAST_PATH:
-        # Bulk XOR via big-int arithmetic: ~50x faster than the per-byte
-        # Python loop below and bit-for-bit identical.
-        size = len(data)
-        stream = (key * (size // key_len + 1))[:size]
-        return (int.from_bytes(data, "little")
-                ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
-    return bytes(b ^ key[i % key_len] for i, b in enumerate(data))
+    # Bulk XOR via big-int arithmetic: ~50x faster than a per-byte loop
+    # and bit-for-bit identical to it (tests/test_wire.py keeps the loop
+    # as the reference).
+    size = len(data)
+    stream = (key * (size // len(key) + 1))[:size]
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
 
 
 # Memoisation of the *byte-transform* layers (compress / xor / ssl) for
@@ -65,10 +62,11 @@ def _xor_stream(data: bytes, key: bytes) -> bytes:
 # are not cached: their encode is a single concatenation and their decode
 # must re-parse anyway (callers may mutate the returned object, so JSON
 # parsing is always fresh — only the layer unwrapping is memoised).
+# tests/test_wire.py checks memoised frames against cold encodes.
 #
 # The encode memo is keyed by a 16-byte digest of the canonical JSON text
 # rather than the text itself: large repeated frames (block manifests,
-# batched edits) no longer pin megabytes of key strings, so far more of
+# batched edits) do not pin megabytes of key strings, so far more of
 # them fit under _WIRE_MEMO_MAX before eviction kicks in.
 _ENCODE_MEMO: Dict[Tuple[bytes, Optional[str], Optional[bytes], bool], bytes] = {}
 _DECODE_MEMO: Dict[Tuple[bytes, Optional[str], Optional[bytes], bool], bytes] = {}
@@ -91,7 +89,7 @@ def _evict_half(memo: Dict[Any, bytes]) -> None:
 
 
 def clear_wire_memo() -> None:
-    """Drop both frame caches (benches/tests use this between modes)."""
+    """Drop both frame caches, so the next encode and decode run cold."""
     _ENCODE_MEMO.clear()
     _DECODE_MEMO.clear()
 
@@ -103,7 +101,7 @@ def encode_payload(payload: Any, *, codec: Optional[str] = None,
     raw = json.dumps(payload, sort_keys=True).encode("utf-8")
     layered = codec is not None or encryption_key is not None or ssl
     key = None
-    if layered and perf.FAST_PATH:
+    if layered:
         key = (_payload_digest(raw), codec, encryption_key, ssl)
         cached = _ENCODE_MEMO.get(key)
         if cached is not None:
@@ -132,7 +130,7 @@ def decode_payload(data: bytes, *, codec: Optional[str] = None,
     expectations do not match what is actually on the wire.
     """
     layered = codec is not None or encryption_key is not None or ssl
-    if layered and perf.FAST_PATH:
+    if layered:
         key = (data, codec, encryption_key, ssl)
         plain = _DECODE_MEMO.get(key)
         if plain is not None:
@@ -231,12 +229,12 @@ def roundtrip_payload(payload: Any, *, codec: Optional[str] = None,
     immediately parses it back, purely so the receiver gets a *fresh*
     object with JSON semantics (tuples become lists, dicts re-keyed in
     sorted order) and unserialisable payloads still fail.  For plain
-    frames the fast path produces that result structurally, skipping the
-    dumps/loads pair; layered frames keep the real byte transforms (and
-    their memo) since format errors are the point of those layers.
+    frames that result is built structurally, skipping the dumps/loads
+    pair; layered frames keep the real byte transforms (and their memo)
+    since format errors are the point of those layers.
     """
     layered = codec is not None or encryption_key is not None or ssl
-    if not layered and perf.FAST_PATH:
+    if not layered:
         try:
             return _json_copy(payload)
         except _JsonFallback:

@@ -197,8 +197,8 @@ class _Probe:
 
 class _CountingRandom(random.Random):
     """Counts every draw.  Unlike ``runner._TrackedRandom`` (which only
-    needs a used/unused bit and rebinds to the C implementation under
-    the fast path), the *number* of draws is part of the behavioural
+    needs a used/unused bit and rebinds to the C implementation after
+    its first draw), the *number* of draws is part of the behavioural
     fingerprint, so each one must pass through the counter."""
 
     def __init__(self, seed: int) -> None:

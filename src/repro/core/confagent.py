@@ -47,8 +47,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
-
 #: Pseudo node type representing the unit test itself (§6.1: "the unit
 #: test itself is treated as a 'client' node in ZebraConf").
 UNIT_TEST = "__unit_test__"
@@ -113,17 +111,11 @@ NULL_AGENT = NullAgent()
 _current_agent: ContextVar[Any] = ContextVar("zebraconf_agent", default=NULL_AGENT)
 
 
-def current_agent() -> Any:
-    """The agent for the calling context (a :class:`NullAgent` if none)."""
-    return _current_agent.get()
-
-
-#: Bound method for hot paths (``Configuration.get`` reads the agent on
-#: every configuration lookup): calling the contextvar's ``get`` directly
-#: skips one Python frame per call.  Semantically identical to
-#: :func:`current_agent`; gated behind ``perf.FAST_PATH`` at call sites
-#: so the A/B benches can measure and verify the equivalence.
-agent_getter = _current_agent.get
+#: The agent for the calling context (a :class:`NullAgent` if none).  The
+#: contextvar's bound ``get`` rather than a wrapper function, because
+#: ``Configuration.get`` calls it on every configuration lookup and a
+#: wrapper would add one Python frame per call.
+current_agent = _current_agent.get
 
 
 class ConfAgent:
@@ -332,10 +324,9 @@ class ConfAgent:
         """(node_type, node_index) owning ``conf``; UNIT_TEST/UNCERTAIN
         pseudo-entities use index 0."""
         conf_id = id(conf)
-        if perf.FAST_PATH:
-            cached = self._resolve_cache.get(conf_id)
-            if cached is not None:
-                return cached
+        cached = self._resolve_cache.get(conf_id)
+        if cached is not None:
+            return cached
         for rec in self.node_table.values():
             if conf_id in rec.conf_ids:
                 result = (rec.node_type, rec.node_index)
@@ -345,8 +336,7 @@ class ConfAgent:
                 result = (UNIT_TEST, 0)
             else:
                 result = (UNCERTAIN, 0)
-        if perf.FAST_PATH:
-            self._resolve_cache[conf_id] = result
+        self._resolve_cache[conf_id] = result
         return result
 
     def _forget_conf(self, conf_id: int) -> None:
@@ -356,8 +346,7 @@ class ConfAgent:
         self._get_memo.pop(conf_id, None)
 
     def intercept_get(self, conf: Any, name: str) -> Any:
-        memoize = (perf.FAST_PATH and self._memo_gets
-                   and not self.record_usage)
+        memoize = self._memo_gets and not self.record_usage
         if memoize:
             memo = self._get_memo.get(id(conf))
             if memo is not None:

@@ -32,10 +32,8 @@ worker slot on it early starves the genuinely expensive work behind it.
 
 The dispatch order is consumed by the supervised pool's queue
 (``Campaign._run_locally`` -> ``core.supervise``) and the distributed
-coordinator's lease queue; serial runs keep catalog order.
-``CampaignConfig.schedule`` selects ``"lpt"`` (default) or
-``"catalog"`` (legacy order, also the perf-baseline mode of
-``benchmarks/bench_campaign_wallclock.py``).
+coordinator's lease queue, both of which always dispatch LPT; serial
+runs keep catalog order.
 """
 
 from __future__ import annotations

@@ -583,8 +583,7 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
     host, port = net.parse_address(config.distributed)
     campaign.distribution.enabled = True
     # LPT grant order: pure makespan, the fold stays catalog-ordered.
-    order = (campaign.cost_model.lpt_order(profiles)
-             if config.schedule == "lpt" else list(profiles))
+    order = campaign.cost_model.lpt_order(profiles)
     coordinator = Coordinator(campaign, order, checkpoint, tests_by_name,
                               host=host, port=port)
     outcomes, remaining = coordinator.serve()
@@ -636,7 +635,6 @@ def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
         disk_fault_plan=base.disk_fault_plan,
         dist_secret=base.dist_secret,
         workers=base.workers,
-        schedule=base.schedule,
         profile_deadline_s=base.profile_deadline_s,
         worker_rlimit_cpu_s=base.worker_rlimit_cpu_s,
         worker_rlimit_mem_mb=base.worker_rlimit_mem_mb,

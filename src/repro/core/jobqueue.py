@@ -83,14 +83,13 @@ FAULT_KEYS = {
 #: campaign-spec schema: key -> (default, type tag).  Type tags: "bool",
 #: "int", "float?" (optional float), "int?" (optional int), "str?"
 #: (optional string), "params" (optional list of parameter names),
-#: "faults" (mapping of FAULT_KEYS to probabilities), "choice:..." and
-#: "choice?:..." (nullable choice).
+#: "faults" (mapping of FAULT_KEYS to probabilities) and "choice?:..."
+#: (nullable choice).
 #: Kept flat and explicit so docs/SERVICE.md can state it verbatim.
 SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "app": (None, "app"),
     "params": (None, "params"),
     "workers": (1, "int"),
-    "schedule": ("lpt", "choice:lpt,catalog"),
     "exec_cache": (False, "bool"),
     "store": (True, "bool"),
     "incremental": (False, "bool"),
@@ -179,11 +178,6 @@ def canonical_spec(spec: Any) -> Dict[str, Any]:
             choices = kind.split(":", 1)[1].split(",")
             if value is not None and value not in choices:
                 raise JobSpecError("%s must be null or one of %s"
-                                   % (key, ", ".join(choices)))
-        elif kind.startswith("choice:"):
-            choices = kind.split(":", 1)[1].split(",")
-            if value not in choices:
-                raise JobSpecError("%s must be one of %s"
                                    % (key, ", ".join(choices)))
         out[key] = value
     if out["incremental"] and not out["store"]:
@@ -499,7 +493,6 @@ class JobQueue:
         spec = job.spec
         config = CampaignConfig(
             workers=spec["workers"],
-            schedule=spec["schedule"],
             exec_cache=spec["exec_cache"],
             store_path=self.store_path if spec["store"] else None,
             incremental=spec["incremental"],

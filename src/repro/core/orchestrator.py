@@ -176,12 +176,6 @@ class CampaignConfig:
     #: checkpoint_settings(): a resumed campaign may toggle it freely
     #: because the audit never touches the journal.
     audit: bool = False
-    #: dispatch order for the supervised pool: "lpt" hands profiles to it
-    #: longest-predicted-first (see repro.core.costmodel), "catalog"
-    #: keeps corpus order.  Results are folded in catalog order either
-    #: way, so findings and deterministic metrics are identical; only
-    #: wall-clock makespan changes.  Serial runs keep catalog order.
-    schedule: str = "lpt"
     #: wall-clock seconds a worker may spend on one profile before the
     #: supervisor SIGKILLs it and quarantines the profile (None = no
     #: deadline).  This is *real* time — it catches CPU-bound hangs the
@@ -457,9 +451,6 @@ class Campaign:
                     continue
             pending.append(profile)
 
-        schedule = self.config.schedule
-        if schedule not in ("lpt", "catalog"):
-            raise ValueError("unknown schedule %r" % schedule)
         self.cost_model = CostModel(self)
         self.supervision = SupervisionStats()
         self.distribution = DistributionStats()
@@ -852,8 +843,8 @@ class Campaign:
         """Run ``profiles`` on this host; outcomes keyed by test name.
 
         ``workers > 1`` with ``fork`` available runs the supervised pool
-        (repro.core.supervise); anything else runs serially, in the
-        order given.  Every outcome commits through
+        (repro.core.supervise), longest-predicted-first; anything else
+        runs serially, in the order given.  Every outcome commits through
         :func:`repro.core.parallel.commit_outcome` the moment it
         finishes, then goes to ``outcome_sink(name, outcome)`` if set.
         """
@@ -862,8 +853,7 @@ class Campaign:
             # keyed by test and folded back in catalog order, so
             # reordering here cannot change findings or deterministic
             # metrics.
-            if self.config.schedule == "lpt":
-                profiles = self.cost_model.lpt_order(profiles)
+            profiles = self.cost_model.lpt_order(profiles)
             from repro.core.supervise import run_profiles_parallel
             return run_profiles_parallel(self, profiles, checkpoint,
                                          tests_by_name, outcome_sink)

@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import repro.perf as perf
 from repro.common.errors import InfrastructureError
 from repro.common.faults import FaultInjector, FaultPlan, fault_scope
 from repro.common.simulation import SimTimeLimitExceeded, sim_time_limit
@@ -106,21 +105,17 @@ class _TrackedRandom(random.Random):
 
     def random(self) -> float:
         self.used = True
-        if perf.FAST_PATH:
-            # First draw proved the point; rebind to the C implementation
-            # so the remaining draws skip this Python frame entirely.
-            # (Instance attributes shadow class methods on lookup, and
-            # random.py's mixing methods all fetch via ``self``.)
-            self.random = super().random
-            return self.random()
-        return super().random()
+        # First draw proved the point; rebind to the C implementation so
+        # the remaining draws skip this Python frame entirely.  (Instance
+        # attributes shadow class methods on lookup, and random.py's
+        # mixing methods all fetch via ``self``.)
+        self.random = super().random
+        return self.random()
 
     def getrandbits(self, k: int) -> int:
         self.used = True
-        if perf.FAST_PATH:
-            self.getrandbits = super().getrandbits
-            return self.getrandbits(k)
-        return super().getrandbits(k)
+        self.getrandbits = super().getrandbits
+        return self.getrandbits(k)
 
 
 class TestRunner:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-import repro.perf as perf
 from repro.common.params import ParamDef, ParamRegistry
 from repro.core.confagent import NO_OVERRIDE, UNIT_TEST
 from repro.core.registry import UnitTest
@@ -64,23 +63,18 @@ class ParamAssignment:
     pinned: Tuple[Tuple[str, Any], ...] = ()
 
     def value_for(self, node_type: str, node_index: int, name: str) -> Any:
-        if perf.FAST_PATH:
-            # Lazily built first-wins pinned map, cached on the instance
-            # (via object.__setattr__ — the dataclass is frozen, and the
-            # cache must survive copies/pickles that skip __post_init__).
-            pinned_map = self.__dict__.get("_pinned_map")
-            if pinned_map is None:
-                pinned_map = {}
-                for pinned_name, pinned_value in self.pinned:
-                    if pinned_name not in pinned_map:
-                        pinned_map[pinned_name] = pinned_value
-                object.__setattr__(self, "_pinned_map", pinned_map)
-            if name in pinned_map:
-                return pinned_map[name]
-        else:
+        # Lazily built first-wins pinned map, cached on the instance (via
+        # object.__setattr__ — the dataclass is frozen, and the cache must
+        # survive copies/pickles that skip __post_init__).
+        pinned_map = self.__dict__.get("_pinned_map")
+        if pinned_map is None:
+            pinned_map = {}
             for pinned_name, pinned_value in self.pinned:
-                if name == pinned_name:
-                    return pinned_value
+                if pinned_name not in pinned_map:
+                    pinned_map[pinned_name] = pinned_value
+            object.__setattr__(self, "_pinned_map", pinned_map)
+        if name in pinned_map:
+            return pinned_map[name]
         if name != self.param:
             return NO_OVERRIDE
         if node_type == self.group:
@@ -90,8 +84,8 @@ class ParamAssignment:
     def canonical(self) -> Tuple[Any, ...]:
         """Stable content form: equal canonicals inject identically.
 
-        Pinned companions keep first-wins semantics (``value_for`` scans
-        in order) but are sorted afterwards so incidental ordering does
+        Pinned companions keep first-wins semantics (``value_for`` answers
+        with the first pin of a name) but are sorted afterwards so incidental ordering does
         not split cache slots or seeds.
         """
         pinned = _first_wins_pairs(self.pinned)
@@ -126,34 +120,28 @@ class HeteroAssignment:
         return tuple(a.param for a in self.assignments)
 
     def value_for(self, node_type: str, node_index: int, name: str) -> Any:
-        if perf.FAST_PATH:
-            # Hot path of every intercepted config get: a pooled scan over
-            # all members is O(pool size) per get, but only assignments
-            # that *mention* ``name`` (as the tested param or a pinned
-            # companion) can ever answer — index them once, first-wins
-            # order preserved.  Unknown names exit in one dict probe.
-            by_name = self.__dict__.get("_by_name")
-            if by_name is None:
-                by_name = {}
-                for assignment in self.assignments:
-                    names = [p for p, _ in assignment.pinned]
-                    names.append(assignment.param)
-                    for mentioned in names:
-                        hits = by_name.get(mentioned)
-                        if hits is None:
-                            by_name[mentioned] = [assignment]
-                        elif assignment is not hits[-1]:
-                            hits.append(assignment)
-                object.__setattr__(self, "_by_name", by_name)
-            hits = by_name.get(name)
-            if hits is None:
-                return NO_OVERRIDE
-            for assignment in hits:
-                value = assignment.value_for(node_type, node_index, name)
-                if value is not NO_OVERRIDE:
-                    return value
+        # Hot path of every intercepted config get: a pooled scan over all
+        # members is O(pool size) per get, but only assignments that
+        # *mention* ``name`` (as the tested param or a pinned companion)
+        # can ever answer — index them once, first-wins order preserved.
+        # Unknown names exit in one dict probe.
+        by_name = self.__dict__.get("_by_name")
+        if by_name is None:
+            by_name = {}
+            for assignment in self.assignments:
+                names = [p for p, _ in assignment.pinned]
+                names.append(assignment.param)
+                for mentioned in names:
+                    hits = by_name.get(mentioned)
+                    if hits is None:
+                        by_name[mentioned] = [assignment]
+                    elif assignment is not hits[-1]:
+                        hits.append(assignment)
+            object.__setattr__(self, "_by_name", by_name)
+        hits = by_name.get(name)
+        if hits is None:
             return NO_OVERRIDE
-        for assignment in self.assignments:
+        for assignment in hits:
             value = assignment.value_for(node_type, node_index, name)
             if value is not NO_OVERRIDE:
                 return value
@@ -195,22 +183,16 @@ class HomoAssignment:
     pinned: Tuple[Tuple[str, Any], ...] = ()
 
     def value_for(self, node_type: str, node_index: int, name: str) -> Any:
-        if perf.FAST_PATH:
-            merged = self.__dict__.get("_merged")
-            if merged is None:
-                merged = {}
-                for param, value in self.pinned + self.values:
-                    if param not in merged:
-                        merged[param] = value
-                object.__setattr__(self, "_merged", merged)
-            return merged.get(name, NO_OVERRIDE)
-        for param, value in self.pinned:
-            if name == param:
-                return value
-        for param, value in self.values:
-            if name == param:
-                return value
-        return NO_OVERRIDE
+        # First-wins map over pinned then values, cached like
+        # ParamAssignment's pinned map.
+        merged = self.__dict__.get("_merged")
+        if merged is None:
+            merged = {}
+            for param, value in self.pinned + self.values:
+                if param not in merged:
+                    merged[param] = value
+            object.__setattr__(self, "_merged", merged)
+        return merged.get(name, NO_OVERRIDE)
 
     def canonical(self) -> Tuple[Any, ...]:
         """Stable content form (see also

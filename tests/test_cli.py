@@ -90,6 +90,7 @@ class TestLocalBackendFlags:
         ["worker", "--connect", "127.0.0.1:1", "--parallel-backend",
          "process"],
         ["worker", "--connect", "127.0.0.1:1", "--no-supervise"],
+        ["campaign", "flink", "--schedule", "lpt"],
     ])
     def test_retired_backend_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:

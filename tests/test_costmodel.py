@@ -1,12 +1,12 @@
 """Cost model + LPT scheduling: predictions, ordering, and the invariant
-that scheduling (and the kernel fast path) never changes findings.
+that scheduling never changes findings.
 
-Dispatch order is a pure makespan concern: profiles are handed to the
-worker pool longest-predicted-first, but outcomes are folded back in
-catalog order, so the AppReport, every verdict, and the deterministic
-metrics snapshot must be byte-identical between ``schedule="lpt"`` and
-``schedule="catalog"`` — on every backend, under chaos, and across a
-checkpoint resume.
+Dispatch order is a pure makespan concern: the supervised pool hands
+profiles out longest-predicted-first while serial runs keep catalog
+order, but outcomes are folded back in catalog order, so the AppReport,
+every verdict, and the deterministic metrics snapshot must be
+byte-identical between a serial run and a ``workers=2`` run — under
+chaos and across a checkpoint resume too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 
 import pytest
 
-import repro.perf as perf
 from repro.common.faults import FaultPlan
 from repro.core.costmodel import (CACHE_HIT_PCT, EWMA_ALPHA, SINGLETON_COST,
                                   UNSAFE_PRIOR_PCT, CostBook, CostModel)
@@ -104,10 +103,6 @@ class TestCostModel:
         assert [p.test.full_name for p in ordered] \
             == ["synth::TestSynth.testAaa", "synth::TestSynth.testZzz"]
 
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            campaign(schedule="fifo").run()
-
 
 class TestPredictionsInReport:
     def test_cost_centers_carry_predictions(self):
@@ -119,41 +114,26 @@ class TestPredictionsInReport:
         assert "Predicted" in app_report_markdown(report)
 
     def test_sched_metrics_are_deterministic(self):
-        lpt = campaign(observe=True, workers=2, schedule="lpt").run()
-        catalog = campaign(observe=True, workers=2, schedule="catalog").run()
+        serial = campaign(observe=True).run()
+        lpt = campaign(observe=True, workers=2).run()
         snapshot = lpt.observation.metrics.render_prometheus()
         assert "zc_sched_predicted_executions_total" in snapshot
         assert "zc_sched_prediction_error_executions_total" in snapshot
         # prediction totals are analytic integers: dispatch order and
         # backend cannot move them
-        assert snapshot == catalog.observation.metrics.render_prometheus()
+        assert snapshot == serial.observation.metrics.render_prometheus()
 
 
 class TestSchedulingNeverChangesFindings:
-    def test_lpt_vs_catalog_reports_identical(self):
-        lpt = campaign(workers=3, schedule="lpt").run()
-        catalog = campaign(workers=3, schedule="catalog").run()
-        assert pooled_dict(lpt) == pooled_dict(catalog)
-
     def test_serial_vs_lpt_workers_reports_identical(self):
         serial = campaign().run()
-        fanned = campaign(workers=3, schedule="lpt").run()
+        fanned = campaign(workers=3).run()
         assert pooled_dict(serial) == pooled_dict(fanned)
-
-    def test_fast_path_off_report_identical(self):
-        previous = perf.set_fast_path(True)
-        try:
-            fast = campaign().run()
-            perf.set_fast_path(False)
-            legacy = campaign().run()
-        finally:
-            perf.set_fast_path(previous)
-        assert app_report_to_dict(fast) == app_report_to_dict(legacy)
 
     def test_checkpoint_resume_with_lpt(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        full = campaign(workers=2, schedule="lpt").run()
-        campaign(workers=2, schedule="lpt", checkpoint_path=path).run()
+        full = campaign(workers=2).run()
+        campaign(workers=2, checkpoint_path=path).run()
         # cut the journal back to one finished test and resume
         kept, done = [], 0
         for line in open(path):
@@ -166,8 +146,7 @@ class TestSchedulingNeverChangesFindings:
         assert done == 3
         with open(path, "w") as handle:
             handle.writelines(kept)
-        resumed = campaign(workers=2, schedule="lpt",
-                           checkpoint_path=path).run()
+        resumed = campaign(workers=2, checkpoint_path=path).run()
         assert pooled_dict(resumed) == pooled_dict(full)
 
 
@@ -179,10 +158,9 @@ class TestChaosScheduling:
                      infra_error_prob=0.01)
 
     def test_chaos_lpt_vs_catalog_reports_identical(self):
-        lpt = campaign(workers=2, schedule="lpt",
-                       fault_plan=self.PLAN).run()
-        catalog = campaign(workers=2, schedule="catalog",
-                           fault_plan=self.PLAN).run()
+        """Serial runs dispatch in catalog order, ``workers=2`` LPT."""
+        catalog = campaign(fault_plan=self.PLAN).run()
+        lpt = campaign(workers=2, fault_plan=self.PLAN).run()
         assert pooled_dict(lpt) == pooled_dict(catalog)
 
 

@@ -7,13 +7,20 @@ ordinary test suite before the PR ever reaches CI.
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import sys
+
+from repro.core.jobqueue import SPEC_SCHEMA, canonical_spec, spec_digest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
 
 import check_docs  # noqa: E402
+
+_README_SURFACE = ("campaign serve serve-token store worker audit why corpus "
+                   "evaluate list-apps list-params validate-obs.\n")
 
 
 def test_cli_surface_is_nonempty():
@@ -29,14 +36,39 @@ def test_docs_and_cli_agree():
 
 def test_checker_catches_a_planted_unknown_flag(tmp_path):
     (tmp_path / "README.md").write_text(
-        "Use `--definitely-not-a-real-flag` for campaign serve "
-        "serve-token store worker audit why corpus evaluate list-apps "
-        "list-params validate-obs.\n")
+        "Use `--definitely-not-a-real-flag` for " + _README_SURFACE)
     problems = check_docs.check(str(tmp_path))
     assert any("--definitely-not-a-real-flag" in p for p in problems)
+
+
+def test_checker_catches_a_planted_unknown_spec_key(tmp_path):
+    (tmp_path / "README.md").write_text(_README_SURFACE)
+    (tmp_path / "docs").mkdir()
+    rows = ["| `%s` | x | x | x |" % key
+            for key in list(SPEC_SCHEMA)[1:] + ["definitely_not_a_key"]]
+    (tmp_path / "docs" / "SERVICE.md").write_text("\n".join(
+        ["| spec key | type | default | CLI analogue |", "|---|---|---|---|"]
+        + rows + ["", "`faults` keys: ..."]))
+    problems = check_docs.check(str(tmp_path))
+    assert any("'definitely_not_a_key' is not in SPEC_SCHEMA" in p
+               for p in problems)
+    assert any("'app' is undocumented" in p for p in problems)
 
 
 def test_checker_requires_the_docs_index(tmp_path):
     (tmp_path / "README.md").write_text("")
     problems = check_docs.check(str(tmp_path))
     assert any("docs/README.md: missing" in p for p in problems)
+
+
+def test_service_doc_quotes_the_example_digest():
+    """The POST example's documented ``spec_digest`` is the one the
+    daemon computes for the documented body."""
+    with open(os.path.join(REPO_ROOT, "docs", "SERVICE.md")) as handle:
+        text = handle.read()
+    # the request whose response block quotes a digest
+    body = re.search(r"-d '(\{[^']*\})'\s*```\s*```json[^`]*\"spec_digest\"",
+                     text).group(1)
+    digest = spec_digest(canonical_spec(json.loads(body)))
+    quoted = re.findall(r'"spec_digest": "([0-9a-f]{32})"', text)
+    assert quoted and set(quoted) == {digest}

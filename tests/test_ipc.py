@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.perf as perf
 from repro.common.configuration import Configuration
 from repro.common.errors import RpcError, SaslError, SocketTimeout
 from repro.common.ipc import (IPC_SHARED_PARAMS, IpcComponent, RpcClient,
@@ -152,16 +151,10 @@ class TestSharedIpcComponent:
 
 
 class TestCrossCheckMemo:
-    """The fast-path memo on IpcComponent.check_connection_params must be
-    an invisible optimisation: passed checks are skipped on repeat, but
-    any write to either conf (or any agent ownership change) re-runs the
-    full cross-check, and failures always raise and count."""
-
-    @pytest.fixture(autouse=True)
-    def fast_path_on(self):
-        previous = perf.set_fast_path(True)
-        yield
-        perf.set_fast_path(previous)
+    """The memo on IpcComponent.check_connection_params must be an
+    invisible optimisation: passed checks are skipped on repeat, but any
+    write to either conf (or any agent ownership change) re-runs the full
+    cross-check, and failures always raise and count."""
 
     def test_repeat_check_skips_the_gets(self, conf_class):
         ipc = IpcComponent(conf_class, shared=True)
@@ -173,15 +166,6 @@ class TestCrossCheckMemo:
 
         caller.get = boom  # instance shadow: any get would blow up
         ipc.check_connection_params(caller)
-
-    def test_fast_path_off_rechecks_every_call(self, conf_class):
-        perf.set_fast_path(False)
-        ipc = IpcComponent(conf_class, shared=True)
-        caller = conf_class()
-        ipc.check_connection_params(caller)
-        assert not ipc._check_memo
-        ipc.check_connection_params(caller)
-        assert ipc.cross_check_failures == 0
 
     def test_caller_write_invalidates_memo(self, conf_class):
         ipc = IpcComponent(conf_class, shared=True)

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-import repro.perf as perf
 from repro.common.rngblock import randrange_block
 from repro.core.runner import _TrackedRandom
 
@@ -15,39 +14,25 @@ BOUNDS = (1, 2, 3, 30, 40, 100, 120, 128, 256, 1000, 7919)
 
 
 class TestStreamEquality:
-    @pytest.mark.parametrize("bound", BOUNDS)
-    def test_per_seed_stream_identical_fast_vs_legacy(self, bound):
-        for seed in range(12):
-            previous = perf.set_fast_path(False)
-            try:
-                legacy = randrange_block(random.Random(seed), bound, 257)
-                perf.set_fast_path(True)
-                fast = randrange_block(random.Random(seed), bound, 257)
-            finally:
-                perf.set_fast_path(previous)
-            assert fast == legacy
+    def test_matches_plain_randrange_loop(self):
+        for bound in BOUNDS:
+            for seed in range(12):
+                rng = random.Random(seed)
+                expected = [rng.randrange(bound) for _ in range(257)]
+                assert randrange_block(random.Random(seed), bound,
+                                       257) == expected, (bound, seed)
 
     @pytest.mark.parametrize("bound", (256, 1000))
     def test_generator_position_identical_after_block(self, bound):
         """Draws *after* a block must match too: the block consumed
         exactly the same amount of the underlying stream."""
-        previous = perf.set_fast_path(False)
-        try:
-            rng = random.Random(42)
-            randrange_block(rng, bound, 100)
-            legacy_tail = [rng.randrange(bound) for _ in range(20)]
-            perf.set_fast_path(True)
-            rng = random.Random(42)
-            randrange_block(rng, bound, 100)
-            fast_tail = [rng.randrange(bound) for _ in range(20)]
-        finally:
-            perf.set_fast_path(previous)
-        assert fast_tail == legacy_tail
-
-    def test_matches_plain_randrange_loop(self):
-        rng = random.Random(7)
-        expected = [rng.randrange(100) for _ in range(500)]
-        assert randrange_block(random.Random(7), 100, 500) == expected
+        rng = random.Random(42)
+        for _ in range(100):
+            rng.randrange(bound)
+        loop_tail = [rng.randrange(bound) for _ in range(20)]
+        rng = random.Random(42)
+        randrange_block(rng, bound, 100)
+        assert [rng.randrange(bound) for _ in range(20)] == loop_tail
 
     def test_tracked_random_marks_used(self):
         rng = _TrackedRandom(3)

@@ -141,6 +141,8 @@ def test_canonical_spec_fills_defaults_and_sorts():
     # retired with the thread and bare process backends
     {"app": "flink", "parallel_backend": "process"},
     {"app": "flink", "supervise": True},
+    # retired with the catalog dispatch order
+    {"app": "flink", "schedule": "lpt"},
 ])
 def test_canonical_spec_rejects(bad):
     with pytest.raises(JobSpecError):
@@ -153,7 +155,7 @@ def test_jobs_persisted_with_retired_keys_still_load(tmp_path):
     root.mkdir(parents=True)
     (root / "spec.json").write_text(json.dumps(dict(
         canonical_spec({"app": "flink"}), parallel_backend="thread",
-        supervise=True)))
+        supervise=True, schedule="catalog")))
     (root / "status.json").write_text(json.dumps({"state": "done"}))
     queue = JobQueue(str(state))
     queue.start()
@@ -290,11 +292,12 @@ def test_warm_resubmission_strictly_cheaper(daemon):
     assert (findings_projection(warm_report)
             == findings_projection(cold_report))
 
-    # a spec with a different digest but identical executions (schedule
-    # is ignored at workers == 1) gets a fresh journal: here the shared
-    # store itself serves the work — strictly fewer executions, hits > 0.
+    # a spec with a different digest but identical executions (the store
+    # already implies exec-cache semantics) gets a fresh journal: here the
+    # shared store itself serves the work — strictly fewer executions,
+    # hits > 0.
     other = daemon.wait_done(
-        daemon.submit({"app": "mapreduce", "schedule": "catalog"})["id"])
+        daemon.submit({"app": "mapreduce", "exec_cache": True})["id"])
     _, raw = daemon.request("GET", "/v1/campaigns/%s/report" % other["id"])
     other_report = json.loads(raw)
     assert other_report["store"]["hits"] > 0

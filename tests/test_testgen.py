@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.confagent import NO_OVERRIDE, UNIT_TEST
 from repro.core.registry import UnitTest
 from repro.core.testgen import (ALL_STRATEGIES, CROSS, CROSS_SWAPPED,
                                 DependencyRule, HeteroAssignment,
-                                ParamAssignment, ROUND_ROBIN,
+                                HomoAssignment, ParamAssignment, ROUND_ROBIN,
                                 ROUND_ROBIN_SWAPPED, TestGenerator,
                                 TestInstance)
 from synthetic_app import SYNTH_REGISTRY, no_node_test
@@ -172,6 +172,83 @@ class TestDependencyRules:
             SYNTH_REGISTRY.get("synth.level"), "Service", CROSS, (10, 1000)),))
         homo = assignment.homo_variant(0)
         assert homo.value_for("Service", 0, "synth.safe-a") == 42
+
+
+# ---------------------------------------------------------------------------
+# value_for's lookup tables against the first-wins linear scans they replace
+# ---------------------------------------------------------------------------
+_NAMES = ("p", "q", "r", "s")
+_ENTITIES = ("G", "H", UNIT_TEST)
+_names = st.sampled_from(_NAMES)
+_values = st.one_of(st.integers(0, 3), st.none())
+_pairs = st.lists(st.tuples(_names, _values), max_size=4).map(tuple)
+_param_assignments = st.builds(
+    ParamAssignment, param=_names, group=st.sampled_from(("G", "H")),
+    group_values=st.lists(_values, min_size=1, max_size=2).map(tuple),
+    other_value=_values, pinned=_pairs)
+
+
+def _scan_param(a, node_type, node_index, name):
+    for pinned_name, pinned_value in a.pinned:
+        if name == pinned_name:
+            return pinned_value
+    if name != a.param:
+        return NO_OVERRIDE
+    if node_type == a.group:
+        return a.group_values[node_index % len(a.group_values)]
+    return a.other_value
+
+
+def _scan_hetero(h, node_type, node_index, name):
+    for a in h.assignments:
+        value = _scan_param(a, node_type, node_index, name)
+        if value is not NO_OVERRIDE:
+            return value
+    return NO_OVERRIDE
+
+
+def _scan_homo(h, node_type, node_index, name):
+    for param, value in h.pinned + h.values:
+        if name == param:
+            return value
+    return NO_OVERRIDE
+
+
+def _assert_matches(assignment, scan):
+    for _ in range(2):  # the second pass reads the cached table
+        for name in _NAMES + ("unknown",):
+            for entity in _ENTITIES:
+                for index in range(3):
+                    assert (assignment.value_for(entity, index, name)
+                            == scan(assignment, entity, index, name))
+
+
+class TestLookupTables:
+    @given(_param_assignments)
+    @example(ParamAssignment("p", "G", (1, 2), 3,
+                             pinned=(("q", 0), ("q", 1), ("p", None))))
+    @settings(max_examples=150, deadline=None)
+    def test_param_assignment_matches_scan(self, assignment):
+        _assert_matches(assignment, _scan_param)
+
+    @given(st.lists(_param_assignments, max_size=4,
+                    unique_by=lambda a: a.param).map(tuple))
+    @example((ParamAssignment("p", "G", (1,), 2, pinned=(("r", 0),)),
+              ParamAssignment("q", "H", (1, 3), 2,
+                              pinned=(("r", 1), ("r", 2), ("p", 3)))))
+    @settings(max_examples=150, deadline=None)
+    def test_hetero_assignment_matches_scan(self, members):
+        assignment = HeteroAssignment(members)
+        _assert_matches(assignment, _scan_hetero)
+        for side in range(assignment.sides() if members else 0):
+            _assert_matches(assignment.homo_variant(side), _scan_homo)
+
+    @given(_pairs, _pairs)
+    @example((("p", 1), ("p", 2)), (("p", 3), ("q", 4), ("q", 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_homo_assignment_matches_scan(self, values, pinned):
+        _assert_matches(HomoAssignment(values=values, pinned=pinned),
+                        _scan_homo)
 
 
 class TestInstanceEnumeration:

@@ -3,19 +3,38 @@ checksums, SASL negotiation."""
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf as perf
 from repro.common import wire
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 from repro.common.wire import (CHECKSUM_TYPES, SASL_LEVELS, SUPPORTED_CODECS,
                                clear_wire_memo, compute_checksums,
                                decode_payload, encode_payload, negotiate_sasl,
-                               transfer, verify_checksums)
+                               roundtrip_payload, transfer, verify_checksums)
 
 PAYLOAD = {"op": "write", "block": 17, "data": "0011aabb"}
+
+
+class _Qop(enum.IntEnum):
+    AUTH = 1
+    PRIVACY = 3
+
+
+class _Tag(str):
+    pass
+
+
+def _shape(obj):
+    """Value, exact type and dict key order, recursively."""
+    if isinstance(obj, dict):
+        return ("dict", [(type(k), k, _shape(v)) for k, v in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_shape(item) for item in obj])
+    return (type(obj), obj)
 
 
 class TestFraming:
@@ -42,6 +61,51 @@ class TestFraming:
     def test_unknown_codec_rejected(self):
         with pytest.raises(DecodeError):
             encode_payload(PAYLOAD, codec="brotli-ish")
+
+    @given(st.binary(max_size=300), st.binary(min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_xor_stream_matches_per_byte_loop(self, data, key):
+        expected = bytes(b ^ key[i % len(key)] for i, b in enumerate(data))
+        assert wire._xor_stream(data, key) == expected
+
+
+class TestRoundtripPayload:
+    """``roundtrip_payload`` builds plain frames structurally; it must
+    equal the real serialise-then-parse pair, key order and types too."""
+
+    @pytest.mark.parametrize("payload", [
+        PAYLOAD,
+        ("a", 1, [2, (3, 4)]),
+        {"z": {"y": 1, "b": [{"d": 0, "c": None}]}, "a": (True, 2.5)},
+        {"qop": _Qop.PRIVACY, "levels": [_Qop.AUTH, 7]},
+        {"name": _Tag("dn-0"), _Tag("k"): "v", "plain": "s"},
+        {2: "two", 1: {10: "ten", 3: "three"}},
+        [],
+        "bare",
+        None,
+    ])
+    def test_equals_encode_then_decode(self, payload):
+        expected = decode_payload(encode_payload(payload))
+        assert _shape(roundtrip_payload(payload)) == _shape(expected)
+
+    def test_result_is_a_fresh_object(self):
+        payload = {"blocks": [1, 2], "meta": {"gen": 7}}
+        copy = roundtrip_payload(payload)
+        copy["blocks"].append(3)
+        copy["meta"]["gen"] = 8
+        assert payload == {"blocks": [1, 2], "meta": {"gen": 7}}
+
+    @pytest.mark.parametrize("payload", [
+        {"conf": object()},
+        [{1, 2}],
+        {1: "int key", "a": "str key"},
+    ])
+    def test_unserialisable_raises_the_same_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            encode_payload(payload)
+        with pytest.raises(TypeError) as raised:
+            roundtrip_payload(payload)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestMismatches:
@@ -153,14 +217,14 @@ class TestWireMemo:
     """The frame memo: digest keys, bounded size, partial eviction."""
 
     def setup_method(self):
-        self._prev = perf.set_fast_path(True)
         clear_wire_memo()
 
     def teardown_method(self):
-        perf.set_fast_path(self._prev)
         clear_wire_memo()
 
     def test_fast_path_bytes_identical_to_legacy(self):
+        """A memoised encode returns exactly the bytes a cold encode
+        (empty memo, every layer transform run) produces."""
         payloads = [
             PAYLOAD,
             {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128},
@@ -171,17 +235,20 @@ class TestWireMemo:
             {"codec": "gzip"},
             {"encryption_key": b"sasl-privacy-wrap"},
             {"ssl": True},
+            {"codec": "zstd", "encryption_key": b"k"},
             {"codec": "zstd", "encryption_key": b"k", "ssl": True},
         ]
-        for payload in payloads:
-            for opts in options:
-                perf.set_fast_path(False)
-                legacy = encode_payload(payload, **opts)
-                perf.set_fast_path(True)
-                clear_wire_memo()
-                assert encode_payload(payload, **opts) == legacy
-                # and the memoised second encode too
-                assert encode_payload(payload, **opts) == legacy
+        # Warm one memo with every (payload, options) pair, so a key
+        # that missed a format option would hand one pair another's frame.
+        memoised = {}
+        for i, payload in enumerate(payloads):
+            for j, opts in enumerate(options):
+                first = encode_payload(payload, **opts)
+                assert encode_payload(payload, **opts) is first  # memo hit
+                memoised[i, j] = first
+        for (i, j), frame in memoised.items():
+            clear_wire_memo()
+            assert encode_payload(payloads[i], **options[j]) == frame
 
     def test_hot_key_survives_overflow(self):
         hot = {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128}

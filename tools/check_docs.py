@@ -12,7 +12,9 @@ flag the README never documents.  Concretely, it enforces:
    README.md (the flag table / subcommand notes);
 3. every ``repro`` subcommand is mentioned in README.md;
 4. every ``docs/NAME.md`` cross-reference points at a file that exists;
-5. ``docs/README.md`` (the index) links every ``docs/*.md`` file.
+5. ``docs/README.md`` (the index) links every ``docs/*.md`` file;
+6. the spec-key table in ``docs/SERVICE.md`` lists exactly the keys of
+   ``repro.core.jobqueue.SPEC_SCHEMA``.
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -45,6 +47,10 @@ _FLAG_RE = re.compile(r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*(?:-?\*)?")
 #: ``docs/NAME.md`` cross-references.
 _DOCREF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 
+#: header row of docs/SERVICE.md's spec-key table, and one key row.
+_SPEC_TABLE_HEADER = "| spec key |"
+_SPEC_ROW_RE = re.compile(r"^\| `([a-z_]+)` \|")
+
 
 def collect_cli_surface() -> "tuple[Set[str], Set[str]]":
     """(all --flags, all subcommand names) from the real parser."""
@@ -74,6 +80,39 @@ def doc_files(root: str) -> List[str]:
             if name.endswith(".md"):
                 paths.append(os.path.join(docs_dir, name))
     return [p for p in paths if os.path.isfile(p)]
+
+
+def spec_table_keys(text: str) -> List[str]:
+    """Keys of the markdown table whose header starts ``| spec key |``."""
+    keys: List[str] = []
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.startswith(_SPEC_TABLE_HEADER):
+            next(lines, None)  # the |---| separator row
+            for row in lines:
+                match = _SPEC_ROW_RE.match(row)
+                if match is None:
+                    break
+                keys.append(match.group(1))
+            break
+    return keys
+
+
+def check_spec_table(root: str) -> List[str]:
+    """docs/SERVICE.md's spec table against the daemon's SPEC_SCHEMA."""
+    from repro.core.jobqueue import SPEC_SCHEMA
+    path = os.path.join(root, "docs", "SERVICE.md")
+    if not os.path.isfile(path):
+        return ["docs/SERVICE.md: missing (documents the spec keys)"]
+    with open(path) as handle:
+        documented = spec_table_keys(handle.read())
+    if not documented:
+        return ["docs/SERVICE.md: no spec-key table"]
+    problems = ["docs/SERVICE.md: spec key %r is not in SPEC_SCHEMA" % key
+                for key in documented if key not in SPEC_SCHEMA]
+    problems.extend("docs/SERVICE.md: spec key %r is undocumented" % key
+                    for key in SPEC_SCHEMA if key not in documented)
+    return problems
 
 
 def check(root: str) -> List[str]:
@@ -138,6 +177,8 @@ def check(root: str) -> List[str]:
             if name not in index_text:
                 problems.append("docs/README.md: %s is not in the index"
                                 % rel)
+
+    problems.extend(check_spec_table(root))
     return problems
 
 
