@@ -16,8 +16,15 @@ per operation:
    encryption headers), small and large; cost per frame with the encode
    memo warm.
 4. **conf-get** — registry-backed ``Configuration.get`` outside any agent
-   scope, the hottest call in the harness; cost per read.
-5. **sim-event** — raw scheduled callbacks, scheduled then run; cost per
+   scope; cost per read.  No execution reads this way, so two rows time
+   the path campaigns take: **conf-get-agent**, repeat reads inside a
+   ConfAgent session with a heterogeneous assignment (answered by the
+   conf's view), and **conf-get-first**, first reads of each name on a
+   fresh conf (the full resolution that fills the view).
+5. **rpc-call** — a heartbeat-shaped ``RpcClient.call`` inside a session:
+   SASL negotiation plus copying the arguments and the result; cost per
+   call.
+6. **sim-event** — raw scheduled callbacks, scheduled then run; cost per
    sim event.
 
 The numbers are host-dependent trajectory rows with no committed
@@ -26,14 +33,42 @@ baseline.  They land in ``BENCH_simkernel.json``.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 from _shared import write_bench_artifact
+from repro.apps.hdfs.conf import HdfsConfiguration
+from repro.common.configuration import Configuration
+from repro.common.ipc import RpcClient, RpcServer
+from repro.common.params import INT, ParamRegistry
 from repro.common.simulation import PeriodicTask, Simulator
 from repro.common.wire import clear_wire_memo, encode_payload
+from repro.core.confagent import ConfAgent
 from repro.core.report import render_table
+from repro.core.testgen import HeteroAssignment, ParamAssignment
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from synthetic_app import SynthConfiguration  # noqa: E402
 
 ARTIFACT = "BENCH_simkernel.json"
+
+#: enough parameters that one fresh conf serves a thousand first reads,
+#: so constructing it is noise in the conf_get_first row.
+_WIDE_REGISTRY = ParamRegistry("bench-wide")
+for _index in range(1000):
+    _WIDE_REGISTRY.define("wide.p%d" % _index, INT, _index)
+
+
+class _WideConfiguration(Configuration):
+    registry = _WIDE_REGISTRY
+
+
+def _session() -> ConfAgent:
+    """A test-execution agent injecting one parameter, as campaigns do."""
+    return ConfAgent(assignment=HeteroAssignment((ParamAssignment(
+        param="wide.p0", group="DataNode", group_values=(1,),
+        other_value=2),)))
 
 
 def cancel_heavy(resets: int) -> int:
@@ -96,15 +131,49 @@ def wire_encode_large(frames: int) -> int:
 
 def conf_get(lookups: int) -> int:
     """Registry-backed ``Configuration.get`` outside any agent scope."""
-    import sys
-    sys.path.insert(0, "tests") if "tests" not in sys.path else None
-    from synthetic_app import SynthConfiguration
-
     conf = SynthConfiguration()
     conf.set("synth.replication", 3)
     total = 0
     for _ in range(lookups):
         total += conf.get("synth.replication")
+    return total
+
+
+def conf_get_agent(lookups: int) -> int:
+    """Repeat reads inside a session: the conf's view answers them."""
+    total = 0
+    with _session():
+        conf = _WideConfiguration()
+        conf.get("wide.p1")  # warm the view
+        for _ in range(lookups):
+            total += conf.get("wide.p1")
+    return total
+
+
+def conf_get_first(lookups: int) -> int:
+    """First reads inside a session: every name once per fresh conf."""
+    names = _WIDE_REGISTRY.names()
+    total = 0
+    with _session():
+        for _ in range(lookups // len(names)):
+            conf = _WideConfiguration()
+            for name in names:
+                total += conf.get(name)
+    return total
+
+
+def rpc_call(calls: int) -> int:
+    """DataNode-to-NameNode heartbeats: a short request, a dict reply."""
+    total = 0
+    with _session():
+        server = RpcServer("NameNode", HdfsConfiguration())
+        server.register("heartbeat", lambda dn_id, remaining: {
+            "ack": True, "encryption_key": {"key_id": 3,
+                                            "material": "00ff" * 8}})
+        client = RpcClient(HdfsConfiguration())
+        for _ in range(calls):
+            reply = client.call(server, "heartbeat", "dn-0", 1 << 30)
+            total += reply["encryption_key"]["key_id"]
     return total
 
 
@@ -124,6 +193,9 @@ WORKLOADS = (
     ("wire_encode", "frames", 20000, wire_encode, (20000,)),
     ("wire_encode_large", "frames", 2000, wire_encode_large, (2000,)),
     ("conf_get", "lookups", 200000, conf_get, (200000,)),
+    ("conf_get_agent", "lookups", 200000, conf_get_agent, (200000,)),
+    ("conf_get_first", "lookups", 200000, conf_get_first, (200000,)),
+    ("rpc_call", "calls", 20000, rpc_call, (20000,)),
     ("sim_event", "events", 50000, sim_events, (50000,)),
 )
 

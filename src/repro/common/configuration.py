@@ -6,6 +6,15 @@ This mirrors Fig. 2a of the paper: the blank constructor calls
 ``ConfAgent.interceptSet`` (which writes values through to the parent conf
 when the object is a node-side clone of a unit-test conf).
 
+Inside a test execution a conf also keeps a *view*: the final value of
+every name read so far, tagged with the agent's ``view_token``.  A read
+whose token still matches is one dict lookup; ``set``/``raw_set``/
+``unset`` drop the conf's view, and the agent replaces its token on every
+ownership change, which drops every view built under the old one.  Agents
+that must observe each read (the pre-run's recorder, the audit's probes,
+the thread-ownership ablation) carry no token, so their reads always
+reach ``interceptGet``.
+
 Outside a ZebraConf session the hooks hit the inert
 :class:`repro.core.confagent.NullAgent` and the class behaves exactly like
 the unmodified application's configuration class.
@@ -20,6 +29,10 @@ from repro.common.params import ParamRegistry
 from repro.core.confagent import NO_OVERRIDE, current_agent
 
 _UNSET = object()
+
+#: The view of a conf that holds no resolved values.  Its token is a
+#: private object no agent ever carries, so it never matches.
+_NO_VIEW: Tuple[object, Dict[str, Any]] = (object(), {})
 
 
 class Configuration:
@@ -36,6 +49,9 @@ class Configuration:
         #: "has this conf changed since I last looked?" without hashing
         #: the property map.
         self._mutations = 0
+        #: (agent view token, {name -> resolved value}).  One attribute,
+        #: so a read never pairs one agent's token with another's values.
+        self._view: Tuple[object, Dict[str, Any]] = _NO_VIEW
         if source is None:
             current_agent().new_conf(self)
         else:
@@ -52,32 +68,50 @@ class Configuration:
 
         Resolution order: ZebraConf-injected value (if an active agent has
         an assignment for this object's node), explicitly set value,
-        registry default, the ``default`` argument.
+        registry default, the ``default`` argument.  The first three are
+        kept in the conf's view while the agent's token is unchanged; an
+        answer from ``default`` is not.
         """
-        injected = current_agent().intercept_get(self, name)
-        if injected is not NO_OVERRIDE:
-            return injected
-        if name in self._properties:
-            return self._properties[name]
-        if self.registry is not None and name in self.registry:
-            return self.registry.default_of(name)
-        if default is not _UNSET:
-            return default
-        raise ConfigurationError("unknown parameter %r and no default given" % name)
+        agent = current_agent()
+        agent_token = agent.view_token
+        token, view = self._view
+        if token is agent_token:
+            value = view.get(name, _UNSET)
+            if value is not _UNSET:
+                return value
+        value = agent.intercept_get(self, name)
+        if value is NO_OVERRIDE:
+            value = self._properties.get(name, _UNSET)
+            if value is _UNSET and self.registry is not None:
+                value = self.registry.defaults.get(name, _UNSET)
+            if value is _UNSET:
+                if default is not _UNSET:
+                    return default
+                raise ConfigurationError(
+                    "unknown parameter %r and no default given" % name)
+        if agent_token is not None:
+            if token is agent_token:
+                view[name] = value
+            else:
+                self._view = (agent_token, {name: value})
+        return value
 
     def set(self, name: str, value: Any) -> None:
         current_agent().intercept_set(self, name, value)
         self._properties[name] = value
         self._mutations += 1
+        self._view = _NO_VIEW
 
     def raw_set(self, name: str, value: Any) -> None:
         """Store without notifying the agent (used by write-through)."""
         self._properties[name] = value
         self._mutations += 1
+        self._view = _NO_VIEW
 
     def unset(self, name: str) -> None:
         self._properties.pop(name, None)
         self._mutations += 1
+        self._view = _NO_VIEW
 
     def is_explicitly_set(self, name: str) -> bool:
         return name in self._properties
@@ -122,11 +156,10 @@ class Configuration:
         """A string value validated against the registry's enum values."""
         value = str(self.get(name, default))
         if self.registry is not None:
-            param = self.registry.maybe_get(name)
-            if param is not None and param.values is not None:
-                if value not in param.values:
-                    raise ConfigurationError(
-                        "parameter %r=%r not in %r" % (name, value, param.values))
+            values = self.registry.enum_values.get(name)
+            if values is not None and value not in values:
+                raise ConfigurationError(
+                    "parameter %r=%r not in %r" % (name, value, values))
         return value
 
     # ------------------------------------------------------------------

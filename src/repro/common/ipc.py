@@ -124,24 +124,28 @@ class RpcClient:
         return timeout_ms / 1000.0 if timeout_ms > 0 else float("inf")
 
     # ------------------------------------------------------------------
+    # Both call forms hand the handler and the caller what the wire would:
+    # ``roundtrip_payload`` of the bare arguments (a list, since JSON has
+    # no tuples) and of the bare result.  JSON encodes each member of a
+    # container independently, so copying the two payloads apart equals
+    # copying one envelope holding both.
     def call(self, server: RpcServer, method: str, *args: Any) -> Any:
         """Instantaneous RPC: handshake + encode/decode, no simulated time."""
-        what = "rpc %s.%s" % (server.owner, method)
         injector = current_injector()
+        # The fault label, formatted only for an injector that reports it.
+        what = ("rpc %s.%s" % (server.owner, method)) if injector.active else ""
         if injector.drop_message(what):
             raise SocketTimeout("injected fault: %s request dropped" % what)
         level = negotiate_sasl(self.protection(), server.protection(), what="rpc")
         if self.ipc is not None:
             self.ipc.check_connection_params(self.conf)
         opts = _wire_opts(level)
-        request = roundtrip_payload({"method": method, "args": list(args)},
-                                    **opts)
+        request = roundtrip_payload(args, **opts)
         if injector.duplicate_message(what):
             # at-least-once delivery: the server processes the request
             # twice; non-idempotent handlers corrupt state accordingly.
-            server._dispatch(request["method"], request["args"])
-        result = server._dispatch(request["method"], request["args"])
-        return roundtrip_payload({"result": result}, **opts)["result"]
+            server._dispatch(method, request)
+        return roundtrip_payload(server._dispatch(method, request), **opts)
 
     def call_timed(self, server: RpcServer, method: str, args: Tuple[Any, ...],
                    duration: float) -> Generator:
@@ -151,11 +155,15 @@ class RpcClient:
         keepalive every :meth:`RpcServer.keepalive_interval_s`; the client
         aborts when it sees no bytes for :meth:`timeout_s`.
         """
-        what = "rpc %s.%s" % (server.owner, method)
         injector = current_injector()
+        what = ("rpc %s.%s" % (server.owner, method)) if injector.active else ""
         level = negotiate_sasl(self.protection(), server.protection(), what="rpc")
         if self.ipc is not None:
             self.ipc.check_connection_params(self.conf)
+        opts = _wire_opts(level)
+        # serialised when sent: later changes to the caller's objects do
+        # not reach the server.
+        request = roundtrip_payload(args, **opts)
         client_deadline = self.timeout_s()
         keepalive = server.keepalive_interval_s()
         if injector.drop_message(what):
@@ -182,9 +190,7 @@ class RpcClient:
                                         keepalive))
             yield gap
             remaining -= work
-        opts = _wire_opts(level)
-        result = server._dispatch(method, list(args))
-        return roundtrip_payload({"result": result}, **opts)["result"]
+        return roundtrip_payload(server._dispatch(method, request), **opts)
 
 
 class IpcComponent:

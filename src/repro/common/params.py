@@ -83,11 +83,19 @@ class ParamRegistry:
     def __init__(self, app: str) -> None:
         self.app = app
         self._params: Dict[str, ParamDef] = {}
+        #: name -> default and name -> enum values, kept beside the
+        #: definitions so ``Configuration.get`` and ``get_enum`` answer
+        #: with one dict probe instead of a method call.
+        self.defaults: Dict[str, Any] = {}
+        self.enum_values: Dict[str, Tuple[Any, ...]] = {}
 
     def register(self, param: ParamDef) -> ParamDef:
         if param.name in self._params:
             raise ValueError("duplicate parameter %s in %s" % (param.name, self.app))
         self._params[param.name] = param
+        self.defaults[param.name] = param.default
+        if param.values is not None:
+            self.enum_values[param.name] = param.values
         return param
 
     def define(self, name: str, kind: str, default: Any, **kwargs: Any) -> ParamDef:
@@ -100,7 +108,7 @@ class ParamRegistry:
         return self._params.get(name)
 
     def default_of(self, name: str) -> Any:
-        return self._params[name].default
+        return self.defaults[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params

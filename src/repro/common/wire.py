@@ -189,6 +189,11 @@ class _JsonFallback(Exception):
     """Structure the structural copier cannot reproduce exactly."""
 
 
+#: Exact types json round-trips unchanged: the same value and type back.
+#: Subclasses (IntEnum, str subclasses) are deliberately not members.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _json_copy(obj: Any) -> Any:
     """A fresh object equal to ``json.loads(json.dumps(obj, sort_keys=True))``.
 
@@ -196,13 +201,15 @@ def _json_copy(obj: Any) -> Any:
     would coerce (IntEnum, str subclasses, non-string dict keys) or
     reject raises :class:`_JsonFallback` so the caller takes the real
     serialisation path and its exact semantics — including TypeError on
-    unserialisable payloads.
+    unserialisable payloads.  Exact-type scalar items of a list or dict
+    are copied inline rather than by one recursive call each.
     """
     t = type(obj)
-    if t is str or t is int or t is float or t is bool or obj is None:
+    if t in _JSON_SCALARS:
         return obj
     if t is list or t is tuple:
-        return [_json_copy(item) for item in obj]
+        return [item if type(item) in _JSON_SCALARS else _json_copy(item)
+                for item in obj]
     if t is dict:
         out = {}
         # sort_keys=True means the decoded dict iterates in sorted-key
@@ -215,7 +222,9 @@ def _json_copy(obj: Any) -> Any:
         for key in keys:
             if type(key) is not str:
                 raise _JsonFallback
-            out[key] = _json_copy(obj[key])
+            value = obj[key]
+            out[key] = (value if type(value) in _JSON_SCALARS
+                        else _json_copy(value))
         return out
     raise _JsonFallback
 

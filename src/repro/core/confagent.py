@@ -57,10 +57,6 @@ UNCERTAIN = "__uncertain__"
 #: Sentinel returned by ``intercept_get`` when no value is injected.
 NO_OVERRIDE = object()
 
-#: Distinct miss marker for the per-(conf, name) get memo — NO_OVERRIDE
-#: itself is a legitimate memoised value.
-_MEMO_MISS = object()
-
 
 @dataclass
 class NodeRecord:
@@ -83,6 +79,8 @@ class NullAgent:
     """
 
     active = False
+    #: No token: configuration objects keep no views outside a session.
+    view_token = None
 
     def start_init(self, node: Any, node_type: str) -> None:
         pass
@@ -134,10 +132,6 @@ class ConfAgent:
 
     active = True
 
-    #: Whether intercept_get may memoise its decision per (conf, name).
-    #: Subclasses with call-dependent resolution must disable this.
-    _memo_gets = True
-
     def __init__(self, assignment: Optional[Any] = None,
                  record_usage: bool = False) -> None:
         self.assignment = assignment
@@ -165,8 +159,6 @@ class ConfAgent:
         #: so the execution cache's homogeneous default-value collapse
         #: must exempt these (see repro.core.execcache).
         self.set_params: Set[str] = set()
-        #: count of get() calls answered with an injected value.
-        self.injected_reads = 0
         #: Bumped on every conf-ownership mutation; external memos (e.g.
         #: the IPC cross-check) fold it into their keys so any remapping
         #: conservatively invalidates them.
@@ -177,18 +169,21 @@ class ConfAgent:
         self._in_ref_clone = False
         self._token = None
         self._conf_factory: Optional[Any] = None
-        #: conf id -> (node_type, node_index) memo for _resolve, the
-        #: hottest lookup in the system (once per intercepted get).  Every
+        #: conf id -> (node_type, node_index) memo for _resolve, which
+        #: runs once per read that misses the conf's view.  Every
         #: ownership mutation below pops the affected ids.
         self._resolve_cache: Dict[int, Tuple[str, int]] = {}
-        #: conf id -> {param name -> injected value or NO_OVERRIDE}: the
-        #: full injection decision per (conf, name).  Exact because the
-        #: assignment is immutable for the agent's lifetime and the
-        #: decision otherwise depends only on the conf's owner — every
-        #: ownership mutation invalidates through _forget_conf.  Not used
-        #: while recording usage (pre-run) nor by ThreadOwnershipAgent,
-        #: whose resolution is thread-dependent.
-        self._get_memo: Dict[int, Dict[str, Any]] = {}
+        #: Identity token under which each Configuration keeps its view
+        #: of resolved values (``Configuration.get``).  Exact because the
+        #: assignment is immutable for the agent's lifetime and a read
+        #: otherwise depends only on the conf's owner and contents: conf
+        #: writes drop that conf's view, and every ownership mutation
+        #: replaces the token (_forget_conf), dropping every view.  None
+        #: while recording usage — the pre-run and the audit count every
+        #: read — and for subclasses whose resolution depends on the call,
+        #: not only on the conf's owner.
+        self.view_token: Optional[object] = (
+            None if record_usage else object())
 
     # ------------------------------------------------------------------
     # session scoping
@@ -340,19 +335,14 @@ class ConfAgent:
         return result
 
     def _forget_conf(self, conf_id: int) -> None:
-        """Drop every per-conf memo; called on any ownership mutation."""
+        """Drop ``conf_id``'s owner memo and every conf's view; called on
+        any ownership mutation."""
         self.ownership_epoch += 1
         self._resolve_cache.pop(conf_id, None)
-        self._get_memo.pop(conf_id, None)
+        if self.view_token is not None:
+            self.view_token = object()
 
     def intercept_get(self, conf: Any, name: str) -> Any:
-        memoize = self._memo_gets and not self.record_usage
-        if memoize:
-            memo = self._get_memo.get(id(conf))
-            if memo is not None:
-                value = memo.get(name, _MEMO_MISS)
-                if value is not _MEMO_MISS:
-                    return value
         node_type, node_index = self._resolve(conf)
         if self.record_usage:
             self.usage.setdefault(node_type, set()).add(name)
@@ -360,15 +350,9 @@ class ConfAgent:
             site[name] = site.get(name, 0) + 1
             if node_type == UNCERTAIN:
                 self.uncertain_params.add(name)
-        result = NO_OVERRIDE
         if self.assignment is not None and node_type != UNCERTAIN:
-            value = self.assignment.value_for(node_type, node_index, name)
-            if value is not NO_OVERRIDE:
-                self.injected_reads += 1
-                result = value
-        if memoize:
-            self._get_memo.setdefault(id(conf), {})[name] = result
-        return result
+            return self.assignment.value_for(node_type, node_index, name)
+        return NO_OVERRIDE
 
     def intercept_set(self, conf: Any, name: str, value: Any) -> None:
         """Write-through to the parent conf (§6.3, interceptSet logic).
@@ -417,14 +401,13 @@ class ThreadOwnershipAgent(ConfAgent):
     measures how often its answer differs from the rule-based agent's.
     """
 
-    #: Resolution depends on the calling thread and every call counts a
-    #: potential misattribution — per-(conf, name) memoisation would
-    #: change both, so it stays off.
-    _memo_gets = False
-
     def __init__(self, assignment: Optional[Any] = None,
                  record_usage: bool = False) -> None:
         super().__init__(assignment=assignment, record_usage=record_usage)
+        #: Resolution depends on the calling thread and every call counts
+        #: a potential misattribution — conf views would change both, so
+        #: they stay off.
+        self.view_token = None
         #: thread id -> node id, set when a node's init runs on a thread
         #: and *never popped* (the thread is deemed owned by the node).
         self.thread_owner: Dict[int, int] = {}

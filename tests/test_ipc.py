@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 
+from repro.common import ipc as ipc_module
 from repro.common.configuration import Configuration
 from repro.common.errors import RpcError, SaslError, SocketTimeout
+from repro.common.faults import FaultInjector, FaultPlan, fault_scope
 from repro.common.ipc import (IPC_SHARED_PARAMS, IpcComponent, RpcClient,
                               RpcServer, ipc_sharing_enabled, set_ipc_sharing)
 from repro.common.params import DURATION_MS, ENUM, INT, ParamRegistry
 from repro.common.simulation import Simulator
+from repro.common.wire import decode_payload, encode_payload
 from repro.core.confagent import ConfAgent
 
 
@@ -74,6 +79,104 @@ class TestRpcCall:
             client.call(server, "echo", "x")
 
 
+class _Qop(enum.IntEnum):
+    AUTH = 1
+    PRIVACY = 3
+
+
+def _shape(obj):
+    """Value, exact type and dict key order, recursively."""
+    if isinstance(obj, dict):
+        return ("dict", [(type(k), k, _shape(v)) for k, v in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_shape(item) for item in obj])
+    return (type(obj), obj)
+
+
+#: arguments and results an RPC must carry exactly as the wire would
+RPC_PAYLOADS = [
+    7, 2.5, True, None, "text",
+    ("a", (1, 2.0)),
+    {"z": {"y": [1, {"d": 0, "c": False}]}, "a": (None, "s")},
+    _Qop.PRIVACY,
+    {"qop": _Qop.AUTH, "levels": [_Qop.PRIVACY, 7]},
+    {2: "two", 1: {10: "ten", 3: "three"}},
+]
+
+
+class TestRpcPayloadCopy:
+    """The handler and the caller each get a fresh copy of the payload,
+    equal in value, type and key order to encoding it with the endpoint's
+    wire options and decoding it back."""
+
+    @pytest.mark.parametrize("level", ("authentication", "privacy"))
+    @pytest.mark.parametrize("payload", RPC_PAYLOADS)
+    def test_handler_and_caller_see_the_wire_copy(self, conf_class, level,
+                                                  payload):
+        client, server = make_endpoints(
+            conf_class, {"hadoop.rpc.protection": level},
+            {"hadoop.rpc.protection": level})
+        received = []
+
+        def handler(*args):
+            received.append(args)
+            return payload
+
+        server.register("take", handler)
+        result = client.call(server, "take", payload, "tail")
+        opts = ipc_module._wire_opts(level)
+        expected_args = decode_payload(
+            encode_payload([payload, "tail"], **opts), **opts)
+        assert _shape(list(received[0])) == _shape(expected_args)
+        expected_result = decode_payload(encode_payload(payload, **opts),
+                                         **opts)
+        assert _shape(result) == _shape(expected_result)
+
+    @pytest.mark.parametrize("level", ("authentication", "privacy"))
+    def test_unserialisable_payloads_raise_the_same_type_error(
+            self, conf_class, level):
+        client, server = make_endpoints(
+            conf_class, {"hadoop.rpc.protection": level},
+            {"hadoop.rpc.protection": level})
+        opaque = object()
+        server.register("echo", lambda value: value)
+        server.register("opaque", lambda: opaque)
+        with pytest.raises(TypeError) as expected:
+            encode_payload(opaque)
+        with pytest.raises(TypeError) as raised:
+            client.call(server, "echo", opaque)
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(TypeError) as raised:
+            client.call(server, "opaque")
+        assert str(raised.value) == str(expected.value)
+
+    def test_faults_carry_the_rpc_label(self, conf_class):
+        client, server = make_endpoints(conf_class)
+        dispatched = []
+        server.register("count", lambda n: dispatched.append(n) or n)
+        events = []
+        injector = FaultInjector(
+            FaultPlan(seed=3, drop_prob=0.3, duplicate_prob=0.3), seed=11,
+            on_fault=lambda kind, data: events.append((kind, data)))
+        delivered = []
+        with fault_scope(injector):
+            for n in range(40):
+                try:
+                    assert client.call(server, "count", n) == n
+                except SocketTimeout as exc:
+                    assert "rpc TestServer.count" in str(exc)
+                else:
+                    delivered.append(n)
+        kinds = [kind for kind, _ in events]
+        assert "drop" in kinds and "duplicate" in kinds
+        assert all(data["what"] == "rpc TestServer.count"
+                   for _, data in events)
+        # a duplicated request reaches the handler twice
+        duplicates = kinds.count("duplicate")
+        assert len(dispatched) == len(delivered) + duplicates
+        assert sorted(set(dispatched)) == delivered
+
+
 class TestTimedCalls:
     def run_timed(self, conf_class, client_timeout_ms, server_timeout_ms,
                   duration):
@@ -105,6 +208,23 @@ class TestTimedCalls:
 
     def test_client_long_server_short_is_fine(self, conf_class):
         assert self.run_timed(conf_class, 120000, 1000, duration=300.0) == "ok"
+
+    def test_handler_gets_a_copy_of_the_arguments(self, conf_class):
+        client, server = make_endpoints(conf_class)
+        received = []
+
+        def handler(items, pair):
+            items.append("server")
+            received.append(pair)
+            return len(items)
+
+        server.register("mutate", handler)
+        items = ["client"]
+        result = Simulator().run_process(client.call_timed(
+            server, "mutate", (items, ("a", 1)), duration=0.3))
+        assert result == 2
+        assert items == ["client"]  # the caller's list is untouched
+        assert received == [["a", 1]] and type(received[0]) is list
 
 
 class TestSharedIpcComponent:

@@ -4,6 +4,7 @@ checksums, SASL negotiation."""
 from __future__ import annotations
 
 import enum
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,23 @@ def _shape(obj):
     if isinstance(obj, list):
         return ("list", [_shape(item) for item in obj])
     return (type(obj), obj)
+
+
+#: leaves JSON keeps (exact scalars) or coerces (IntEnum, str subclass);
+#: NaN is left out only because it never equals itself.
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.sampled_from(list(_Qop)),
+    st.text(max_size=4).map(_Tag))
+
+#: nested lists, tuples and dicts of those leaves; some dicts have int
+#: keys (coerced to strings) or mixed keys (json.dumps raises TypeError).
+_NESTED = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)),
+                    children, max_size=3)), max_leaves=12)
 
 
 class TestFraming:
@@ -83,10 +101,30 @@ class TestRoundtripPayload:
         [],
         "bare",
         None,
+        # leaves the copier decides inline, without recursing per item
+        [_Qop.AUTH, 1, "s"],
+        {"qop": _Qop.PRIVACY, "n": 1},
+        [_Tag("dn-0"), "plain"],
+        {"name": _Tag("dn-1"), "id": 1},
+        [True, False, 1, 0, 2.5, -0.0, 1e300, None],
+        {"z": True, "y": 0.125, "x": False, "w": 3.0, "v": None},
+        [[1.5, True], {"b": False, "a": 2.0}, (0.5, "t")],
     ])
     def test_equals_encode_then_decode(self, payload):
         expected = decode_payload(encode_payload(payload))
         assert _shape(roundtrip_payload(payload)) == _shape(expected)
+
+    @given(_NESTED)
+    @settings(max_examples=300, deadline=None)
+    def test_nested_payloads_match_json(self, payload):
+        try:
+            expected = json.loads(json.dumps(payload, sort_keys=True))
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                roundtrip_payload(payload)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _shape(roundtrip_payload(payload)) == _shape(expected)
 
     def test_result_is_a_fresh_object(self):
         payload = {"blocks": [1, 2], "meta": {"gen": 7}}
