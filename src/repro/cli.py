@@ -5,7 +5,7 @@ Usage (installed as ``python -m repro``)::
     python -m repro list-apps
     python -m repro list-params hdfs --unsafe-only
     python -m repro corpus mapreduce
-    python -m repro campaign yarn --json yarn.json --trace yarn-trace.jsonl
+    python -m repro campaign yarn --json yarn.json --trace-spans yarn.jsonl
     python -m repro campaign yarn --store ./results   # warm-start next run
     python -m repro store stats ./results
     python -m repro evaluate --json full.json
@@ -271,9 +271,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "reconfiguration before rolling it out")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the machine-readable report here")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a JSONL trace of every pre-run and "
-                             "instance decision here")
     parser.add_argument("--compare", metavar="BASELINE_JSON",
                         help="diff the fresh report against a stored "
                              "--json baseline; exit 1 on new unsafe "
@@ -411,7 +408,8 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                                help="write the hierarchical span trace "
                                     "(app > profile > pool > instance > "
                                     "trial, wall + modelled clocks) as "
-                                    "JSONL")
+                                    "JSONL, with every pre-run, trial "
+                                    "tally, retry and fault decision")
     observability.add_argument("--trace-chrome", metavar="PATH",
                                help="write a Chrome trace_event JSON "
                                     "loadable in Perfetto / chrome://tracing")
@@ -491,14 +489,12 @@ def _disk_fault_plan(args: argparse.Namespace) -> "Optional[DiskFaultPlan]":
 
 
 def _config(args: argparse.Namespace) -> CampaignConfig:
-    from repro.core.tracelog import TraceLog
     only = frozenset(args.params) if args.params else None
     config = CampaignConfig(workers=args.workers,
                             max_pool_size=args.pool_size,
                             blacklist_threshold=args.blacklist_threshold,
                             disable_ipc_sharing=args.disable_ipc_sharing,
                             only_params=only,
-                            trace=TraceLog() if args.trace else None,
                             fault_plan=_fault_plan(args),
                             checkpoint_path=args.checkpoint,
                             infra_retries=args.infra_retries,
@@ -531,12 +527,6 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
     if args.watchdog is not None:
         config.watchdog_sim_s = args.watchdog
     return config
-
-
-def _write_trace(args: argparse.Namespace, config: CampaignConfig) -> None:
-    if args.trace and config.trace is not None:
-        count = config.trace.write_jsonl(args.trace)
-        print("wrote %d trace events to %s" % (count, args.trace))
 
 
 def _write_observability(args: argparse.Namespace,
@@ -881,7 +871,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.markdown, "w") as handle:
                 handle.write(app_report_markdown(report))
             print("wrote %s" % args.markdown)
-        _write_trace(args, config)
         _write_observability(args, [report])
         if args.compare:
             from repro.core.baseline import compare_to_baseline, load_baseline
@@ -923,7 +912,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.markdown, "w") as handle:
                 handle.write(campaign_report_markdown(report))
             print("wrote %s" % args.markdown)
-        _write_trace(args, config)
         _write_observability(args, report.apps)
         return 0
 

@@ -190,7 +190,7 @@ class FaultInjector:
     ``seed`` individualises this execution's schedule (TestRunner derives
     it from the trial seed and the plan seed).  ``on_fault`` is an
     optional callback ``(kind, data)`` invoked for every discrete
-    injected fault — the runner routes it into the campaign trace log.
+    injected fault — the runner records it as a ``fault`` span event.
     Clock jitter is counted but not reported per-event (it perturbs every
     timer, which would drown the trace).
     """

@@ -564,9 +564,6 @@ class Coordinator:
         obs = self.campaign.observation
         if obs is not None:
             obs.event("dist-degraded", kind="coordinator", reason=reason)
-        trace = self.campaign.config.trace
-        if trace is not None:
-            trace.emit("dist-degraded", app=self.campaign.app, reason=reason)
         self.cond.notify_all()
 
 
@@ -799,7 +796,6 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                         welcome["settings"], welcome["run_cost_s"],
                         bool(welcome.get("observe")), base)
                     campaign = campaign_factory(welcome["app"], config)
-                    campaign.config.trace = None  # parent-only channel
                     campaign_app = welcome["app"]
                     if corpus_digest(campaign) != welcome["digest"]:
                         say("worker %s: local corpus for %r does not match "

@@ -20,11 +20,10 @@ see; ``1`` means "run in-process, one app after another":
   single-threaded (a fork copies locks other threads may hold);
 * ``workers == 1`` — otherwise the profile pool already owns the cores;
 * the config must hold nothing that lives in the caller's process or
-  depends on the order apps run in: a ``trace`` log (parent-only, and
-  events without an explicit ``sim_at`` inherit the previous app's
-  clock), a progress stream or hook, a cancel event, a ``distributed``
-  listen address (one coordinator), or an active disk fault plan (faults
-  are keyed by store segment name, which would depend on lane timing).
+  depends on the order apps run in: a progress stream or hook, a cancel
+  event, a ``distributed`` listen address (one coordinator), or an
+  active disk fault plan (faults are keyed by store segment name, which
+  would depend on lane timing).
 
 Failure handling: an exception inside a lane is re-raised in the parent
 with the same type and message, for the first failing app in catalog
@@ -60,7 +59,6 @@ def lane_count(config: Any, apps: int) -> int:
     if (not parallel.fork_available() or config.workers != 1
             # a fork copies whatever locks other threads hold
             or threading.active_count() > 1
-            or config.trace is not None
             or config.progress_stream is not None
             or config.progress_hook is not None
             or config.cancel_event is not None

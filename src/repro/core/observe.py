@@ -13,6 +13,12 @@ fleet.  This module is the window into a run:
     campaign produces the same sim-timeline no matter the backend,
     scheduling, or host load.
 
+  The campaign's decision events ride in the same tree, as span
+  attributes or zero-duration :meth:`Observation.event` spans: each
+  test's pre-run verdict, an instance's trial tallies and p-value, a
+  trial's retries and injected faults, the blacklist, and supervisor or
+  coordinator incidents.  The span trace is the one event channel.
+
 * **Metrics** — a declared catalog of counters, gauges, and fixed-bucket
   histograms.  Merges are commutative (counters/histograms sum, gauges
   take max), so worker results folded in completion order still yield a
@@ -66,12 +72,14 @@ __all__ = [
 # metric catalog
 # --------------------------------------------------------------------------
 
-#: Span kinds, outermost first.  "parameter" from the paper's hierarchy
-#: does not exist as a span level — pooled testing deliberately runs
-#: *many* parameters per execution — so parameters ride along as span
-#: attributes instead (see docs/OBSERVABILITY.md).
+#: Span kinds, outermost first; ``retry``, ``fault``, ``supervisor`` and
+#: ``coordinator`` are only ever zero-duration events.  "parameter" from
+#: the paper's hierarchy does not exist as a span level — pooled testing
+#: deliberately runs *many* parameters per execution — so parameters ride
+#: along as span attributes instead (see docs/OBSERVABILITY.md).
 SPAN_KINDS = ("app", "prerun", "audit", "profile", "pool", "bisection",
-              "instance", "trial", "supervisor")
+              "instance", "trial", "retry", "fault", "supervisor",
+              "coordinator")
 
 #: Modelled machine-seconds bucket boundaries.  Executions cost whole
 #: multiples of ``run_cost_s`` (default 60s), so buckets are chosen in
@@ -580,7 +588,8 @@ class Observation:
         return _SpanContext(self, span)
 
     def event(self, name: str, kind: str, **attrs: Any) -> Span:
-        """A zero-duration span (supervisor events: crash, kill, ...)."""
+        """A zero-duration span under the innermost open span (a pre-run
+        verdict, a retry, an injected fault, a worker death, ...)."""
         with self.span(name, kind, **attrs) as span:
             pass
         return span

@@ -124,8 +124,6 @@ class CampaignConfig:
     #: restrict the campaign to these parameters (None = all).  Useful to
     #: vet a specific reconfiguration plan before rolling it out.
     only_params: Optional[frozenset] = None
-    #: optional structured event log (see repro.core.tracelog).
-    trace: Optional[Any] = None
     #: deterministic chaos schedule applied to every execution (None or an
     #: all-zero plan = clean runs).  See repro.common.faults.
     fault_plan: Optional[FaultPlan] = None
@@ -220,9 +218,10 @@ class CampaignConfig:
     #: deterministic transport chaos on coordinator-side connections
     #: (repro.common.transport.NetFaultPlan; None = clean links).
     net_fault_plan: Optional[Any] = None
-    #: collect spans + metrics (repro.core.observe).  The campaign's
-    #: Observation lands on AppReport.observation; the CLI's
-    #: --trace-spans/--trace-chrome/--metrics-out flags export it.
+    #: collect spans + metrics (repro.core.observe), decision events
+    #: included.  The campaign's Observation lands on
+    #: AppReport.observation; the CLI's --trace-spans/--trace-chrome/
+    #: --metrics-out flags export it.
     observe: bool = False
     #: stream for the live one-line progress display (usually stderr;
     #: None = no progress line).  Implies observation: the line is fed
@@ -303,10 +302,19 @@ class ProfileOutcome:
     #: observability layer is on (crosses the process/supervision wire
     #: with the rest of the outcome); None otherwise.
     observation: Optional[Dict[str, Any]] = None
-    #: ``[kind, sim_at, data]`` TraceLog events a forked worker recorded
-    #: for this profile, folded into ``config.trace`` in catalog order;
-    #: None for a profile that traced straight into the campaign's log.
-    trace_events: Optional[List[List[Any]]] = None
+    #: "restored" (checkpoint journal) or "reused" (plan REUSE) for a
+    #: profile folded back without running; "" for one that ran.
+    folded: str = ""
+
+    @property
+    def status(self) -> str:
+        """The ``zc_profiles_total`` label, also the ``status`` of a
+        synthetic ``profile`` span."""
+        if self.folded:
+            return self.folded
+        if self.error_kind == WORKER_CRASH:
+            return "quarantined"
+        return "degraded" if self.error else "completed"
 
 
 class Campaign:
@@ -400,9 +408,16 @@ class Campaign:
         if obs is not None:
             with obs.span("prerun", kind="prerun") as prerun_span:
                 profiles = prerun_corpus(self.tests)
-                # one instrumented execution per corpus test
-                obs.advance_sim(len(profiles) * self.config.run_cost_s)
                 prerun_span.attrs["tests"] = len(profiles)
+                for profile in profiles:
+                    # one instrumented execution per corpus test
+                    obs.advance_sim(self.config.run_cost_s)
+                    obs.event(profile.test.full_name, kind="prerun",
+                              usable=profile.usable,
+                              groups=dict(profile.groups),
+                              uncertain_params=sorted(
+                                  profile.uncertain_params),
+                              baseline_error=profile.baseline_error)
             obs.metrics.counter_inc("zc_prerun_executions_total",
                                     len(profiles))
             obs.metrics.counter_inc("zc_machine_seconds_total",
@@ -439,7 +454,7 @@ class Campaign:
                 outcome = self._restore_profile(checkpoint, name,
                                                 tests_by_name)
                 outcome_by_test[name] = outcome
-                self._profile_committed(outcome, restored=True)
+                self._profile_committed(outcome)
                 continue
             if self._plan is not None \
                     and self._plan.decision(name) == PLAN_REUSE:
@@ -447,7 +462,7 @@ class Campaign:
                                                      tests_by_name)
                 if outcome is not None:
                     outcome_by_test[name] = outcome
-                    self._profile_committed(outcome, reused=True)
+                    self._profile_committed(outcome)
                     continue
             pending.append(profile)
 
@@ -477,13 +492,9 @@ class Campaign:
         degraded_errors: Dict[str, str] = {}
         predicted_total = 0
         prediction_error = 0
-        trace = self.config.trace
         for profile in usable:
             name = profile.test.full_name
             outcome = outcome_by_test[name]
-            if trace is not None and outcome.trace_events:
-                for kind, sim_at, data in outcome.trace_events:
-                    trace.emit(kind, sim_at=sim_at, **data)
             results.extend(outcome.results)
             _merge_stats(pool_stats, outcome.stats)
             executions += outcome.executions
@@ -515,10 +526,12 @@ class Campaign:
         results_by_param = _group_confirmed(results)
         verdicts = triage_report(results_by_param, self.registry,
                                  blacklisted=self.tracker.blacklisted)
-        self._emit_trace(profiles, results, verdicts, executions)
         cost_centers = self._cost_centers(usable, outcome_by_test)
         audit_stats = self._run_audit(profiles)
         if self.observation is not None:
+            self._app_span.attrs["blacklisted"] = {
+                param: self.tracker.failure_count(param)
+                for param in sorted(self.tracker.blacklisted)}
             self._assemble_spans(usable, outcome_by_test)
             self._finalize_runtime_metrics()
         report = AppReport(
@@ -648,14 +661,8 @@ class Campaign:
             CostBook.beside_checkpoint(self.config.checkpoint_path))
         self.cost_book.load()
         checkpoint = CampaignCheckpoint(self.config.checkpoint_path)
-        finished = checkpoint.load()
+        checkpoint.load()
         checkpoint.check_header(self.app, self.config.checkpoint_settings())
-        trace = self.config.trace
-        if trace is not None:
-            trace.emit("checkpoint-open", app=self.app,
-                       path=self.config.checkpoint_path,
-                       finished_tests=finished,
-                       partial_tests=sorted(checkpoint.partial_tests))
         return checkpoint
 
     def _restore_profile(self, checkpoint: CampaignCheckpoint, name: str,
@@ -670,14 +677,11 @@ class Campaign:
             if result.verdict == CONFIRMED_UNSAFE:
                 for param in result.instance.params:
                     self.tracker.record_unsafe(param, name)
-        trace = self.config.trace
-        if trace is not None:
-            trace.emit("checkpoint-restore", app=self.app, test=name,
-                       instances=len(results), executions=executions)
         return ProfileOutcome(results=results, stats=stats,
                               executions=executions,
                               fault_counts=fault_counts, retries=retries,
-                              error=error, error_kind=error_kind)
+                              error=error, error_kind=error_kind,
+                              folded="restored")
 
     # ------------------------------------------------------------------
     # incremental planning (--incremental) and store profile records
@@ -701,22 +705,10 @@ class Campaign:
         if checkpoint is not None:
             journaled = checkpoint.plan_record(self.app)
             if journaled is not None:
-                plan = CampaignPlan.from_dict(journaled)
-                trace = self.config.trace
-                if trace is not None:
-                    trace.emit("plan-replayed", app=self.app,
-                               reused=plan.count(PLAN_REUSE),
-                               demoted=plan.demoted)
-                return plan
+                return CampaignPlan.from_dict(journaled)
         plan = build_plan(self, usable, store)
         if checkpoint is not None:
             checkpoint.record_plan(self.app, plan.to_dict())
-        trace = self.config.trace
-        if trace is not None:
-            trace.emit("plan-built", app=self.app,
-                       reused=plan.count(PLAN_REUSE),
-                       demoted=plan.demoted,
-                       executions_saved=plan.executions_saved)
         return plan
 
     def _fold_planned_profile(self, profile: TestProfile,
@@ -754,18 +746,13 @@ class Campaign:
         # Zero fresh executions: the whole point of the plan.  The stored
         # pool statistics are preserved so the findings projection is
         # byte-identical to the campaign that produced them.
-        outcome = ProfileOutcome(results=results, stats=stats, executions=0,
-                                 fault_counts=fault_counts, retries=retries)
         if checkpoint is not None:
             checkpoint.record_test_done(name, results, stats, 0,
                                         fault_counts=fault_counts,
                                         retries=retries)
-        trace = self.config.trace
-        if trace is not None:
-            trace.emit("plan-reuse", app=self.app, test=name,
-                       instances=len(results),
-                       executions_saved=int(record.get("executions", 0)))
-        return outcome
+        return ProfileOutcome(results=results, stats=stats, executions=0,
+                              fault_counts=fault_counts, retries=retries,
+                              folded="reused")
 
     def _persist_profile_records(self, profiles: Sequence[TestProfile],
                                  outcome_by_test: Mapping[str,
@@ -876,13 +863,8 @@ class Campaign:
         try:
             return self._run_test_profile(profile, checkpoint)
         except Exception:  # noqa: BLE001 - graceful degradation
-            outcome = ProfileOutcome(error=traceback.format_exc(),
-                                     error_kind=HARNESS_ERROR)
-            trace = self.config.trace
-            if trace is not None:
-                trace.emit("test-error", app=self.app,
-                           test=profile.test.full_name, error=outcome.error)
-            return outcome
+            return ProfileOutcome(error=traceback.format_exc(),
+                                  error_kind=HARNESS_ERROR)
 
     # ------------------------------------------------------------------
     # observability (repro.core.observe)
@@ -941,9 +923,7 @@ class Campaign:
         metrics.hist_observe("zc_profile_machine_seconds",
                              outcome.executions * run_cost)
 
-    def _profile_committed(self, outcome: ProfileOutcome,
-                           restored: bool = False,
-                           reused: bool = False) -> None:
+    def _profile_committed(self, outcome: ProfileOutcome) -> None:
         """Fold one finished profile into the live campaign observation.
 
         Called from checkpoint restore, plan-REUSE folds, and
@@ -965,17 +945,8 @@ class Campaign:
                         max(root["wall_end"] - root["wall_start"], 0.0))
             else:
                 self._replay_profile_metrics(obs.metrics, outcome)
-            if restored:
-                status = "restored"
-            elif reused:
-                status = "reused"
-            elif outcome.error_kind == WORKER_CRASH:
-                status = "quarantined"
-            elif outcome.error:
-                status = "degraded"
-            else:
-                status = "completed"
-            obs.metrics.counter_inc("zc_profiles_total", status=status)
+            obs.metrics.counter_inc("zc_profiles_total",
+                                    status=outcome.status)
         if self._progress is not None:
             self._progress.tick(self._progress_snapshot())
         hook = self.config.progress_hook
@@ -1013,9 +984,11 @@ class Campaign:
             if wire is not None:
                 obs.adopt_spans(wire, parent=self._app_span)
             else:
-                # restored from a checkpoint, or the worker died before
-                # shipping spans: account the modelled time it burned
-                attrs: Dict[str, Any] = {"synthetic": True}
+                # restored from a checkpoint, reused from the plan, or
+                # the worker died before shipping spans: account the
+                # modelled time it burned
+                attrs: Dict[str, Any] = {"synthetic": True,
+                                         "status": outcome.status}
                 if outcome.error_kind:
                     attrs["error_kind"] = outcome.error_kind
                 with obs.span(name, kind="profile", **attrs):
@@ -1086,46 +1059,6 @@ class Campaign:
         return tuple(centers[:limit])
 
     # ------------------------------------------------------------------
-    def _emit_trace(self, profiles, results, verdicts, executions) -> None:
-        trace = self.config.trace
-        if trace is None:
-            return
-        # Campaign-summary events all fire after the last execution, so
-        # they share the campaign's final modelled timestamp (each
-        # event's ``seq`` keeps their relative order deterministic).
-        sim_end = executions * self.config.run_cost_s
-        for profile in profiles:
-            trace.emit("prerun", sim_at=sim_end,
-                       app=self.app, test=profile.test.full_name,
-                       usable=profile.usable,
-                       groups=dict(profile.groups),
-                       uncertain_params=sorted(profile.uncertain_params),
-                       baseline_error=profile.baseline_error)
-        for result in results:
-            tally = result.tally
-            trace.emit("instance", sim_at=sim_end, app=self.app,
-                       test=result.instance.test.full_name,
-                       params=list(result.instance.params),
-                       group=result.instance.group,
-                       strategy=result.instance.strategy,
-                       verdict=result.verdict,
-                       hetero_error=result.hetero_error,
-                       trials=None if tally is None else {
-                           "hetero": [tally.hetero_failures,
-                                      tally.hetero_trials],
-                           "homo": [tally.homo_failures, tally.homo_trials],
-                           "p_value": tally.p_value()})
-        for param in sorted(self.tracker.blacklisted):
-            trace.emit("blacklist", sim_at=sim_end, app=self.app,
-                       param=param,
-                       failing_tests=self.tracker.failure_count(param))
-        trace.emit("campaign", sim_at=sim_end, app=self.app,
-                   executions=executions,
-                   reported=[v.param for v in verdicts],
-                   true_problems=[v.param for v in verdicts
-                                  if v.is_true_problem])
-
-    # ------------------------------------------------------------------
     def _run_test_profile(self, profile: TestProfile,
                           checkpoint: Optional[CampaignCheckpoint] = None
                           ) -> ProfileOutcome:
@@ -1156,7 +1089,6 @@ class Campaign:
                             fault_plan=self.config.fault_plan,
                             infra_retries=self.config.infra_retries,
                             watchdog_sim_s=self.config.watchdog_sim_s,
-                            trace=self.config.trace,
                             registry=self.registry,
                             cache=self._cache,
                             collapse_exclude=profile.explicit_sets,
@@ -1206,10 +1138,6 @@ class Campaign:
             # and retries in the outcome instead of dropping them.
             error = traceback.format_exc()
             error_kind = HARNESS_ERROR
-            trace = self.config.trace
-            if trace is not None:
-                trace.emit("test-error", app=self.app,
-                           test=profile.test.full_name, error=error)
         stats = tester.stats
         stats.exec_cache_hits += runner.cache_hits
         stats.exec_cache_misses += runner.cache_misses

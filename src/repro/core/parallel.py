@@ -11,8 +11,9 @@ path shares:
 
 * **The wire format.**  :func:`profile_outcome_to_dict` /
   :func:`profile_outcome_from_dict` carry a finished profile — results,
-  counters, and the profile's own observation and trace events — across
-  a pipe or socket as a JSON-able dict (the checkpoint record format).
+  counters, and the profile's own observation (its spans, decision
+  events included, and metrics) — across a pipe or socket as a
+  JSON-able dict (the checkpoint record format).
 * **The commit.**  :func:`commit_outcome` applies one finished profile's
   shared-state effects in the campaign process, **as each profile
   completes**: frequent-failure replay into the real tracker, the
@@ -50,8 +51,6 @@ def profile_outcome_to_dict(outcome: Any) -> Dict[str, Any]:
         # Observation.to_wire() dict (spans + metrics + sim clock) when
         # the observability layer is on; already JSON-able.
         "observation": outcome.observation,
-        # [kind, sim_at, data] TraceLog events of a forked profile.
-        "trace_events": outcome.trace_events,
     }
 
 
@@ -68,8 +67,7 @@ def profile_outcome_from_dict(record: Mapping[str, Any],
         retries=int(record["retries"]),
         error=str(record["error"]),
         error_kind=str(record.get("error_kind", "")),
-        observation=record.get("observation"),
-        trace_events=record.get("trace_events"))
+        observation=record.get("observation"))
 
 
 # ---------------------------------------------------------------------------

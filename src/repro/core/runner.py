@@ -126,7 +126,6 @@ class TestRunner:
                  fault_plan: Optional[FaultPlan] = None,
                  infra_retries: int = 2,
                  watchdog_sim_s: float = DEFAULT_WATCHDOG_SIM_S,
-                 trace: Optional[Any] = None,
                  registry: Optional[Any] = None,
                  cache: Optional[ExecutionCache] = None,
                  collapse_exclude: Iterable[str] = (),
@@ -147,8 +146,6 @@ class TestRunner:
         self.infra_retries = max(infra_retries, 0)
         #: simulated-seconds budget per execution (the TEST_TIMEOUT cap).
         self.watchdog_sim_s = watchdog_sim_s
-        #: optional repro.core.tracelog.TraceLog for fault/retry events.
-        self.trace = trace
         #: parameter registry for the homogeneous default-value collapse
         #: (None = no collapse; canonical forms stay purely structural).
         self.registry = registry
@@ -159,8 +156,8 @@ class TestRunner:
         #: default-value collapse must not apply to them.
         self.collapse_exclude = frozenset(collapse_exclude)
         #: optional repro.core.observe.Observation: trial/instance spans,
-        #: metric histograms, and the deterministic sim clock (advanced
-        #: run_cost_s per execution plus retry backoff).
+        #: retry/fault events, metric histograms, and the deterministic sim
+        #: clock (advanced run_cost_s per execution plus retry backoff).
         self.obs = observe
         self.executions = 0
         self.retries_performed = 0
@@ -226,11 +223,6 @@ class TestRunner:
             cached = self.cache.lookup(test.full_name, canonical, seed)
             if cached is not None:
                 self.cache_hits += 1
-                if self.trace is not None:
-                    self.trace.emit("exec-cache-hit",
-                                    sim_at=self.machine_time_s,
-                                    test=test.full_name,
-                                    seed=seed, ok=cached.ok)
                 return cached
             self.cache_misses += 1
         outcome = self._execute_once(test, assignment, seed, attempt=0)
@@ -242,11 +234,8 @@ class TestRunner:
             self.retries_performed += 1
             if self.obs is not None:
                 self.obs.advance_sim(backoff)
-            if self.trace is not None:
-                self.trace.emit("retry", sim_at=self.machine_time_s,
-                                test=test.full_name, seed=seed,
-                                attempt=attempt, backoff_s=backoff,
-                                error=outcome.error_message)
+                self.obs.event(test.full_name, kind="retry", attempt=attempt,
+                               backoff_s=backoff, error=outcome.error_message)
             outcome = self._execute_once(test, assignment, seed,
                                          attempt=attempt)
             outcome.retries = attempt
@@ -265,7 +254,7 @@ class TestRunner:
         agent = ConfAgent(assignment=assignment, record_usage=False)
         rng = _TrackedRandom(seed)
         ctx = TestContext(rng=rng, trial=seed)
-        injector = self._injector(test, seed, attempt)
+        injector = self._injector(seed, attempt)
         try:
             with agent, fault_scope(injector), \
                     sim_time_limit(self.watchdog_sim_s):
@@ -287,18 +276,14 @@ class TestRunner:
         outcome.rng_used = rng.used
         return outcome
 
-    def _injector(self, test: UnitTest, seed: int,
-                  attempt: int) -> Optional[FaultInjector]:
+    def _injector(self, seed: int, attempt: int) -> Optional[FaultInjector]:
         if self.fault_plan is None:
             return None
         on_fault = None
-        if self.trace is not None:
-            trace = self.trace
-
-            def on_fault(kind: str, data: Dict[str, Any]) -> None:
-                trace.emit("fault", sim_at=self.machine_time_s,
-                           test=test.full_name, seed=seed,
-                           attempt=attempt, fault=kind, **data)
+        obs = self.obs
+        if obs is not None:
+            def on_fault(fault: str, data: Dict[str, Any]) -> None:
+                obs.event(fault, kind="fault", attempt=attempt, **data)
 
         # Each (execution, attempt) draws its own schedule so hetero and
         # homo trials are hit independently and retries are not doomed to
@@ -349,6 +334,15 @@ class TestRunner:
             result = self._evaluate(instance)
             span.attrs["verdict"] = result.verdict
             span.attrs["executions"] = result.executions
+            if result.hetero_error:
+                span.attrs["hetero_error"] = result.hetero_error
+            tally = result.tally
+            if tally is not None:
+                # the §5 evidence behind the verdict
+                span.attrs["trials"] = {
+                    "hetero": [tally.hetero_failures, tally.hetero_trials],
+                    "homo": [tally.homo_failures, tally.homo_trials],
+                    "p_value": tally.p_value()}
         metrics = self.obs.metrics
         metrics.counter_inc("zc_instance_verdicts_total",
                             verdict=result.verdict)

@@ -54,10 +54,11 @@ it is set, nothing more is dispatched, the workers are shut down (busy
 ones SIGKILLed), and :class:`~repro.core.orchestrator.CampaignCancelled`
 propagates — profiles committed before the cancel are already journaled.
 
-Each forked profile records ``--trace`` events into a fresh
-:class:`~repro.core.tracelog.TraceLog` and ships them back with its
-outcome; the campaign appends them in catalog order when it folds the
-outcomes, so the runner's ``retry``/``fault`` events match a serial run.
+An observed campaign's forked profiles record their spans — the
+runner's ``retry``/``fault`` events included — into their own
+:class:`~repro.core.observe.Observation` and ship it back on the
+outcome; the campaign adopts them in catalog order, so the span trace
+matches a serial run's.
 
 Cross-profile blacklist propagation follows completion order, which is
 timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
@@ -79,7 +80,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.core import parallel
 from repro.core.registry import UnitTest
 from repro.core.runner import WORKER_CRASH
-from repro.core.tracelog import TraceLog
 
 try:
     import resource
@@ -145,7 +145,6 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             pass
     campaign = _CHILD_STATE["campaign"]
     profiles = _CHILD_STATE["profiles"]
-    tracing = campaign.config.trace is not None
     _apply_rlimits(rlimit_cpu, rlimit_mem)
 
     send_lock = threading.Lock()
@@ -172,18 +171,12 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
         name, delivery = msg["task"], msg["delivery"]
         if plan is not None and plan.worker_crash_decision(name, delivery):
             os._exit(INJECTED_CRASH_EXIT)
-        if tracing:
-            # One log per profile; the parent folds it in catalog order.
-            campaign.config.trace = TraceLog()
         try:
             outcome = campaign._run_profile_contained(profiles[name], None)
         except BaseException:  # noqa: BLE001 - the wire carries the stack
             from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
             outcome = ProfileOutcome(error=traceback.format_exc(),
                                      error_kind=HARNESS_ERROR)
-        if tracing:
-            outcome.trace_events = [[event.kind, event.sim_at, event.data]
-                                    for event in campaign.config.trace]
         record = parallel.profile_outcome_to_dict(outcome)
         try:
             with send_lock:
@@ -512,10 +505,6 @@ class Supervisor:
         if obs is not None:
             obs.event("quarantine", kind="supervisor", test=name,
                       reason=reason)
-        trace = self.campaign.config.trace
-        if trace is not None:
-            trace.emit("worker-quarantine", app=self.campaign.app,
-                       test=name, error=reason)
 
     def _trip_breaker(self, reason: str) -> None:
         if self.halted:

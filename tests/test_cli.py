@@ -91,6 +91,10 @@ class TestLocalBackendFlags:
          "process"],
         ["worker", "--connect", "127.0.0.1:1", "--no-supervise"],
         ["campaign", "flink", "--schedule", "lpt"],
+        # --trace is gone too; argparse now reads it as an ambiguous
+        # prefix of --trace-spans / --trace-chrome
+        ["campaign", "flink", "--trace", "t.jsonl"],
+        ["evaluate", "--trace", "t.jsonl"],
     ])
     def test_retired_backend_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:

@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.common import transport as net
+from repro.common.faults import FaultPlan
 from repro.core import distrib, parallel
 from repro.core.distrib import (EXIT_OK, EXIT_RECONNECTS_EXHAUSTED,
                                 EXIT_REJECTED, Coordinator, _Conn,
@@ -555,6 +556,17 @@ def run_distributed(n_workers=2, worker_kwargs=None, config_kwargs=None,
     return box["report"], campaign.distribution, exit_codes
 
 
+def coordinator_events(report, name):
+    return sum(1 for span in report.observation.spans
+               if span.kind == "coordinator" and span.name == name)
+
+
+def runner_events(report):
+    return [(span.kind, span.name, span.sim_start, span.attrs)
+            for span in report.observation.spans
+            if span.kind in ("retry", "fault")]
+
+
 @pytest.fixture(scope="module")
 def serial_baseline():
     return full_dict(synthetic_campaign(config=decoupled_config()).run())
@@ -572,13 +584,24 @@ class TestDistributedEndToEnd:
         assert not stats.degraded_to_local
         assert sum(w.profiles for w in stats.fleet) == stats.remote_profiles
 
-    def test_fleet_never_joins_degrades_to_local(self, serial_baseline):
+    def fleet_never_joins(self, serial_baseline, observe):
         report, stats, _ = run_distributed(
-            n_workers=0, config_kwargs={"dist_join_grace_s": 0.3})
+            n_workers=0, config_kwargs={"dist_join_grace_s": 0.3,
+                                        "observe": observe})
         assert full_dict(report) == serial_baseline
         assert stats.degraded_to_local
         assert stats.remote_profiles == 0
         assert stats.local_profiles > 0
+        return report
+
+    def test_fleet_never_joins_degrades_to_local(self, serial_baseline):
+        self.fleet_never_joins(serial_baseline, observe=False)
+
+    def test_fleet_never_joins_degrades_to_local_observed(self,
+                                                          serial_baseline):
+        # a coordinator event must not crash an observed campaign
+        report = self.fleet_never_joins(serial_baseline, observe=True)
+        assert coordinator_events(report, "dist-degraded") == 1
 
     def test_partitioned_worker_redelivers_to_survivor(self,
                                                        serial_baseline):
@@ -610,17 +633,40 @@ class TestDistributedEndToEnd:
         assert stats.workers_joined >= 2  # at least one reconnect
         assert not stats.degraded_to_local
 
-    def test_whole_fleet_lost_degrades_and_finishes(self, serial_baseline):
+    def whole_fleet_lost(self, serial_baseline, observe):
         report, stats, exit_codes = run_distributed(
             n_workers=1,
             worker_kwargs={0: {"net_fault_plan":
                                net.NetFaultPlan(partition_after=8),
                                "max_reconnects": 0}},
-            config_kwargs={"dist_fleet_grace_s": 0.3})
+            config_kwargs={"dist_fleet_grace_s": 0.3, "observe": observe})
         assert full_dict(report) == serial_baseline
         assert exit_codes[0] == EXIT_RECONNECTS_EXHAUSTED
         assert stats.degraded_to_local
         assert stats.local_profiles > 0
+        return report
+
+    def test_whole_fleet_lost_degrades_and_finishes(self, serial_baseline):
+        self.whole_fleet_lost(serial_baseline, observe=False)
+
+    def test_whole_fleet_lost_degrades_and_finishes_observed(
+            self, serial_baseline):
+        report = self.whole_fleet_lost(serial_baseline, observe=True)
+        assert coordinator_events(report, "dist-worker-lost") >= 1
+        assert coordinator_events(report, "dist-degraded") == 1
+
+    def test_remote_workers_ship_runner_events(self):
+        # the runner's retry/fault events reach the parent inside the
+        # remote profiles' spans, exactly as a serial run records them
+        settings = {"observe": True,
+                    "fault_plan": FaultPlan(seed=5, infra_error_prob=0.3)}
+        report, stats, _ = run_distributed(n_workers=1,
+                                           config_kwargs=settings)
+        serial = synthetic_campaign(config=decoupled_config(**settings)).run()
+        assert stats.remote_profiles > 0
+        events = runner_events(report)
+        assert {kind for kind, _, _, _ in events} == {"retry", "fault"}
+        assert events == runner_events(serial)
 
     def test_authenticated_fleet_byte_identical_to_serial(
             self, serial_baseline):

@@ -317,10 +317,16 @@ class TestChaosCampaign:
         assert {v.param for v in clean.verdicts} == {"chaos.window"}
 
     def test_trace_records_fault_and_retry_events(self):
-        from repro.core.tracelog import TraceLog
-        trace = TraceLog()
-        chaos_campaign(fault_plan=self.PLAN, trace=trace).run()
-        kinds = {event.kind for event in trace}
-        assert "fault" in kinds
-        fault_kinds = {e.data["fault"] for e in trace.of_kind("fault")}
+        report = chaos_campaign(fault_plan=self.PLAN, observe=True).run()
+        spans = report.observation.spans
+        by_id = {span.span_id: span for span in spans}
+        events = [span for span in spans if span.kind in ("fault", "retry")]
+        assert {span.kind for span in events} == {"fault", "retry"}
+        fault_kinds = {span.name for span in events if span.kind == "fault"}
         assert fault_kinds & {"drop", "delay", "crash", "infra-error"}
+        for event in events:
+            # zero-duration, inside the execution that hit it
+            trial = by_id[event.parent_id]
+            assert trial.kind == "trial"
+            assert trial.sim_start <= event.sim_start == event.sim_end \
+                <= trial.sim_end

@@ -30,7 +30,6 @@ from repro.core.orchestrator import (Campaign, CampaignConfig,
 from repro.core.report import (app_report_to_dict, findings_projection,
                                render_stage_counts, render_summary,
                                render_unsafe_params)
-from repro.core.tracelog import TraceLog
 from repro.core.triage import (FP_PRIVATE_ONLY, FP_SHARED_IPC,
                                FP_STRICT_ASSERTION, FP_UNREALISTIC)
 
@@ -279,7 +278,6 @@ def test_lanes_match_in_process_with_store_then_incremental(tmp_path):
 
 FALLBACKS = {
     "workers": {"workers": 2},
-    "trace": {"trace": TraceLog()},
     "progress-stream": {"progress_stream": io.StringIO()},
     "progress-hook": {"progress_hook": lambda snapshot: None},
     "cancel-event": {"cancel_event": threading.Event()},

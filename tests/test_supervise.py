@@ -20,7 +20,6 @@ from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
 from repro.core.report import app_report_to_dict, findings_projection
 from repro.core.reportmd import app_report_markdown
-from repro.core.tracelog import TraceLog
 from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
                            client_vs_service_test, hanging_test,
                            hard_crash_test, safe_only_test, spinning_test,
@@ -201,18 +200,16 @@ class TestTraceEvents:
         plan = FaultPlan(seed=5, infra_error_prob=0.3)
 
         def runner_events(workers):
-            trace = TraceLog()
             report = campaign(healthy_tests(), workers=workers,
-                              fault_plan=plan, trace=trace).run()
-            # exec-cache hits are left out: each worker owns a private
-            # cache (and the cache is off here anyway)
-            return report, [(e.kind, e.sim_at, e.data) for e in trace
-                            if e.kind in ("retry", "fault")]
+                              fault_plan=plan, observe=True).run()
+            return report, [(s.kind, s.name, s.sim_start, s.attrs)
+                            for s in report.observation.spans
+                            if s.kind in ("retry", "fault")]
 
         serial_report, serial = runner_events(1)
         pooled_report, pooled = runner_events(2)
         assert pooled_report.supervision.enabled
-        assert {kind for kind, _, _ in serial} == {"retry", "fault"}
+        assert {kind for kind, _, _, _ in serial} == {"retry", "fault"}
         assert pooled == serial
 
 

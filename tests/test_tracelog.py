@@ -1,140 +1,132 @@
-"""Tests for the structured campaign trace log."""
+"""The campaign's decision events, read back from its span trace.
+
+Each test's pre-run verdict, an instance's trial tallies and p-value and
+the blacklist live in the span tree that ``--trace-spans`` exports
+(docs/OBSERVABILITY.md maps every event to its span).
+"""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.core.orchestrator import Campaign, CampaignConfig
-from repro.core.tracelog import TraceLog
 from synthetic_app import (SYNTH_REGISTRY, no_node_test, two_service_test)
+
+
+def observed_campaign():
+    return Campaign("synth", SYNTH_REGISTRY,
+                    tests=[two_service_test(), no_node_test()],
+                    config=CampaignConfig(observe=True))
 
 
 @pytest.fixture()
 def traced_report():
-    trace = TraceLog()
-    campaign = Campaign("synth", SYNTH_REGISTRY,
-                        tests=[two_service_test(), no_node_test()],
-                        config=CampaignConfig(trace=trace))
-    report = campaign.run()
-    return trace, report
+    return observed_campaign().run()
 
 
-class TestTraceLogBasics:
-    def test_emit_and_filter(self):
-        log = TraceLog()
-        log.emit("a", x=1)
-        log.emit("b", x=2)
-        log.emit("a", x=3)
-        assert len(log) == 3
-        assert [e.data["x"] for e in log.of_kind("a")] == [1, 3]
+def spans_of_kind(report, kind):
+    return [span for span in report.observation.spans if span.kind == kind]
 
-    def test_events_are_ordered_in_time(self):
-        log = TraceLog()
-        first = log.emit("a")
-        second = log.emit("b")
-        assert first.at <= second.at
 
-    def test_jsonl_round_trip(self, tmp_path):
-        log = TraceLog()
-        log.emit("instance", params=["p"], verdict="pass")
-        log.emit("campaign", reported=[])
-        path = tmp_path / "trace.jsonl"
-        assert log.write_jsonl(str(path)) == 2
-        loaded = TraceLog.read_jsonl(str(path))
-        assert len(loaded) == 2
-        assert loaded.of_kind("instance")[0].data["params"] == ["p"]
+def prerun_events(report):
+    root = spans_of_kind(report, "prerun")[0]
+    return [span for span in report.observation.spans
+            if span.parent_id == root.span_id]
 
-    def test_seq_is_the_emission_index(self):
-        log = TraceLog()
-        assert [log.emit("a").seq, log.emit("b").seq,
-                log.emit("a").seq] == [0, 1, 2]
 
-    def test_sim_at_carries_forward_when_not_supplied(self):
-        log = TraceLog()
-        assert log.emit("a").sim_at == 0.0
-        assert log.emit("b", sim_at=120.0).sim_at == 120.0
-        # an emitter that does not know the modelled clock inherits the
-        # latest known sim time instead of resetting the timeline
-        assert log.emit("c").sim_at == 120.0
-
-    def test_round_trip_preserves_seq_and_sim_at(self, tmp_path):
-        log = TraceLog()
-        log.emit("a", sim_at=60.0, x=1)
-        log.emit("b", x=2)
-        path = tmp_path / "trace.jsonl"
-        log.write_jsonl(str(path))
-        loaded = TraceLog.read_jsonl(str(path))
-        assert [(e.kind, e.seq, e.sim_at) for e in loaded] == \
-            [("a", 0, 60.0), ("b", 1, 60.0)]
-        assert loaded.events[0].data == {"x": 1}
-
-    def test_reads_pre_observability_trace_files(self, tmp_path):
-        # trace files written before seq/sim_at existed must still load
-        path = tmp_path / "old.jsonl"
-        path.write_text('{"kind": "instance", "at": 1.5, "verdict": "pass"}\n'
-                        '{"kind": "campaign", "at": 2.5}\n')
-        loaded = TraceLog.read_jsonl(str(path))
-        assert [(e.seq, e.sim_at) for e in loaded] == [(0, 0.0), (1, 0.0)]
-        assert loaded.of_kind("instance")[0].data == {"verdict": "pass"}
+def confirmed_instances(report):
+    return [span for span in spans_of_kind(report, "instance")
+            if span.attrs["verdict"] == "confirmed-unsafe"]
 
 
 class TestCampaignTracing:
     def test_prerun_events_cover_every_test(self, traced_report):
-        trace, _ = traced_report
-        preruns = trace.of_kind("prerun")
-        assert {e.data["test"] for e in preruns} == {
+        events = prerun_events(traced_report)
+        assert [event.name for event in events] == [
             "synth::TestSynth.testExchange",
-            "synth::TestSynth.testPureFunction"}
-        by_test = {e.data["test"]: e for e in preruns}
-        assert by_test["synth::TestSynth.testPureFunction"].data["usable"] \
+            "synth::TestSynth.testPureFunction"]
+        # each lands after its own test's pre-run execution
+        assert [event.sim_start for event in events] == [60.0, 120.0]
+        by_test = {event.name: event for event in events}
+        assert by_test["synth::TestSynth.testPureFunction"].attrs["usable"] \
             is False
 
     def test_instance_events_record_trials(self, traced_report):
-        trace, _ = traced_report
-        confirmed = [e for e in trace.of_kind("instance")
-                     if e.data["verdict"] == "confirmed-unsafe"]
+        confirmed = confirmed_instances(traced_report)
         assert confirmed
-        for event in confirmed:
-            trials = event.data["trials"]
+        for span in confirmed:
+            trials = span.attrs["trials"]
             assert trials["p_value"] <= 1e-4
             assert trials["hetero"][0] == trials["hetero"][1]  # all failed
 
     def test_instances_for_param_filter(self, traced_report):
-        trace, _ = traced_report
-        events = trace.instances_for_param("synth.mode")
-        assert events
-        assert all("synth.mode" in e.data["params"] for e in events)
+        spans = [span for span in spans_of_kind(traced_report, "instance")
+                 if "synth.mode" in span.attrs["params"]]
+        assert spans
+        assert any(span.attrs["verdict"] == "confirmed-unsafe"
+                   for span in spans)
 
     def test_campaign_summary_matches_report(self, traced_report):
-        trace, report = traced_report
-        summary = trace.of_kind("campaign")[-1]
-        assert summary.data["true_problems"] == sorted(
-            v.param for v in report.true_problems)
-        assert summary.data["executions"] == report.executions
+        app = spans_of_kind(traced_report, "app")[0]
+        assert sorted(app.attrs["blacklisted"]) == \
+            list(traced_report.blacklisted)
+        named = {param for span in confirmed_instances(traced_report)
+                 for param in span.attrs["params"]}
+        assert {v.param for v in traced_report.true_problems} <= named
 
     def test_sim_timeline_is_monotone_and_deterministic(self):
-        def run():
-            trace = TraceLog()
-            Campaign("synth", SYNTH_REGISTRY,
-                     tests=[two_service_test(), no_node_test()],
-                     config=CampaignConfig(trace=trace)).run()
-            return trace
+        def skeleton(report):
+            return [(s.span_id, s.parent_id, s.name, s.kind, s.sim_start,
+                     s.sim_end, json.dumps(s.attrs, sort_keys=True))
+                    for s in report.observation.spans]
 
-        first, second = run(), run()
-        sims = [e.sim_at for e in first]
+        first, second = observed_campaign().run(), observed_campaign().run()
+        sims = [span.sim_start for span in first.observation.spans]
         assert sims == sorted(sims)  # modelled clock never goes backwards
         assert sims[-1] > 0
-        assert [(e.kind, e.seq, e.sim_at) for e in first] == \
-            [(e.kind, e.seq, e.sim_at) for e in second]
+        assert skeleton(first) == skeleton(second)
 
-    def test_campaign_summary_sim_at_matches_machine_time(self, traced_report):
-        trace, report = traced_report
-        summary = trace.of_kind("campaign")[-1]
-        assert summary.sim_at == report.executions * 60.0
+    def test_campaign_summary_sim_at_matches_machine_time(self,
+                                                          traced_report):
+        app = spans_of_kind(traced_report, "app")[0]
+        assert app.sim_end == traced_report.executions * 60.0
 
     def test_no_trace_means_no_overhead(self):
         campaign = Campaign("synth", SYNTH_REGISTRY,
                             tests=[two_service_test()],
                             config=CampaignConfig())
         report = campaign.run()
-        assert report.executions > 0  # simply must not crash without trace
+        assert report.observation is None
+        assert report.executions > 0  # simply must not crash unobserved
+
+
+class TestFoldedProfiles:
+    """A profile folded back without running gets a synthetic span whose
+    ``status`` is the label ``zc_profiles_total`` counts it under."""
+
+    def run(self, **config_kwargs):
+        return Campaign("synth", SYNTH_REGISTRY,
+                        tests=[two_service_test(), no_node_test()],
+                        config=CampaignConfig(observe=True,
+                                              **config_kwargs)).run()
+
+    def assert_folded(self, report, status):
+        profiles = spans_of_kind(report, "profile")
+        assert profiles
+        assert all(span.attrs["synthetic"] and span.attrs["status"] == status
+                   for span in profiles)
+        assert 'status="%s"} %d' % (status, len(profiles)) in \
+            report.observation.metrics.render_prometheus()
+
+    def test_checkpoint_restored_profiles(self, tmp_path):
+        journal = str(tmp_path / "campaign.ckpt.jsonl")
+        self.run(checkpoint_path=journal)
+        self.assert_folded(self.run(checkpoint_path=journal), "restored")
+
+    def test_plan_reused_profiles(self, tmp_path):
+        store = str(tmp_path / "store")
+        self.run(store_path=store)
+        self.assert_folded(self.run(store_path=store, incremental=True),
+                           "reused")
