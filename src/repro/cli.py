@@ -220,13 +220,15 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility and ignored: "
                              "--workers > 1 always forks processes")
     parser.add_argument("--exec-cache", action="store_true",
-                        help="memoize executions in a content-addressed "
-                             "cache, so identical homogeneous baselines and "
-                             "repeated confirmation/pool runs execute once; "
-                             "verdicts are byte-identical either way")
+                        help="free-hit accounting: repeated executions "
+                             "(shared baselines, re-formed pools, "
+                             "confirmation trials), which every campaign "
+                             "simulates once, cost nothing instead of being "
+                             "charged as the paper does; verdicts are "
+                             "byte-identical either way")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="durable cross-campaign result store: implies "
-                             "--exec-cache semantics, persists outcomes and "
+                             "--exec-cache accounting, persists outcomes and "
                              "reports to DIR so a second campaign starts "
                              "warm; findings are byte-identical warm or "
                              "cold (docs/STORE.md)")

@@ -255,7 +255,7 @@ class WiringAuditor:
         seed = execution_seed(test.full_name, ORIGINAL, 0)
         agent = ConfAgent(assignment=assignment, record_usage=True)
         rng = _CountingRandom(seed)
-        ctx = TestContext(rng=rng, trial=seed)
+        ctx = TestContext(rng=rng)
         ok, error_type, error_message, timed_out = True, "", "", False
         try:
             with agent, sim_time_limit(self.watchdog_sim_s):

@@ -53,7 +53,7 @@ class InferredDependency:
 def _used_params(test: UnitTest, overrides: Dict[str, Any]) -> Set[str]:
     assignment = HomoAssignment(values=tuple(sorted(overrides.items())))
     agent = ConfAgent(assignment=assignment, record_usage=True)
-    ctx = TestContext(rng=random.Random(PRERUN_SEED), trial=-1)
+    ctx = TestContext(rng=random.Random(PRERUN_SEED))
     with agent:
         try:
             test.fn(ctx)

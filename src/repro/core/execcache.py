@@ -38,6 +38,21 @@ Infrastructure-error outcomes are never cached (counted as *bypasses*):
 in a real deployment they are environment-flavoured and retry-worthy,
 and caching them would defeat the pool re-draw logic.
 
+Every campaign builds a cache; what a hit *costs* is the cache's
+``charge_hits`` setting, the one place the accounting choice lives:
+
+* **Paper accounting** (``charge_hits=True``, the default campaign) — a
+  hit is charged exactly like the execution it replays (one execution,
+  ``run_cost_s`` of modelled machine time), so execution counts, machine
+  time, reports and span timelines equal a campaign that simulated every
+  repeat; only the simulator's work is saved.  The campaign builds this
+  cache only with no fault plan, because per-kind fault counts,
+  ``fault``/``retry`` events and retry backoff are facts of each
+  execution that a replay would have to re-emit.
+* **Free hits** (``charge_hits=False``, ``--exec-cache`` and
+  ``--store``) — a hit costs nothing and is counted as a cache hit, so
+  the report shows the deduplicated execution count.
+
 Collapsing ``homo(param=default)`` onto the original configuration is
 sound only when the unit test does not explicitly ``set`` that parameter
 (an injected value shadows explicit sets).  The pre-run records each
@@ -136,7 +151,11 @@ class ExecutionCache:
     unit-test name and each worker owns whole unit-test profiles.
     """
 
-    def __init__(self, context: Optional[Mapping[str, Any]] = None) -> None:
+    def __init__(self, context: Optional[Mapping[str, Any]] = None,
+                 charge_hits: bool = False) -> None:
+        #: True = paper accounting: the runner charges a hit as the
+        #: execution it replays (see the module docstring).
+        self.charge_hits = charge_hits
         #: campaign-level settings folded into every key, so a cache can
         #: never serve an outcome produced under a different fault plan,
         #: watchdog budget, or IPC-sharing mode.
@@ -197,13 +216,6 @@ class ExecutionCache:
     def seeded_entries(self) -> int:
         with self._lock:
             return len(self._seeded)
-
-    def tier_sizes(self) -> Dict[str, int]:
-        """Entry counts by tier, read in one lock acquisition (for the
-        end-of-campaign ``zc_runtime_exec_cache_entries`` gauge)."""
-        with self._lock:
-            return {"deterministic": len(self._deterministic),
-                    "seeded": len(self._seeded)}
 
     def __len__(self) -> int:
         with self._lock:

@@ -24,7 +24,7 @@ fleet.  This module is the window into a run:
   take max), so worker results folded in completion order still yield a
   byte-identical snapshot.  Metrics whose values depend on *how* the
   campaign ran rather than *what it computed* (worker spawns, wall-clock
-  histograms, cache occupancy) are flagged ``volatile`` and excluded
+  histograms, simulator runs) are flagged ``volatile`` and excluded
   from the deterministic snapshot by default.
 
 * **Exporters** — JSONL span dumps, a Chrome ``trace_event`` file
@@ -223,9 +223,10 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "zc_runtime_profile_wall_seconds": MetricSpec(
         "histogram", "Real wall-clock seconds per profile (host/load "
         "dependent).", volatile=True, buckets=_WALL_SECONDS_BUCKETS),
-    "zc_runtime_exec_cache_entries": MetricSpec(
-        "gauge", "Execution-cache entries at campaign end, by tier "
-        "(cache sharing differs per backend).", volatile=True),
+    "zc_runtime_simulations_total": MetricSpec(
+        "counter", "Executions the simulator ran; under paper accounting "
+        "zc_executions_total minus this is the repeats the execution "
+        "cache answered.", volatile=True),
     "zc_runtime_sim_timers_cancelled_total": MetricSpec(
         "counter", "Simulation timers cancelled while still in a heap "
         "(kernel fast-path accounting; run-shape dependent).",

@@ -133,11 +133,14 @@ class CampaignConfig:
     infra_retries: int = 2
     #: simulated-seconds budget per execution before TEST_TIMEOUT.
     watchdog_sim_s: float = DEFAULT_WATCHDOG_SIM_S
-    #: memoize executions in a content-addressed cache (see
-    #: repro.core.execcache); verdicts are byte-identical either way.
+    #: execution accounting (see repro.core.execcache).  False = the
+    #: paper's: every execution is charged, including repeats the
+    #: execution cache answers without simulating.  True = free hits: a
+    #: repeat costs nothing, so reports count distinct executions.
+    #: Verdicts are byte-identical either way.
     exec_cache: bool = False
     #: directory of the durable cross-campaign result store (see
-    #: repro.core.store).  Implies the execution cache: lookups fall
+    #: repro.core.store).  Implies free-hit accounting: lookups fall
     #: through to persisted entries and fresh outcomes are appended
     #: durably, so a second campaign against the same store starts warm.
     #: Findings are byte-identical warm or cold.
@@ -333,7 +336,7 @@ class Campaign:
                                        dependency_rules=dependency_rules,
                                        max_value_pairs=self.config.max_value_pairs)
         self.tracker = FrequentFailureTracker(self.config.blacklist_threshold)
-        #: per-run execution cache (built in _run when config.exec_cache).
+        #: per-run execution cache (built by _build_cache in _run_inner).
         self._cache: Optional[ExecutionCache] = None
         #: durable cross-campaign result store (opened lazily by
         #: _build_cache when config.store_path; closed after each run).
@@ -612,8 +615,14 @@ class Campaign:
     # ------------------------------------------------------------------
     def _build_cache(self) -> Optional[ExecutionCache]:
         """A fresh per-run cache keyed by everything that shapes a single
-        execution's behaviour (so stale outcomes can never be served)."""
-        if not self.config.exec_cache and not self.config.store_path:
+        execution's behaviour (so stale outcomes can never be served).
+
+        Without ``exec_cache`` or a store, hits are charged (paper
+        accounting), and under a fault plan there is no cache at all: a
+        replay could not re-emit the execution's faults and retries."""
+        paper = not self.config.exec_cache and not self.config.store_path
+        if paper and self.config.fault_plan is not None \
+                and self.config.fault_plan.active:
             return None
         context = {
             "app": self.app,
@@ -627,7 +636,7 @@ class Campaign:
         if store is not None:
             from repro.core.store import StoreBackedExecutionCache
             return StoreBackedExecutionCache(context, store)
-        return ExecutionCache(context=context)
+        return ExecutionCache(context=context, charge_hits=paper)
 
     def _open_store(self) -> Optional[Any]:
         """Open (once per run) the durable result store for this
@@ -877,6 +886,9 @@ class Campaign:
         machine = runner.machine_time_s
         if runner.executions:
             metrics.counter_inc("zc_executions_total", runner.executions)
+        if runner.simulations:
+            metrics.counter_inc("zc_runtime_simulations_total",
+                                runner.simulations)
         if machine:
             metrics.counter_inc("zc_machine_seconds_total", machine)
         if runner.backoff_cost_s:
@@ -995,9 +1007,10 @@ class Campaign:
                     obs.advance_sim(outcome.executions * run_cost)
 
     def _finalize_runtime_metrics(self) -> None:
-        """End-of-run volatile metrics: supervision counters and cache
-        occupancy (both depend on how the campaign ran, not on what it
-        found — hence the zc_runtime_* namespace)."""
+        """End-of-run volatile metrics: supervision and distribution
+        counters (they depend on how the campaign ran, not on what it
+        found — hence the zc_runtime_*/zc_dist_* namespaces), plus the
+        store and plan counters."""
         metrics = self.observation.metrics
         for field_name, metric in _SUPERVISION_METRICS.items():
             value = getattr(self.supervision, field_name)
@@ -1009,10 +1022,6 @@ class Campaign:
                 metrics.counter_inc(metric, value)
         for kind, count in sorted(self.distribution.net_faults.items()):
             metrics.counter_inc("zc_dist_net_faults_total", count, kind=kind)
-        if self._cache is not None:
-            for tier, size in sorted(self._cache.tier_sizes().items()):
-                metrics.gauge_max("zc_runtime_exec_cache_entries", size,
-                                  tier=tier)
         if self._store is not None:
             stats = self._store.stats
             for value, metric in (

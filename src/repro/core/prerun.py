@@ -82,7 +82,7 @@ def prerun_test(test: UnitTest) -> TestProfile:
     """Execute one unit test in recording mode and build its profile."""
     profile = TestProfile(test=test)
     agent = ConfAgent(assignment=None, record_usage=True)
-    ctx = TestContext(rng=random.Random(PRERUN_SEED), trial=-1)
+    ctx = TestContext(rng=random.Random(PRERUN_SEED))
     started = time.perf_counter()
     with agent:
         try:

@@ -23,11 +23,14 @@ class TestContext:
 
     ``rng`` is freshly seeded per trial by TestRunner, so tests that model
     nondeterminism (timing races, random payload sizes) genuinely flake
-    between trials while staying reproducible for a fixed seed.
+    between trials while staying reproducible for a fixed seed.  It is
+    the only channel the trial seed reaches a test through: a test that
+    depends on the seed must draw from ``rng``, because the runner's
+    rng-use tracking is what keeps a seed-dependent outcome out of the
+    execution cache's seed-free tier (repro.core.execcache).
     """
 
     rng: random.Random
-    trial: int = 0
 
     def maybe(self, probability: float) -> bool:
         """True with the given probability (nondeterminism helper)."""

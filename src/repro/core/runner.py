@@ -149,7 +149,8 @@ class TestRunner:
         #: parameter registry for the homogeneous default-value collapse
         #: (None = no collapse; canonical forms stay purely structural).
         self.registry = registry
-        #: shared per-campaign execution cache (None = always execute).
+        #: shared per-campaign execution cache (None = always execute);
+        #: its ``charge_hits`` picks the accounting of a hit.
         self.cache = cache
         #: parameters the unit test explicitly ``set``s during its
         #: pre-run: injecting their default would shadow the set, so the
@@ -159,9 +160,14 @@ class TestRunner:
         #: retry/fault events, metric histograms, and the deterministic sim
         #: clock (advanced run_cost_s per execution plus retry backoff).
         self.obs = observe
+        #: executions charged (simulated, or replayed under paper
+        #: accounting); the figure the paper prices a campaign by.
         self.executions = 0
+        #: executions the simulator actually ran (``_execute_once``).
+        self.simulations = 0
         self.retries_performed = 0
-        #: execution-cache counters for this runner's share of the work.
+        #: free-hit cache counters for this runner's share of the work
+        #: (untouched under paper accounting).
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_bypasses = 0
@@ -193,9 +199,10 @@ class TestRunner:
         ``infra_retries`` times before being reported as infrastructural.
 
         With an execution cache attached, a memoized outcome for the same
-        (test, canonical assignment, seed) is returned without running;
-        ``canonical`` lets callers that already computed the content form
-        avoid recomputing it.
+        (test, canonical assignment, seed) is returned without running,
+        charged as a fresh execution under paper accounting and free
+        otherwise; ``canonical`` lets callers that already computed the
+        content form avoid recomputing it.
         """
         if self.obs is None:
             return self._execute(test, assignment, seed, canonical)
@@ -217,14 +224,19 @@ class TestRunner:
     def _execute(self, test: UnitTest, assignment: Optional[Any],
                  seed: int, canonical: Optional[Tuple[Any, ...]] = None
                  ) -> RunOutcome:
-        if self.cache is not None:
+        cache = self.cache
+        if cache is not None:
             if canonical is None:
                 canonical = self.canonical_form(assignment)
-            cached = self.cache.lookup(test.full_name, canonical, seed)
+            cached = cache.lookup(test.full_name, canonical, seed)
             if cached is not None:
-                self.cache_hits += 1
+                if cache.charge_hits:
+                    self._charge()
+                else:
+                    self.cache_hits += 1
                 return cached
-            self.cache_misses += 1
+            if not cache.charge_hits:
+                self.cache_misses += 1
         outcome = self._execute_once(test, assignment, seed, attempt=0)
         attempt = 0
         while outcome.infra and attempt < self.infra_retries:
@@ -239,21 +251,28 @@ class TestRunner:
             outcome = self._execute_once(test, assignment, seed,
                                          attempt=attempt)
             outcome.retries = attempt
-        if self.cache is not None:
+        if cache is not None:
             seed_sensitive = self.fault_plan is not None or outcome.rng_used
-            if not self.cache.store(test.full_name, canonical, seed, outcome,
-                                    seed_sensitive=seed_sensitive):
+            if not cache.store(test.full_name, canonical, seed, outcome,
+                               seed_sensitive=seed_sensitive) \
+                    and not cache.charge_hits:
                 self.cache_bypasses += 1
         return outcome
 
-    def _execute_once(self, test: UnitTest, assignment: Optional[Any],
-                      seed: int, attempt: int) -> RunOutcome:
+    def _charge(self) -> None:
+        """Account one execution: the count and its modelled machine
+        time on the observation's sim clock."""
         self.executions += 1
         if self.obs is not None:
             self.obs.advance_sim(self.run_cost_s)
+
+    def _execute_once(self, test: UnitTest, assignment: Optional[Any],
+                      seed: int, attempt: int) -> RunOutcome:
+        self._charge()
+        self.simulations += 1
         agent = ConfAgent(assignment=assignment, record_usage=False)
         rng = _TrackedRandom(seed)
-        ctx = TestContext(rng=rng, trial=seed)
+        ctx = TestContext(rng=rng)
         injector = self._injector(seed, attempt)
         try:
             with agent, fault_scope(injector), \
@@ -379,8 +398,8 @@ class TestRunner:
         """Multi-trial confirmation loop for a suspicious instance.
 
         Trials of a seed-insensitive (rng-free, fault-free) test are
-        byte-identical re-executions; with a cache attached they cost one
-        execution total instead of one per trial.
+        byte-identical re-executions; with a cache attached the simulator
+        runs them once (and, with free hits, charges them once).
         """
         tally = TrialTally()
         tally.record_hetero(first_hetero.failed)

@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+from dataclasses import asdict, fields
 
 import pytest
 
+from repro.apps import catalog
 from repro.common.errors import TestFailure
 from repro.common.faults import FaultPlan, fault_seed
 from repro.core.execcache import (ORIGINAL, ExecutionCache,
                                   canonical_assignment, execution_seed,
                                   fingerprint, stable_seed)
-from repro.core.orchestrator import CampaignConfig
-from repro.core.registry import UnitTest
+from repro.core.observe import read_metrics_totals, write_metrics_text
+from repro.core.orchestrator import (Campaign, CampaignConfig,
+                                     application_campaigns)
+from repro.core.registry import TestContext, UnitTest
 from repro.core.report import app_report_to_dict
 from repro.core.runner import RunOutcome, TestRunner
 from repro.core.testgen import (CROSS, HeteroAssignment, HomoAssignment,
                                 ParamAssignment, TestInstance)
 from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
                            safe_only_test, two_service_test)
+from test_observe import span_skeleton
 from test_orchestrator import synthetic_campaign
 
 
@@ -248,6 +255,26 @@ class TestRunnerWithCache:
         runner.evaluate(self.make_instance(test, "synth.safe-a"))
         assert cache.seeded_entries > 0
 
+    def test_charged_hits_count_like_fresh_executions(self):
+        test = two_service_test()
+        instance = self.make_instance(test, "synth.mode", round_robin=True)
+        plain = TestRunner(registry=SYNTH_REGISTRY)
+        paper = TestRunner(registry=SYNTH_REGISTRY,
+                           cache=ExecutionCache(charge_hits=True))
+        assert (plain.evaluate(instance).executions
+                == paper.evaluate(instance).executions)
+        assert paper.executions == plain.executions == plain.simulations
+        assert paper.simulations < paper.executions
+        assert paper.machine_time_s == plain.machine_time_s
+        # the free-hit counters belong to --exec-cache alone
+        assert (paper.cache_hits, paper.cache_misses,
+                paper.cache_bypasses) == (0, 0, 0)
+
+    def test_the_seed_reaches_a_test_only_through_its_rng(self):
+        # A second seed channel would bypass the rng-use tracking that
+        # keeps seed-dependent outcomes out of the seed-free tier.
+        assert [f.name for f in fields(TestContext)] == ["rng"]
+
 
 # ---------------------------------------------------------------------------
 # campaign-level equivalence (the hard invariant)
@@ -336,3 +363,142 @@ class TestCheckpointRefusesMismatchedCacheMode:
                 tests=[safe_only_test()],
                 config=CampaignConfig(checkpoint_path=path,
                                       exec_cache=False)).run()
+
+
+# ---------------------------------------------------------------------------
+# paper accounting: the default path simulates each repeat once and still
+# charges it (repro.core.execcache module docstring)
+# ---------------------------------------------------------------------------
+class TestPaperAccounting:
+    def test_default_campaign_builds_a_charging_cache(self):
+        cache = synthetic_campaign()._build_cache()
+        assert cache is not None and cache.charge_hits
+        free = synthetic_campaign(
+            config=CampaignConfig(exec_cache=True))._build_cache()
+        assert free is not None and not free.charge_hits
+
+    def test_no_cache_under_chaos_in_paper_accounting(self):
+        plan = FaultPlan.moderate(seed=7)
+        assert synthetic_campaign(
+            config=CampaignConfig(fault_plan=plan))._build_cache() is None
+        assert synthetic_campaign(
+            config=CampaignConfig(fault_plan=plan,
+                                  exec_cache=True))._build_cache() is not None
+
+
+def _resimulating(original, answers, mismatches):
+    """A TestRunner._execute that re-runs every cache answer through a
+    throwaway runner's _execute_once (so nothing is counted or charged)
+    and records any RunOutcome field that differs."""
+    def execute(self, test, assignment, seed, canonical=None):
+        before = self.simulations
+        outcome = original(self, test, assignment, seed, canonical)
+        if self.simulations == before:
+            shadow = TestRunner(run_cost_s=self.run_cost_s,
+                                fault_plan=self.fault_plan,
+                                infra_retries=self.infra_retries,
+                                watchdog_sim_s=self.watchdog_sim_s)
+            fresh = shadow._execute_once(test, assignment, seed, attempt=0)
+            answers[test.app] = answers.get(test.app, 0) + 1
+            if asdict(fresh) != asdict(outcome):
+                mismatches.append((test.full_name, seed, asdict(fresh),
+                                   asdict(outcome)))
+        return outcome
+    return execute
+
+
+class TestCacheAnswersMatchResimulation:
+    def test_every_answer_in_every_catalog_app(self, monkeypatch):
+        answers, mismatches = {}, []
+        monkeypatch.setattr(TestRunner, "_execute", _resimulating(
+            TestRunner._execute, answers, mismatches))
+        campaigns = application_campaigns()
+        for campaign in campaigns:
+            campaign.run()
+        assert mismatches == []
+        assert sorted(answers) == sorted(c.app for c in campaigns)
+        assert all(count > 0 for count in answers.values())
+
+
+def _reference_run(monkeypatch, make_campaign, **config_kwargs):
+    """The campaign on a path that simulates every execution (no cache),
+    kept only here as the reference for the default path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Campaign, "_build_cache", lambda self: None)
+        return make_campaign(**config_kwargs).run()
+
+
+def _catalog_campaign(app, **config_kwargs):
+    spec = catalog.spec_for(app)
+    return Campaign(app, spec.registry,
+                    dependency_rules=spec.dependency_rules,
+                    config=CampaignConfig(**config_kwargs))
+
+
+def _synthetic(**config_kwargs):
+    return synthetic_campaign(config=CampaignConfig(**config_kwargs))
+
+
+# hadooptools' profiles never skip a parameter another profile
+# blacklisted, and the synthetic corpus blacklists nothing, so both are
+# deterministic at workers=2 under the default blacklist threshold.
+EQUIVALENCE_CASES = [
+    ("synthetic", 1), ("synthetic", 2), ("hadooptools", 1),
+    ("hadooptools", 2)]
+
+
+class TestDefaultPathEqualsReference:
+    @pytest.mark.parametrize("corpus,workers", EQUIVALENCE_CASES)
+    def test_report_metrics_and_spans_identical(self, monkeypatch, corpus,
+                                                workers):
+        if workers > 1 and not hasattr(os, "fork"):
+            pytest.skip("the supervised pool needs fork")
+        make = (_synthetic if corpus == "synthetic"
+                else functools.partial(_catalog_campaign, corpus))
+        reference = _reference_run(monkeypatch, make, observe=True,
+                                   workers=workers)
+        default = make(observe=True, workers=workers).run()
+        assert (json.dumps(app_report_to_dict(default), sort_keys=True)
+                == json.dumps(app_report_to_dict(reference), sort_keys=True))
+        assert (default.observation.metrics.render_prometheus()
+                == reference.observation.metrics.render_prometheus())
+        assert (span_skeleton(default.observation)
+                == span_skeleton(reference.observation))
+        simulated = default.observation.metrics.total(
+            "zc_runtime_simulations_total")
+        assert 0 < simulated < reference.observation.metrics.total(
+            "zc_runtime_simulations_total")
+
+    def test_cache_was_not_switched_off(self, monkeypatch):
+        """Findings alone cannot show a cache that was quietly dropped:
+        count the simulator's runs directly."""
+        calls = []
+        original = TestRunner._execute_once
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TestRunner, "_execute_once", counting)
+            report = synthetic_campaign().run()
+        free = synthetic_campaign(
+            config=CampaignConfig(exec_cache=True)).run()
+        assert len(calls) == free.pool_stats.exec_cache_misses
+        assert len(calls) < report.executions
+
+
+class TestSimulationsMetric:
+    def _exported(self, tmp_path, workers):
+        report = _synthetic(observe=True, workers=workers).run()
+        path = str(tmp_path / ("metrics-%d.prom" % workers))
+        write_metrics_text([("synth", report.observation)], path)
+        return read_metrics_totals(path)
+
+    def test_same_count_serially_and_across_a_fork(self, tmp_path):
+        serial = self._exported(tmp_path, 1)
+        simulated = serial["zc_runtime_simulations_total"]
+        assert 0 < simulated < serial["zc_executions_total"]
+        if hasattr(os, "fork"):
+            forked = self._exported(tmp_path, 2)
+            assert forked["zc_runtime_simulations_total"] == simulated
