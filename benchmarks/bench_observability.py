@@ -12,7 +12,9 @@ matter:
   the archived artifact).
 * **enabled path** — full span + metric collection should stay cheap
   relative to the simulated executions it wraps; measured here as the
-  observed/unobserved wall-clock ratio.
+  median observed/unobserved wall-clock ratio over :data:`PAIRS`
+  alternating pairs, after one untimed warm-up campaign has filled the
+  per-process pre-run memo (so no timed run pays for it).
 
 The benchmark also asserts the two invariants that make the layer safe
 to leave on: observation never changes findings, and the exported
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 from repro.apps import catalog
@@ -39,6 +42,9 @@ APP = "mapreduce"
 #: design target (documented, printed) vs CI gate (noise-tolerant).
 TARGET_OVERHEAD = 0.02
 MAX_OVERHEAD = 0.25
+#: alternating unobserved/observed pairs; the gate reads their median
+#: ratio, so one noisy run cannot trip it.
+PAIRS = 5
 
 
 def _run(observe):
@@ -46,9 +52,9 @@ def _run(observe):
     campaign = Campaign(APP, spec.registry,
                         dependency_rules=spec.dependency_rules,
                         config=CampaignConfig(observe=observe))
-    started = time.time()
+    started = time.perf_counter()
     report = campaign.run()
-    return report, time.time() - started
+    return report, time.perf_counter() - started
 
 
 def _findings_view(report):
@@ -62,9 +68,19 @@ def _findings_view(report):
 
 
 def measure(tmp_dir="."):
-    plain, plain_wall = _run(observe=False)
-    observed, observed_wall = _run(observe=True)
-    overhead = observed_wall / plain_wall - 1
+    _run(observe=False)  # warm-up: fills the per-process pre-run memo
+    plain_walls, observed_walls = [], []
+    for index in range(PAIRS):
+        # which side runs first alternates, so drift cancels out
+        for observe in ((False, True) if index % 2 == 0 else (True, False)):
+            report, wall = _run(observe)
+            if observe:
+                observed = report
+                observed_walls.append(wall)
+            else:
+                plain = report
+                plain_walls.append(wall)
+    ratios = [o / p for o, p in zip(observed_walls, plain_walls)]
 
     metrics_path = os.path.join(tmp_dir, "bench_observability_metrics.prom")
     write_metrics_text([(APP, observed.observation)], metrics_path)
@@ -74,9 +90,11 @@ def measure(tmp_dir="."):
 
     return {
         "app": APP,
-        "wall_unobserved_s": plain_wall,
-        "wall_observed_s": observed_wall,
-        "overhead_fraction": overhead,
+        "pairs": PAIRS,
+        "wall_unobserved_s": statistics.median(plain_walls),
+        "wall_observed_s": statistics.median(observed_walls),
+        "overhead_fractions": [ratio - 1 for ratio in ratios],
+        "overhead_fraction": statistics.median(ratios) - 1,
         "target_overhead_fraction": TARGET_OVERHEAD,
         "spans": len(observed.observation.spans),
         "reconciliation_problems": problems,
@@ -88,13 +106,17 @@ def measure(tmp_dir="."):
 def test_observability_overhead(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    print("\nObservability overhead (%s campaign, serial):" % rows["app"])
+    print("\nObservability overhead (%s campaign, serial, median of %d "
+          "pairs):" % (rows["app"], rows["pairs"]))
     print(render_table(
         ["metric", "value"],
-        [["wall unobserved", "%.2fs" % rows["wall_unobserved_s"]],
-         ["wall observed", "%.2fs" % rows["wall_observed_s"]],
+        [["wall unobserved", "%.3fs" % rows["wall_unobserved_s"]],
+         ["wall observed", "%.3fs" % rows["wall_observed_s"]],
          ["overhead", "%.1f%% (disabled-path target < %.0f%%)"
           % (100 * rows["overhead_fraction"], 100 * TARGET_OVERHEAD)],
+         ["overhead per pair", ", ".join(
+             "%.1f%%" % (100 * fraction)
+             for fraction in rows["overhead_fractions"])],
          ["spans collected", format(rows["spans"], ",")]]))
 
     artifact = os.environ.get("OBSERVABILITY_BENCH_JSON",

@@ -19,9 +19,12 @@ Four record kinds appear in a journal:
   completes.  Pure audit trail: it shows how far an interrupted test got,
   but partially-journaled tests are re-run in full on resume.
 * ``test-done`` — one per finished unit-test profile (the campaign's
-  parallelism granule): the serialized results plus the pool statistics
-  and execution counts needed to rebuild the test's contribution to the
-  final report bit-for-bit.
+  parallelism granule): the profile's record
+  (:func:`repro.core.parallel.profile_outcome_to_dict` — ``results``,
+  ``pool_stats``, ``executions``, ``fault_counts`` and ``retries``, plus
+  ``error`` and ``error_kind`` for a degraded or quarantined profile),
+  which rebuilds the test's contribution to the final report
+  bit-for-bit.
 
 Only ``test-done`` records are authoritative.  Restoring at the test
 granularity keeps resume correct for pooled testing, where a passing
@@ -35,11 +38,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.common.errors import ReproError
-from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
 from repro.core.runner import InstanceResult
 from repro.core.stats import TrialTally
@@ -242,43 +243,21 @@ class CampaignCheckpoint:
     def finished_tests(self) -> List[str]:
         return sorted(self._done)
 
-    def restore_test(self, test_name: str,
-                     tests_by_name: Mapping[str, UnitTest]
-                     ) -> Tuple[List[InstanceResult], PoolStats, int,
-                                Dict[str, int], int, str, str]:
-        """Rebuild one finished test's contribution to the campaign."""
-        record = self._done[test_name]
-        results = [result_from_dict(r, tests_by_name)
-                   for r in record["results"]]
-        stats = PoolStats(**record["pool_stats"])
-        fault_counts = {str(k): int(v)
-                        for k, v in record.get("fault_counts", {}).items()}
-        return (results, stats, int(record["executions"]), fault_counts,
-                int(record.get("retries", 0)), record.get("error", ""),
-                record.get("error_kind", ""))
+    def restore_test(self, test_name: str) -> Dict[str, Any]:
+        """One finished test's journaled ``test-done`` record."""
+        return self._done[test_name]
 
     # -- writing -------------------------------------------------------
     def record_instance(self, result: InstanceResult) -> None:
         self._append(dict(result_to_dict(result), kind="instance"))
 
-    def record_test_done(self, test_name: str, results: List[InstanceResult],
-                         stats: PoolStats, executions: int,
-                         fault_counts: Optional[Dict[str, int]] = None,
-                         retries: int = 0, error: str = "",
-                         error_kind: str = "") -> None:
-        record = {
-            "kind": "test-done",
-            "test": test_name,
-            "results": [result_to_dict(r) for r in results],
-            "pool_stats": asdict(stats),
-            "executions": executions,
-            "fault_counts": dict(fault_counts or {}),
-            "retries": retries,
-            "error": error,
-            "error_kind": error_kind,
-        }
-        self._append(record)
-        self._done[test_name] = record
+    def record_test_done(self, test_name: str,
+                         record: Mapping[str, Any]) -> None:
+        """Journal one finished test's record
+        (:func:`repro.core.parallel.profile_outcome_to_dict`)."""
+        line = dict(record, kind="test-done", test=test_name)
+        self._append(line)
+        self._done[test_name] = line
 
     def _append(self, record: Dict[str, Any]) -> None:
         data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")

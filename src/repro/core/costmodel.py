@@ -33,23 +33,18 @@ worker slot on it early starves the genuinely expensive work behind it.
 The dispatch order is consumed by the supervised pool's queue
 (``Campaign._run_locally`` -> ``core.supervise``) and the distributed
 coordinator's lease queue, both of which always dispatch LPT; serial
-runs keep catalog order.
+runs keep catalog order.  The forecast is the only scheduling key: a
+resumed campaign dispatches just the profiles its journal lacks, so a
+cost measured by an earlier run of the same journal would never be read.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Sequence
 
 from repro.core.plan import PLAN_REUSE, sample_cells
 from repro.core.prerun import TestProfile
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
 
 #: Percent of pooled parameters priced as heterogeneous-unsafe up front.
 #: The paper reports a small minority of parameters unsafe; 8% matches
@@ -65,106 +60,6 @@ SINGLETON_COST = 8
 #: execution-cache hits when the cache is on (homogeneous sides collapse
 #: onto shared baselines; bisection halves reconstitute seen pools).
 CACHE_HIT_PCT = 40
-
-#: Smoothing factor for measured-cost updates: new observations move the
-#: stored estimate 30% of the way, so one anomalous run (page-cache-cold
-#: host, noisy neighbour) cannot whipsaw the schedule on the next resume.
-EWMA_ALPHA = 0.3
-
-
-class CostBook:
-    """EWMA-smoothed *measured* profile costs, persisted beside the journal.
-
-    The analytic prediction in :class:`CostModel` is a cold-start
-    estimate; once a profile has actually run, its measured execution
-    count and wall time are strictly better scheduling signals.  The book
-    journals them next to the checkpoint (``<journal>.weights.json``) so
-    a resumed campaign reschedules its *remaining* work from history
-    rather than from priors.
-
-    Measured costs are volatile (host-dependent) and feed **scheduling
-    order only** — findings are byte-identical regardless, because
-    outcomes fold in catalog order.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._costs: Dict[str, Dict[str, float]] = {}
-        #: tests this process observed: :meth:`save` writes them over the
-        #: on-disk book and keeps every other entry as its writer left it.
-        self._observed: Set[str] = set()
-
-    @staticmethod
-    def beside_checkpoint(checkpoint_path: str) -> str:
-        return checkpoint_path + ".weights.json"
-
-    # ------------------------------------------------------------------
-    def load(self) -> None:
-        self._costs.update(self._read())
-
-    def _read(self) -> Dict[str, Dict[str, float]]:
-        try:
-            with open(self.path) as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        costs = raw.get("costs", {}) if isinstance(raw, dict) else {}
-        if not isinstance(costs, dict):
-            return {}
-        return {str(name): {"executions": float(entry.get("executions", 0.0)),
-                            "wall_s": float(entry.get("wall_s", 0.0)),
-                            "samples": float(entry.get("samples", 0.0))}
-                for name, entry in costs.items() if isinstance(entry, dict)}
-
-    def save(self) -> None:
-        """Merge this process's observations into the on-disk book.
-
-        Several campaigns may share one book (application lanes under
-        ``evaluate --checkpoint``), so the read-merge-replace runs under
-        an exclusive lock and each writer uses its own temporary file.
-        """
-        lock = os.open(self.path + ".lock", os.O_RDWR | os.O_CREAT, 0o666)
-        try:
-            if fcntl is not None:
-                fcntl.flock(lock, fcntl.LOCK_EX)
-            merged = self._read()
-            merged.update((name, self._costs[name])
-                          for name in self._observed)
-            self._costs = merged
-            tmp = "%s.%d.tmp" % (self.path, os.getpid())
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps({"version": 1, "costs": merged},
-                                        sort_keys=True))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            from repro.core.checkpoint import fsync_directory
-            fsync_directory(self.path)
-        finally:
-            os.close(lock)  # releases the flock
-
-    # ------------------------------------------------------------------
-    def observe(self, test: str, executions: int,
-                wall_s: Optional[float] = None) -> None:
-        self._observed.add(test)
-        entry = self._costs.get(test)
-        if entry is None:
-            entry = {"executions": float(executions),
-                     "wall_s": float(wall_s or 0.0),
-                     "samples": 1.0}
-            self._costs[test] = entry
-            return
-        entry["executions"] += EWMA_ALPHA * (executions
-                                             - entry["executions"])
-        if wall_s is not None and wall_s > 0.0:
-            if entry["wall_s"] > 0.0:
-                entry["wall_s"] += EWMA_ALPHA * (wall_s - entry["wall_s"])
-            else:
-                entry["wall_s"] = float(wall_s)
-        entry["samples"] += 1.0
-
-    def measured(self, test: str) -> Optional[Dict[str, float]]:
-        return self._costs.get(test)
 
 
 @dataclass(frozen=True)
@@ -266,38 +161,16 @@ class CostModel:
         return prediction
 
     # ------------------------------------------------------------------
-    def scheduling_wall_s(self, profile: TestProfile) -> float:
-        """Best available wall-clock estimate for scheduling ``profile``.
-
-        Preference order: a measured wall time from the campaign's
-        :class:`CostBook` (previous runs of this journal), then measured
-        execution counts priced at the pre-run weight, then the pure
-        analytic forecast.
-        """
-        prediction = self.predict(profile)
-        book = getattr(self.campaign, "cost_book", None)
-        if book is not None:
-            entry = book.measured(profile.test.full_name)
-            if entry is not None:
-                if entry.get("wall_s", 0.0) > 0.0:
-                    return entry["wall_s"]
-                if entry.get("executions", 0.0) > 0.0:
-                    weight = (prediction.weight_s
-                              if prediction.weight_s > 0.0 else 1.0)
-                    return entry["executions"] * weight
-        return prediction.predicted_wall_s
-
     def lpt_order(self, profiles: Sequence[TestProfile]
                   ) -> List[TestProfile]:
         """Profiles sorted longest-first for dispatch.
 
-        Measured costs (when a :class:`CostBook` has history) beat the
-        analytic forecast; cache-hit-likely profiles sort later via the
-        effective-cost discount.  Ties (and zero-weight corner cases)
-        break on the test name so the order is reproducible given
-        identical predictions.
+        The key is the forecast wall-clock cost; cache-hit-likely
+        profiles sort later via the effective-cost discount.  Ties (and
+        zero-weight corner cases) break on the test name so the order is
+        reproducible given identical predictions.
         """
         return sorted(profiles,
-                      key=lambda p: (-self.scheduling_wall_s(p),
+                      key=lambda p: (-self.predict(p).predicted_wall_s,
                                      -self.predict(p).effective_executions,
                                      p.test.full_name))

@@ -5,8 +5,9 @@ grows the harness past one host.  A **coordinator** (the campaign
 parent) serves unit-test profiles over the length-prefixed JSON TCP
 protocol in :mod:`repro.common.transport`, and any number of **workers**
 (``repro worker --connect HOST:PORT``) pull leases, run the profiles
-with the existing supervised pool, and stream outcomes back in the
-checkpoint wire format (:func:`repro.core.parallel.profile_outcome_to_dict`).
+with the existing supervised pool, and stream outcomes back as the
+profile record (:func:`repro.core.parallel.profile_outcome_to_dict`)
+plus the profile's observation.
 
 Robustness is the design driver — a worker that disconnects, hangs,
 crashes, or answers late must never corrupt findings:
@@ -672,7 +673,8 @@ class _OutcomeShipper:
         """Send one profile outcome and wait for its ack (stash first)."""
         message = {"kind": "result", "task": name,
                    "delivery": self.deliveries.get(name, 1),
-                   "outcome": parallel.profile_outcome_to_dict(outcome)}
+                   "outcome": dict(parallel.profile_outcome_to_dict(outcome),
+                                   observation=outcome.observation)}
         self.unacked[name] = message
         if not self.broken:
             self._send_one(name, message)
@@ -805,7 +807,8 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     from repro.common.ipc import set_ipc_sharing
                     previous_sharing = set_ipc_sharing(
                         not config.disable_ipc_sharing)
-                    campaign._cache = campaign._build_cache()
+                    # once, before the pool forks, as _run_inner does
+                    campaign._open_store()
                     profiles = prerun_corpus(campaign.tests)
                     profiles_by_name = {p.test.full_name: p
                                         for p in profiles if p.usable}

@@ -38,8 +38,9 @@ Infrastructure-error outcomes are never cached (counted as *bypasses*):
 in a real deployment they are environment-flavoured and retry-worthy,
 and caching them would defeat the pool re-draw logic.
 
-Every campaign builds a cache; what a hit *costs* is the cache's
-``charge_hits`` setting, the one place the accounting choice lives:
+Every campaign builds a fresh cache for each profile it runs; what a hit
+*costs* is the cache's ``charge_hits`` setting, the one place the
+accounting choice lives:
 
 * **Paper accounting** (``charge_hits=True``, the default campaign) — a
   hit is charged exactly like the execution it replays (one execution,
@@ -63,7 +64,6 @@ test's explicitly-set parameters, and callers pass them as
 from __future__ import annotations
 
 import hashlib
-import threading
 import zlib
 from dataclasses import replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
@@ -144,11 +144,12 @@ def execution_seed(test_name: str, canonical: Any, trial: int) -> int:
 
 
 class ExecutionCache:
-    """Memoizes ``RunOutcome``s for one campaign.
+    """Memoizes ``RunOutcome``s for one unit-test profile.
 
-    Thread-safe; under the supervised pool each worker inherits a
-    fork-time copy, which is lossless because cache keys include the
-    unit-test name and each worker owns whole unit-test profiles.
+    The campaign builds one per profile, wherever the profile runs:
+    keys include the unit-test name and one profile is one test, so a
+    finished profile's entries would never be read again.  One profile
+    runs on one thread, so no cache object is shared between threads.
     """
 
     def __init__(self, context: Optional[Mapping[str, Any]] = None,
@@ -161,7 +162,6 @@ class ExecutionCache:
         #: watchdog budget, or IPC-sharing mode.
         self.context_key = fingerprint(tuple(sorted(
             (str(k), repr(v)) for k, v in (context or {}).items())))
-        self._lock = threading.Lock()
         self._deterministic: Dict[str, Any] = {}
         self._seeded: Dict[Tuple[str, int], Any] = {}
         self.hits = 0
@@ -175,15 +175,14 @@ class ExecutionCache:
     def lookup(self, test_name: str, canonical: Any, seed: int) -> Optional[Any]:
         """The memoized outcome, or None.  Counts a hit or a miss."""
         key = self._key(test_name, canonical)
-        with self._lock:
-            outcome = self._deterministic.get(key)
-            if outcome is None:
-                outcome = self._seeded.get((key, seed))
-            if outcome is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return replace(outcome)
+        outcome = self._deterministic.get(key)
+        if outcome is None:
+            outcome = self._seeded.get((key, seed))
+        if outcome is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return replace(outcome)
 
     def store(self, test_name: str, canonical: Any, seed: int, outcome: Any,
               seed_sensitive: bool) -> bool:
@@ -194,29 +193,24 @@ class ExecutionCache:
         only valid for their exact seed.
         """
         if outcome.infra:
-            with self._lock:
-                self.bypasses += 1
+            self.bypasses += 1
             return False
         frozen = replace(outcome)
         key = self._key(test_name, canonical)
-        with self._lock:
-            if seed_sensitive:
-                self._seeded[(key, seed)] = frozen
-            else:
-                self._deterministic[key] = frozen
+        if seed_sensitive:
+            self._seeded[(key, seed)] = frozen
+        else:
+            self._deterministic[key] = frozen
         return True
 
     # ------------------------------------------------------------------
     @property
     def deterministic_entries(self) -> int:
-        with self._lock:
-            return len(self._deterministic)
+        return len(self._deterministic)
 
     @property
     def seeded_entries(self) -> int:
-        with self._lock:
-            return len(self._seeded)
+        return len(self._seeded)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._deterministic) + len(self._seeded)
+        return len(self._deterministic) + len(self._seeded)

@@ -125,8 +125,8 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "zc_exec_cache_misses_total": MetricSpec(
         "counter", "Cacheable executions that ran and were stored."),
     "zc_exec_cache_bypasses_total": MetricSpec(
-        "counter", "Executions that bypassed the cache (fault injection "
-        "active, or caching disabled for the trial)."),
+        "counter", "Infra-error outcomes the execution cache refused to "
+        "store (free-hit accounting only: --exec-cache or --store)."),
     "zc_pool_runs_total": MetricSpec(
         "counter", "Pooled executions at bisection depth 0."),
     "zc_bisection_runs_total": MetricSpec(

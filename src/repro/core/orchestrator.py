@@ -19,8 +19,7 @@ from repro.common.params import ParamRegistry
 from repro.common.simulation import kernel_stats_snapshot
 from repro.core import parallel
 from repro.core.confagent import UNIT_TEST
-from repro.core.checkpoint import (CampaignCheckpoint, result_from_dict,
-                                   result_to_dict)
+from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.costmodel import CostModel
 from repro.core.execcache import ExecutionCache
 from repro.core.observe import MetricsRegistry, Observation, ProgressReporter
@@ -310,6 +309,14 @@ class ProfileOutcome:
     folded: str = ""
 
     @property
+    def confirmed(self) -> List[str]:
+        """The parameters this profile's results confirmed unsafe,
+        sorted: what its commit replays into the blacklist."""
+        return sorted({param for result in self.results
+                       if result.verdict == CONFIRMED_UNSAFE
+                       for param in result.instance.params})
+
+    @property
     def status(self) -> str:
         """The ``zc_profiles_total`` label, also the ``status`` of a
         synthetic ``profile`` span."""
@@ -336,10 +343,8 @@ class Campaign:
                                        dependency_rules=dependency_rules,
                                        max_value_pairs=self.config.max_value_pairs)
         self.tracker = FrequentFailureTracker(self.config.blacklist_threshold)
-        #: per-run execution cache (built by _build_cache in _run_inner).
-        self._cache: Optional[ExecutionCache] = None
-        #: durable cross-campaign result store (opened lazily by
-        #: _build_cache when config.store_path; closed after each run).
+        #: durable cross-campaign result store (opened once per run by
+        #: _open_store when config.store_path; closed after each run).
         self._store: Optional[Any] = None
         #: per-run scheduler cost model (rebuilt in _run_inner once the
         #: pre-run profiles exist).
@@ -354,9 +359,6 @@ class Campaign:
         #: distributed-coordinator counters for the current run (filled
         #: by repro.core.distrib when --distributed is on).
         self.distribution = DistributionStats()
-        #: EWMA-smoothed measured costs persisted beside the checkpoint
-        #: journal (set by _open_checkpoint; None without a checkpoint).
-        self.cost_book = None
         #: campaign-level Observation for the current run (None when the
         #: observability layer is off).
         self.observation: Optional[Observation] = None
@@ -434,40 +436,39 @@ class Campaign:
             raise ValueError("unknown sampling mode %r (expected one of %s)"
                              % (self.config.sample, ", ".join(SAMPLE_MODES)))
         checkpoint = self._open_checkpoint()
-        self._cache = self._build_cache()
+        # Opened here even when every profile is restored from the
+        # journal: the report still carries the store's counters.
+        self._open_store()
         # Built once per run: checkpoint restore and the supervised pool
         # both need it, and rebuilding it per restored profile made large
         # resumes quadratic.
         tests_by_name = {t.full_name: t for t in self.tests}
         self._plan = self._build_plan(usable, checkpoint)
 
-        # Partition tests into already-journaled (restore + replay their
-        # blacklist effects), plan-REUSE (fold from the store, journal as
-        # done, replay blacklist effects — zero fresh executions) and
-        # still-pending (run for real).  Outcomes are assembled keyed by
-        # test and folded back in the original profile order so a resumed
-        # campaign reproduces the interrupted one bit for bit.
+        # Partition tests into already-journaled (restored), plan-REUSE
+        # (folded from the store with zero fresh executions) and
+        # still-pending (run for real).  Every finished profile commits
+        # through parallel.commit_outcome.  Outcomes are assembled keyed
+        # by test and folded back in the original profile order so a
+        # resumed campaign reproduces the interrupted one bit for bit.
         outcome_by_test: Dict[str, ProfileOutcome] = {}
         pending: List[TestProfile] = []
         if self._progress is not None:
             self._progress.total = len(usable)
         for profile in usable:
             name = profile.test.full_name
+            outcome = None
             if checkpoint is not None and checkpoint.has_test(name):
                 outcome = self._restore_profile(checkpoint, name,
                                                 tests_by_name)
-                outcome_by_test[name] = outcome
-                self._profile_committed(outcome)
-                continue
-            if self._plan is not None \
+            elif self._plan is not None \
                     and self._plan.decision(name) == PLAN_REUSE:
                 outcome = self._fold_planned_profile(profile, checkpoint,
                                                      tests_by_name)
-                if outcome is not None:
-                    outcome_by_test[name] = outcome
-                    self._profile_committed(outcome)
-                    continue
-            pending.append(profile)
+            if outcome is None:
+                pending.append(profile)
+            else:
+                outcome_by_test[name] = outcome
 
         self.cost_model = CostModel(self)
         self.supervision = SupervisionStats()
@@ -614,8 +615,10 @@ class Campaign:
     # execution cache
     # ------------------------------------------------------------------
     def _build_cache(self) -> Optional[ExecutionCache]:
-        """A fresh per-run cache keyed by everything that shapes a single
-        execution's behaviour (so stale outcomes can never be served).
+        """A fresh per-profile cache keyed by everything that shapes a
+        single execution's behaviour (so stale outcomes can never be
+        served).  Keys include the unit-test name and one profile is one
+        test, so no entry outlives the profile that made it.
 
         Without ``exec_cache`` or a store, hits are charged (paper
         accounting), and under a fault plan there is no cache at all: a
@@ -661,14 +664,7 @@ class Campaign:
     # ------------------------------------------------------------------
     def _open_checkpoint(self) -> Optional[CampaignCheckpoint]:
         if not self.config.checkpoint_path:
-            self.cost_book = None
             return None
-        # Measured LPT cost weights live beside the journal so a resumed
-        # campaign reschedules from measured, not analytic, costs.
-        from repro.core.costmodel import CostBook
-        self.cost_book = CostBook(
-            CostBook.beside_checkpoint(self.config.checkpoint_path))
-        self.cost_book.load()
         checkpoint = CampaignCheckpoint(self.config.checkpoint_path)
         checkpoint.load()
         checkpoint.check_header(self.app, self.config.checkpoint_settings())
@@ -677,20 +673,14 @@ class Campaign:
     def _restore_profile(self, checkpoint: CampaignCheckpoint, name: str,
                          tests_by_name: Mapping[str, UnitTest]
                          ) -> ProfileOutcome:
-        (results, stats, executions, fault_counts, retries,
-         error, error_kind) = checkpoint.restore_test(name, tests_by_name)
-        # Replay blacklist bookkeeping: confirmations from journaled
-        # tests must count toward the frequent-failure threshold exactly
-        # as they did in the interrupted run.
-        for result in results:
-            if result.verdict == CONFIRMED_UNSAFE:
-                for param in result.instance.params:
-                    self.tracker.record_unsafe(param, name)
-        return ProfileOutcome(results=results, stats=stats,
-                              executions=executions,
-                              fault_counts=fault_counts, retries=retries,
-                              error=error, error_kind=error_kind,
-                              folded="restored")
+        """Fold one journaled profile back.  Its confirmations count
+        toward the frequent-failure threshold exactly as they did in the
+        interrupted run, and it is not journaled a second time."""
+        outcome = parallel.profile_outcome_from_dict(
+            checkpoint.restore_test(name), tests_by_name)
+        outcome.folded = "restored"
+        parallel.commit_outcome(self, None, name, outcome)
+        return outcome
 
     # ------------------------------------------------------------------
     # incremental planning (--incremental) and store profile records
@@ -729,39 +719,28 @@ class Campaign:
         Returns None when the stored record has vanished since planning
         (store GC raced, disk fault ate the segment) — the caller then
         runs the profile for real, which is always correct, just slower.
-        Mirrors :meth:`_restore_profile`: blacklist confirmations replay
-        exactly as they did in the stored run, and the fold is journaled
-        as a finished test so a crash + resume restores it identically.
+        It commits like any finished profile: blacklist confirmations
+        replay exactly as they did in the stored run, and the fold is
+        journaled as a finished test so a crash + resume restores it
+        identically.
         """
         name = profile.test.full_name
         stored = self._store.lookup_profile(self._plan.plan_for(name).key)
         if stored is None:
             return None
-        record = stored["record"]
         try:
-            results = [result_from_dict(r, tests_by_name)
-                       for r in record["results"]]
-            stats = PoolStats(**record["pool_stats"])
+            outcome = parallel.profile_outcome_from_dict(stored["record"],
+                                                         tests_by_name)
         except (KeyError, TypeError, ValueError):
             # damaged or schema-drifted record: fall back to running.
             return None
-        for result in results:
-            if result.verdict == CONFIRMED_UNSAFE:
-                for param in result.instance.params:
-                    self.tracker.record_unsafe(param, name)
-        fault_counts = {str(k): int(v)
-                        for k, v in record.get("fault_counts", {}).items()}
-        retries = int(record.get("retries", 0))
         # Zero fresh executions: the whole point of the plan.  The stored
         # pool statistics are preserved so the findings projection is
         # byte-identical to the campaign that produced them.
-        if checkpoint is not None:
-            checkpoint.record_test_done(name, results, stats, 0,
-                                        fault_counts=fault_counts,
-                                        retries=retries)
-        return ProfileOutcome(results=results, stats=stats, executions=0,
-                              fault_counts=fault_counts, retries=retries,
-                              folded="reused")
+        outcome.executions = 0
+        outcome.folded = "reused"
+        parallel.commit_outcome(self, checkpoint, name, outcome)
+        return outcome
 
     def _persist_profile_records(self, profiles: Sequence[TestProfile],
                                  outcome_by_test: Mapping[str,
@@ -789,17 +768,8 @@ class Campaign:
             if outcome is None or outcome.error:
                 continue
             key = profile_key(self, profile)
-            confirmed = sorted({param
-                                for r in outcome.results
-                                if r.verdict == CONFIRMED_UNSAFE
-                                for param in r.instance.params})
-            record = {
-                "results": [result_to_dict(r) for r in outcome.results],
-                "pool_stats": asdict(outcome.stats),
-                "executions": outcome.executions,
-                "fault_counts": dict(outcome.fault_counts),
-                "retries": outcome.retries,
-            }
+            confirmed = outcome.confirmed
+            record = parallel.profile_outcome_to_dict(outcome)
             stored = self._store.lookup_profile(key)
             if stored is not None \
                     and stored.get("record") == record \
@@ -807,29 +777,6 @@ class Campaign:
                 continue  # identical record already durable
             self._store.append_profile(key, name, record,
                                        confirmed=confirmed)
-
-    def _record_measured_cost(self, name: str, outcome: ProfileOutcome
-                              ) -> None:
-        """Feed one freshly *run* profile's measured cost into the cost
-        book (scheduling weights only — findings never read it).
-
-        Quarantined WORKER_CRASH outcomes are excluded: the profile did
-        not run to completion, so its numbers would poison the EWMA.
-        Wall time comes from the profile's shipped observation when the
-        observability layer is on; executions are always available.
-        """
-        book = self.cost_book
-        if book is None or outcome.error_kind == WORKER_CRASH:
-            return
-        wall_s = None
-        wire = outcome.observation
-        if wire is not None:
-            root = next((s for s in wire.get("spans", ())
-                         if s.get("parent_id") is None), None)
-            if root is not None:
-                wall_s = max(root["wall_end"] - root["wall_start"], 0.0)
-        book.observe(name, outcome.executions, wall_s=wall_s)
-        book.save()
 
     def _run_locally(self, profiles: Sequence[TestProfile],
                      checkpoint: Optional[CampaignCheckpoint],
@@ -938,9 +885,8 @@ class Campaign:
     def _profile_committed(self, outcome: ProfileOutcome) -> None:
         """Fold one finished profile into the live campaign observation.
 
-        Called from checkpoint restore, plan-REUSE folds, and
-        ``parallel.commit_outcome`` — always on the parent's committing
-        thread, in completion order.
+        Called from ``parallel.commit_outcome`` — always on the
+        parent's committing thread, in completion order.
         Metric merges are commutative, so that order does not affect the
         final snapshot; spans are adopted later, in profile order.
         """
@@ -1099,7 +1045,7 @@ class Campaign:
                             infra_retries=self.config.infra_retries,
                             watchdog_sim_s=self.config.watchdog_sim_s,
                             registry=self.registry,
-                            cache=self._cache,
+                            cache=self._build_cache(),
                             collapse_exclude=profile.explicit_sets,
                             observe=obs)
         on_result = None if checkpoint is None else checkpoint.record_instance

@@ -9,19 +9,22 @@ simulation is pure Python, so only processes give real parallelism;
 platforms without ``fork`` run serially.  This module holds what every
 path shares:
 
-* **The wire format.**  :func:`profile_outcome_to_dict` /
-  :func:`profile_outcome_from_dict` carry a finished profile — results,
-  counters, and the profile's own observation (its spans, decision
-  events included, and metrics) — across a pipe or socket as a
-  JSON-able dict (the checkpoint record format).
-* **The commit.**  :func:`commit_outcome` applies one finished profile's
-  shared-state effects in the campaign process, **as each profile
-  completes**: frequent-failure replay into the real tracker, the
-  ``test-done`` journal record, measured scheduling cost, and the live
-  observability fold.  A mid-campaign crash therefore loses only the
-  in-flight profiles.  Blacklist propagation *between* concurrently
-  running profiles follows completion order, so run-to-run
-  byte-identity at ``workers > 1`` requires decoupled profiles.
+* **The record.**  :func:`profile_outcome_to_dict` /
+  :func:`profile_outcome_from_dict` are the one JSON-able form of a
+  finished profile: the journal's ``test-done`` line, the store's
+  profile record and — with the profile's ``observation`` (its spans,
+  decision events included, and metrics) added — the message a forked
+  or remote worker sends home.
+* **The commit.**  :func:`commit_outcome` is the one way a finished
+  profile enters the campaign, whether it ran here, came back from a
+  worker, was restored from the journal or was reused from the store:
+  its confirmations replay into the real frequent-failure tracker, its
+  ``test-done`` record is journaled (when a checkpoint is given) and the
+  live observability fold runs, **as each profile completes**.  A
+  mid-campaign crash therefore loses only the in-flight profiles.
+  Blacklist propagation *between* concurrently running profiles follows
+  completion order, so run-to-run byte-identity at ``workers > 1``
+  requires decoupled profiles.
 """
 
 from __future__ import annotations
@@ -37,25 +40,29 @@ from repro.core.registry import UnitTest
 
 
 # ---------------------------------------------------------------------------
-# ProfileOutcome <-> JSON-able dict (the checkpoint wire format)
+# ProfileOutcome <-> JSON-able record
 # ---------------------------------------------------------------------------
 def profile_outcome_to_dict(outcome: Any) -> Dict[str, Any]:
-    return {
+    """The record of one finished profile.  ``error`` and ``error_kind``
+    appear only when the profile degraded or was quarantined, so a clean
+    outcome's record carries exactly the five store keys."""
+    record = {
         "results": [result_to_dict(r) for r in outcome.results],
         "pool_stats": asdict(outcome.stats),
         "executions": outcome.executions,
         "fault_counts": dict(outcome.fault_counts),
         "retries": outcome.retries,
-        "error": outcome.error,
-        "error_kind": outcome.error_kind,
-        # Observation.to_wire() dict (spans + metrics + sim clock) when
-        # the observability layer is on; already JSON-able.
-        "observation": outcome.observation,
     }
+    if outcome.error:
+        record["error"] = outcome.error
+        record["error_kind"] = outcome.error_kind
+    return record
 
 
 def profile_outcome_from_dict(record: Mapping[str, Any],
                               tests_by_name: Mapping[str, UnitTest]) -> Any:
+    """Decode a record (journal line, store record or worker message);
+    keys a record may lack take their clean-outcome defaults."""
     from repro.core.orchestrator import ProfileOutcome
     return ProfileOutcome(
         results=[result_from_dict(r, tests_by_name)
@@ -63,9 +70,9 @@ def profile_outcome_from_dict(record: Mapping[str, Any],
         stats=PoolStats(**record["pool_stats"]),
         executions=int(record["executions"]),
         fault_counts={str(k): int(v)
-                      for k, v in record["fault_counts"].items()},
-        retries=int(record["retries"]),
-        error=str(record["error"]),
+                      for k, v in record.get("fault_counts", {}).items()},
+        retries=int(record.get("retries", 0)),
+        error=str(record.get("error", "")),
         error_kind=str(record.get("error_kind", "")),
         observation=record.get("observation"))
 
@@ -88,30 +95,22 @@ def usable_cpus() -> int:
 
 def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
                    outcome: Any) -> None:
-    """Apply one finished profile's shared-state effects in the parent.
+    """Fold one finished profile into the campaign, in the parent.
 
     Frequent-failure bookkeeping feeds both future blacklisting and the
     final report's blacklist section.  A forked or remote worker's
-    tracker is a private copy, so its confirmations are replayed here;
-    for a serial profile the replay is a no-op, because the tracker
-    counts distinct (parameter, test) pairs.  The ``test-done`` journal
-    record is written immediately — the incremental-journaling
-    invariant crash-resume relies on.
+    tracker is a private copy, and a restored or reused profile never
+    ran here, so its confirmations are replayed; for a serial profile
+    the replay is a no-op, because the tracker counts distinct
+    (parameter, test) pairs.  The ``test-done`` journal record is
+    written immediately — the incremental-journaling invariant
+    crash-resume relies on; a profile restored from the journal commits
+    with no checkpoint.
     """
-    from repro.core.runner import CONFIRMED_UNSAFE
-    for result in outcome.results:
-        if result.verdict == CONFIRMED_UNSAFE:
-            for param in result.instance.params:
-                campaign.tracker.record_unsafe(param, name)
+    for param in outcome.confirmed:
+        campaign.tracker.record_unsafe(param, name)
     if checkpoint is not None:
-        checkpoint.record_test_done(
-            name, outcome.results, outcome.stats, outcome.executions,
-            fault_counts=outcome.fault_counts, retries=outcome.retries,
-            error=outcome.error, error_kind=outcome.error_kind)
-    # Measured scheduling weights (repro.core.costmodel.CostBook) are a
-    # commit-time concern too: they must be durable beside the journal
-    # before a crash, so a resume reschedules from measured costs.
-    campaign._record_measured_cost(name, outcome)
+        checkpoint.record_test_done(name, profile_outcome_to_dict(outcome))
     # Live observability fold (metrics merge + progress tick); span
     # adoption happens later in deterministic profile order.
     campaign._profile_committed(outcome)

@@ -976,24 +976,22 @@ class StoreBackedExecutionCache(ExecutionCache):
                seed: int) -> Optional[Any]:
         """Memory first, then disk; a disk hit is promoted into memory."""
         key = self._key(test_name, canonical)
-        with self._lock:
-            outcome = self._deterministic.get(key)
-            if outcome is None:
-                outcome = self._seeded.get((key, seed))
-            if outcome is not None:
-                self.hits += 1
-                return replace(outcome)
-        stored, seed_sensitive = self.backing.lookup_entry(key, seed)
-        with self._lock:
-            if stored is None:
-                self.misses += 1
-                return None
+        outcome = self._deterministic.get(key)
+        if outcome is None:
+            outcome = self._seeded.get((key, seed))
+        if outcome is not None:
             self.hits += 1
-            if seed_sensitive:
-                self._seeded[(key, seed)] = stored
-            else:
-                self._deterministic[key] = stored
-            return replace(stored)
+            return replace(outcome)
+        stored, seed_sensitive = self.backing.lookup_entry(key, seed)
+        if stored is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        if seed_sensitive:
+            self._seeded[(key, seed)] = stored
+        else:
+            self._deterministic[key] = stored
+        return replace(stored)
 
     def store(self, test_name: str, canonical: Any, seed: int, outcome: Any,
               seed_sensitive: bool) -> bool:

@@ -177,7 +177,8 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
             outcome = ProfileOutcome(error=traceback.format_exc(),
                                      error_kind=HARNESS_ERROR)
-        record = parallel.profile_outcome_to_dict(outcome)
+        record = dict(parallel.profile_outcome_to_dict(outcome),
+                      observation=outcome.observation)
         try:
             with send_lock:
                 conn.send({"kind": "result", "task": name,

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.core import parallel
 from repro.core.checkpoint import (CampaignCheckpoint, CheckpointError,
                                    result_from_dict, result_to_dict)
-from repro.core.orchestrator import Campaign, CampaignConfig
+from repro.core.orchestrator import (HARNESS_ERROR, Campaign, CampaignConfig,
+                                     ProfileOutcome)
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
 from repro.core.report import app_report_to_dict
@@ -37,6 +40,12 @@ def counting_tests(counters, count=5):
 def campaign(tests, **config_kwargs):
     return Campaign("synth", SYNTH_REGISTRY, tests=tests,
                     config=CampaignConfig(**config_kwargs))
+
+
+def done_record(results, executions, **outcome_fields):
+    """A ``test-done`` record, as a campaign's commit writes it."""
+    return parallel.profile_outcome_to_dict(ProfileOutcome(
+        results=list(results), executions=executions, **outcome_fields))
 
 
 def evaluated_result():
@@ -78,25 +87,57 @@ class TestJournal:
         first = CampaignCheckpoint(path)
         first.load()
         first.record_instance(result)
-        first.record_test_done(result.instance.test.full_name, [result],
-                               PoolStats(), executions=9,
-                               fault_counts={"drop": 2}, retries=1)
+        first.record_test_done(result.instance.test.full_name, done_record(
+            [result], 9, fault_counts={"drop": 2}, retries=1))
         second = CampaignCheckpoint(path)
         assert second.load() == 1
         name = result.instance.test.full_name
         assert second.has_test(name)
         tests = {name: result.instance.test}
-        results, stats, executions, faults, retries, error, error_kind = \
-            second.restore_test(name, tests)
-        assert len(results) == 1 and results[0].verdict == result.verdict
-        assert executions == 9 and faults == {"drop": 2} and retries == 1
-        assert error == "" and error_kind == ""
+        restored = parallel.profile_outcome_from_dict(
+            second.restore_test(name), tests)
+        assert len(restored.results) == 1
+        assert restored.results[0].verdict == result.verdict
+        assert restored.executions == 9 and restored.retries == 1
+        assert restored.fault_counts == {"drop": 2}
+        assert restored.error == "" and restored.error_kind == ""
+
+    def test_parent_format_record_restores_to_the_same_outcome(self,
+                                                               tmp_path):
+        """Journals written before clean records dropped their empty
+        ``error``/``error_kind`` keys still resume to the same outcome."""
+        result = evaluated_result()
+        name = result.instance.test.full_name
+        tests = {name: result.instance.test}
+        stats = PoolStats(pool_runs=2, singleton_instances=1)
+        old_line = {"kind": "test-done", "test": name,
+                    "results": [result_to_dict(result)],
+                    "pool_stats": dataclasses.asdict(stats),
+                    "executions": 7, "fault_counts": {"drop": 1},
+                    "retries": 2, "error": "", "error_kind": ""}
+        old_path = str(tmp_path / "old.jsonl")
+        with open(old_path, "w") as handle:
+            handle.write(json.dumps(old_line, sort_keys=True) + "\n")
+        new_path = str(tmp_path / "new.jsonl")
+        CampaignCheckpoint(new_path).record_test_done(name, done_record(
+            [result], 7, stats=stats, fault_counts={"drop": 1}, retries=2))
+        restored = []
+        for path in (old_path, new_path):
+            checkpoint = CampaignCheckpoint(path)
+            assert checkpoint.load() == 1
+            restored.append(parallel.profile_outcome_from_dict(
+                checkpoint.restore_test(name), tests))
+        old, new = restored
+        assert old == new
+        assert old.stats == stats and old.executions == 7
+        assert old.error == "" and old.error_kind == ""
+        assert old.status == "completed"
 
     def test_torn_tail_line_is_discarded(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         checkpoint = CampaignCheckpoint(path)
         result = evaluated_result()
-        checkpoint.record_test_done("synth::a", [result], PoolStats(), 1)
+        checkpoint.record_test_done("synth::a", done_record([result], 1))
         with open(path, "a") as handle:
             handle.write('{"kind": "test-done", "test": "synth::b", "tru')
         fresh = CampaignCheckpoint(path)
@@ -111,8 +152,8 @@ class TestJournal:
         path = str(tmp_path / "ck.jsonl")
         checkpoint = CampaignCheckpoint(path)
         result = evaluated_result()
-        checkpoint.record_test_done("synth::a", [result], PoolStats(), 1)
-        checkpoint.record_test_done("synth::b", [result], PoolStats(), 2)
+        checkpoint.record_test_done("synth::a", done_record([result], 1))
+        checkpoint.record_test_done("synth::b", done_record([result], 2))
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "test-done", "test": "synth::c", "tru')
             handle.write(b"\x00\xff\xfe\x00garbage\xffgarbage")
@@ -148,17 +189,17 @@ class TestJournal:
         path = str(tmp_path / "ck.jsonl")
         result = evaluated_result()
         first = CampaignCheckpoint(path)
-        first.record_test_done("synth::t1", [result], PoolStats(), 1)
+        first.record_test_done("synth::t1", done_record([result], 1))
         with open(path, "a") as handle:
             handle.write('{"kind": "test-do')  # SIGKILL mid-append
         resumed = CampaignCheckpoint(path)
         assert resumed.load() == 1
-        resumed.record_test_done("synth::t2", [result], PoolStats(), 2)
+        resumed.record_test_done("synth::t2", done_record([result], 2))
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "test-done", "te\xff')  # second crash
         again = CampaignCheckpoint(path)
         assert again.load() == 2
-        again.record_test_done("synth::t3", [result], PoolStats(), 3)
+        again.record_test_done("synth::t3", done_record([result], 3))
         final = CampaignCheckpoint(path)
         assert final.load() == 3
         assert final.finished_tests == ["synth::t1", "synth::t2", "synth::t3"]
@@ -175,8 +216,9 @@ class TestJournal:
             checkpoint = CampaignCheckpoint(path)
             for index in range(40):
                 checkpoint.record_test_done(
-                    "synth::%s%02d" % (prefix, index), [result], PoolStats(),
-                    index, error=padding)
+                    "synth::%s%02d" % (prefix, index),
+                    done_record([result], index, error=padding,
+                                error_kind=HARNESS_ERROR))
 
         children = []
         for prefix in "abcd":
@@ -288,6 +330,17 @@ class TestCampaignResume:
         assert all(count == 1 for count in counters.values())  # pre-run only
 
 
+class TestNothingBesideTheJournal:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpointed_campaign_leaves_only_its_journal(self, tmp_path,
+                                                           workers):
+        directory = tmp_path / "ck"
+        directory.mkdir()
+        campaign(counting_tests({}), workers=workers, blacklist_threshold=999,
+                 checkpoint_path=str(directory / "ck.jsonl")).run()
+        assert sorted(os.listdir(directory)) == ["ck.jsonl"]
+
+
 class TestJournalDurability:
     def test_directory_synced_when_journal_is_created(self, tmp_path,
                                                       monkeypatch):
@@ -302,9 +355,9 @@ class TestJournalDurability:
         path = str(tmp_path / "ck.jsonl")
         checkpoint = CampaignCheckpoint(path)
         result = evaluated_result()
-        checkpoint.record_test_done("synth::a", [result], PoolStats(), 1)
+        checkpoint.record_test_done("synth::a", done_record([result], 1))
         assert synced == [path]
-        checkpoint.record_test_done("synth::b", [result], PoolStats(), 1)
+        checkpoint.record_test_done("synth::b", done_record([result], 1))
         assert synced == [path]  # directory entry already durable
 
     def test_recreated_journal_syncs_again(self, tmp_path, monkeypatch):
@@ -317,9 +370,9 @@ class TestJournalDurability:
         path = str(tmp_path / "ck.jsonl")
         result = evaluated_result()
         checkpoint = CampaignCheckpoint(path)
-        checkpoint.record_test_done("synth::a", [result], PoolStats(), 1)
+        checkpoint.record_test_done("synth::a", done_record([result], 1))
         os.unlink(path)  # rotation/cleanup between campaigns
-        checkpoint.record_test_done("synth::b", [result], PoolStats(), 1)
+        checkpoint.record_test_done("synth::b", done_record([result], 1))
         assert synced == [path, path]
 
     def test_fsync_directory_is_harmless_on_real_paths(self, tmp_path):

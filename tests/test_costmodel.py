@@ -12,13 +12,12 @@ chaos and across a checkpoint resume too.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.common.faults import FaultPlan
-from repro.core.costmodel import (CACHE_HIT_PCT, EWMA_ALPHA, SINGLETON_COST,
-                                  UNSAFE_PRIOR_PCT, CostBook, CostModel)
+from repro.core.costmodel import (CACHE_HIT_PCT, SINGLETON_COST,
+                                  UNSAFE_PRIOR_PCT, CostModel)
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.prerun import prerun_test
 from repro.core.report import app_report_to_dict
@@ -165,146 +164,23 @@ class TestChaosScheduling:
 
 
 class TestCostBook:
-    def test_first_sample_is_stored_raw(self, tmp_path):
-        book = CostBook(str(tmp_path / "w.json"))
-        book.observe("synth::T.a", 40, wall_s=2.0)
-        entry = book.measured("synth::T.a")
-        assert entry == {"executions": 40.0, "wall_s": 2.0, "samples": 1.0}
-
-    def test_later_samples_are_ewma_smoothed(self, tmp_path):
-        book = CostBook(str(tmp_path / "w.json"))
-        book.observe("synth::T.a", 10, wall_s=1.0)
-        book.observe("synth::T.a", 20, wall_s=2.0)
-        entry = book.measured("synth::T.a")
-        assert entry["executions"] == pytest.approx(10 + EWMA_ALPHA * 10)
-        assert entry["wall_s"] == pytest.approx(1.0 + EWMA_ALPHA * 1.0)
-        assert entry["samples"] == 2.0
-        # an anomalous wall-clock spike moves the estimate only 30%
-        book.observe("synth::T.a", 13, wall_s=100.0)
-        assert book.measured("synth::T.a")["wall_s"] < 31.0
-
-    def test_zero_wall_never_clobbers_a_measurement(self, tmp_path):
-        book = CostBook(str(tmp_path / "w.json"))
-        book.observe("synth::T.a", 10, wall_s=1.5)
-        book.observe("synth::T.a", 10, wall_s=None)
-        book.observe("synth::T.a", 10, wall_s=0.0)
-        assert book.measured("synth::T.a")["wall_s"] == pytest.approx(1.5)
-
-    def test_save_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "ck.jsonl.weights.json")
-        book = CostBook(path)
-        book.observe("synth::T.a", 10, wall_s=1.0)
-        book.observe("synth::T.b", 5)
-        book.save()
-        fresh = CostBook(path)
-        fresh.load()
-        assert fresh.measured("synth::T.a") == book.measured("synth::T.a")
-        assert fresh.measured("synth::T.b") == book.measured("synth::T.b")
-        assert fresh.measured("synth::T.c") is None
-
-    def test_concurrent_savers_keep_each_others_entries(self, tmp_path):
-        """Four processes sharing one book (application lanes under
-        ``evaluate --checkpoint``) save different entries at once: no
-        save may fail, and the book ends with every writer's entries."""
-        path = str(tmp_path / "ck.jsonl.weights.json")
-        children = []
-        for prefix in "abcd":
-            pid = os.fork()
-            if pid == 0:  # pragma: no cover - child
-                code = 1
-                try:
-                    book = CostBook(path)
-                    book.load()
-                    for index in range(30):
-                        book.observe("synth::T.%s%02d" % (prefix, index),
-                                     index + 1)
-                        book.save()
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
-        for pid in children:
-            assert os.waitpid(pid, 0)[1] == 0
-        fresh = CostBook(path)
-        fresh.load()
-        for prefix in "abcd":
-            for index in range(30):
-                entry = fresh.measured("synth::T.%s%02d" % (prefix, index))
-                assert entry is not None and entry["executions"] == index + 1
-
-    def test_missing_and_corrupt_files_are_tolerated(self, tmp_path):
-        missing = CostBook(str(tmp_path / "nope.json"))
-        missing.load()
-        assert missing.measured("synth::T.a") is None
-        path = tmp_path / "bad.json"
-        path.write_text("{corrupt json")
-        corrupt = CostBook(str(path))
-        corrupt.load()
-        assert corrupt.measured("synth::T.a") is None
-        path.write_text('["not", "an", "object"]')
-        shaped_wrong = CostBook(str(path))
-        shaped_wrong.load()
-        assert shaped_wrong.measured("synth::T.a") is None
-
-    def test_beside_checkpoint_naming(self):
-        assert CostBook.beside_checkpoint("/x/ck.jsonl") \
-            == "/x/ck.jsonl.weights.json"
-
-    def test_measured_wall_beats_analytic_forecast(self, tmp_path):
-        camp = campaign()
-        profiles = usable_profiles(camp)
-        model = CostModel(camp)
-        target = profiles[0]
-        assert model.scheduling_wall_s(target) \
-            == model.predict(target).predicted_wall_s  # no book: analytic
-        book = CostBook(str(tmp_path / "w.json"))
-        book.observe(target.test.full_name, 3, wall_s=123.5)
-        camp.cost_book = book
-        assert model.scheduling_wall_s(target) == pytest.approx(123.5)
-
-    def test_measured_executions_priced_at_prerun_weight(self, tmp_path):
-        camp = campaign()
-        profiles = usable_profiles(camp)
-        model = CostModel(camp)
-        target = profiles[0]
-        target.prerun_wall_s = 0.5
-        book = CostBook(str(tmp_path / "w.json"))
-        book.observe(target.test.full_name, 40)  # executions, no wall
-        camp.cost_book = book
-        assert model.scheduling_wall_s(target) == pytest.approx(40 * 0.5)
-
-    def test_lpt_order_prefers_measured_history(self, tmp_path):
-        camp = campaign()
-        profiles = usable_profiles(camp)
-        for profile in profiles:
-            profile.prerun_wall_s = 1.0
-        book = CostBook(str(tmp_path / "w.json"))
-        lightest = CostModel(camp).lpt_order(profiles)[-1]
-        book.observe(lightest.test.full_name, 1, wall_s=9999.0)
-        camp.cost_book = book
-        assert CostModel(camp).lpt_order(profiles)[0] is lightest
-
-    def test_checkpointed_campaign_persists_weights(self, tmp_path):
-        path = str(tmp_path / "ck.jsonl")
-        report = campaign(checkpoint_path=path).run()
-        book = CostBook(CostBook.beside_checkpoint(path))
-        book.load()
-        assert report.cost_centers
-        for center in report.cost_centers:
-            entry = book.measured(center.test)
-            assert entry is not None
-            assert entry["executions"] > 0.0
-            assert entry["samples"] == 1.0
-
     def test_resume_reschedules_without_changing_findings(self, tmp_path):
+        """An interrupted ``workers=2`` campaign resumes to the
+        uninterrupted report: the journal keeps its header and the first
+        half of its ``test-done`` records, and the resume dispatches the
+        rest longest-predicted-first."""
         path = str(tmp_path / "ck.jsonl")
         baseline = campaign(workers=2).run()
         campaign(workers=2, checkpoint_path=path).run()
-        # wipe the journal but keep the weights: the rerun schedules
-        # purely from measured history and must report identically
         with open(path) as handle:
-            header = handle.readline()
+            lines = handle.readlines()
+        done = [line for line in lines
+                if json.loads(line)["kind"] == "test-done"]
+        assert len(done) == 3
+        kept = [line for line in lines
+                if json.loads(line)["kind"] != "test-done"] \
+            + done[:len(done) // 2]
         with open(path, "w") as handle:
-            handle.write(header)
+            handle.writelines(kept)
         resumed = campaign(workers=2, checkpoint_path=path).run()
         assert pooled_dict(resumed) == pooled_dict(baseline)

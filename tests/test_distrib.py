@@ -738,8 +738,9 @@ class TestDistributedEndToEnd:
         report, stats, _ = run_distributed(
             n_workers=2, config_kwargs={"checkpoint_path": journal})
         assert full_dict(report) == serial_baseline
-        # measured cost weights were journaled beside the checkpoint
-        assert os.path.exists(journal + ".weights.json")
+        # the journal is the campaign's only durable state: nothing
+        # (no scheduling weights, no lock file) is left beside it
+        assert os.listdir(tmp_path) == ["dist.ckpt.jsonl"]
         resumed = synthetic_campaign(
             config=decoupled_config(checkpoint_path=journal)).run()
         assert full_dict(resumed) == serial_baseline

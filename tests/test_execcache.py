@@ -316,20 +316,33 @@ class TestCampaignEquivalence:
 
 
 class TestChaosCacheKeying:
-    def test_active_fault_plan_disables_deterministic_entries(self):
+    def test_active_fault_plan_disables_deterministic_entries(self,
+                                                              monkeypatch):
         """Under chaos every execution is seed-sensitive: outcomes may be
         served only for their exact seed, never across trials."""
+        caches = []
+
+        def spy(self, build=Campaign._build_cache):
+            cache = build(self)
+            caches.append(cache)
+            return cache
+
+        monkeypatch.setattr(Campaign, "_build_cache", spy)
         plan = FaultPlan.moderate(seed=7)
+        tests = [two_service_test(), safe_only_test()]
         campaign = synthetic_campaign(
-            tests=[two_service_test(), safe_only_test()],
+            tests=tests,
             config=CampaignConfig(exec_cache=True, fault_plan=plan))
         report = campaign.run()
-        cache = campaign._cache
-        assert cache is not None and len(cache) > 0
-        assert cache.deterministic_entries == 0
-        assert cache.seeded_entries > 0
-        # Counters surfaced in the report match the cache's own ledger.
-        assert report.pool_stats.exec_cache_hits == cache.hits
+        # one cache per profile run
+        assert len(caches) == len(tests)
+        assert all(cache is not None for cache in caches)
+        assert sum(len(cache) for cache in caches) > 0
+        assert sum(cache.deterministic_entries for cache in caches) == 0
+        assert sum(cache.seeded_entries for cache in caches) > 0
+        # Counters surfaced in the report match the caches' own ledgers.
+        assert report.pool_stats.exec_cache_hits \
+            == sum(cache.hits for cache in caches)
 
     def test_chaos_verdicts_identical_with_and_without_cache(self):
         plan = FaultPlan.moderate(seed=7)

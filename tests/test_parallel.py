@@ -6,10 +6,11 @@ from __future__ import annotations
 import json
 
 from repro.core import parallel
-from repro.core.orchestrator import Campaign, CampaignConfig, ProfileOutcome
+from repro.core.orchestrator import (HARNESS_ERROR, Campaign, CampaignConfig,
+                                     ProfileOutcome)
 from repro.core.pooling import PoolStats
 from repro.core.report import app_report_to_dict
-from repro.core.runner import TestRunner
+from repro.core.runner import CONFIRMED_UNSAFE, WORKER_CRASH, TestRunner
 from repro.core.testgen import (ROUND_ROBIN, HeteroAssignment,
                                 ParamAssignment, TestInstance)
 from synthetic_app import SYNTH_REGISTRY, safe_only_test, two_service_test
@@ -62,6 +63,73 @@ class TestProfileOutcomeRoundTrip:
         assert len(restored.results) == 1
         assert restored.results[0].verdict == result.verdict
         assert restored.results[0].instance.test is test  # live corpus entry
+
+
+STORE_KEYS = ["executions", "fault_counts", "pool_stats", "results",
+              "retries"]
+
+
+def confirming_outcome(**fields):
+    """An outcome whose one result confirmed ``synth.mode`` unsafe."""
+    test = two_service_test()
+    instance = TestInstance(
+        test=test, group="Service", strategy=ROUND_ROBIN,
+        assignment=HeteroAssignment((ParamAssignment(
+            param="synth.mode", group="Service", group_values=(True, False),
+            other_value=False),)))
+    result = TestRunner(registry=SYNTH_REGISTRY).evaluate(instance)
+    assert result.verdict == CONFIRMED_UNSAFE
+    outcome = ProfileOutcome(results=[result], stats=PoolStats(pool_runs=2),
+                             executions=result.executions, **fields)
+    return outcome, {test.full_name: test}
+
+
+def through_json(record, tests_by_name):
+    return parallel.profile_outcome_from_dict(
+        json.loads(json.dumps(record)), tests_by_name)
+
+
+class TestOneRecord:
+    """profile_outcome_to_dict is the journal line, the store record
+    and (with the observation added) the worker message."""
+
+    def test_clean_record_has_exactly_the_store_keys(self):
+        outcome, tests = confirming_outcome(fault_counts={"drop": 1},
+                                            retries=1)
+        record = parallel.profile_outcome_to_dict(outcome)
+        assert sorted(record) == STORE_KEYS
+        restored = through_json(record, tests)
+        assert restored == outcome
+        assert restored.status == "completed"
+        assert restored.confirmed == ["synth.mode"]
+
+    def test_degraded_outcome_survives(self):
+        outcome, tests = confirming_outcome(error="Traceback: boom",
+                                            error_kind=HARNESS_ERROR)
+        record = parallel.profile_outcome_to_dict(outcome)
+        assert sorted(record) == sorted(STORE_KEYS + ["error", "error_kind"])
+        restored = through_json(record, tests)
+        assert restored == outcome
+        assert restored.status == "degraded"
+
+    def test_quarantined_outcome_survives(self):
+        outcome = ProfileOutcome(error="worker died (SIGKILL)",
+                                 error_kind=WORKER_CRASH)
+        restored = through_json(parallel.profile_outcome_to_dict(outcome), {})
+        assert restored == outcome
+        assert restored.status == "quarantined"
+        assert restored.confirmed == []
+
+    def test_observed_outcome_survives_the_wire(self):
+        outcome, tests = confirming_outcome()
+        outcome.observation = {"spans": [{"name": "p", "parent_id": None}],
+                               "metrics": {"zc_executions_total": 3}}
+        record = parallel.profile_outcome_to_dict(outcome)
+        assert "observation" not in record  # never journaled or stored
+        message = dict(record, observation=outcome.observation)
+        restored = through_json(message, tests)
+        assert restored == outcome
+        assert restored.observation == outcome.observation
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.common.configuration import ref_to_clone
 from repro.common.errors import TestFailure
 from repro.common.node import register_node_type
 from repro.common.params import ParamRegistry
+from repro.core import parallel
 from repro.core.checkpoint import CheckpointError
 from repro.core.confagent import current_agent
 from repro.core.jobqueue import JobSpecError, canonical_spec
@@ -428,6 +429,59 @@ class TestInterruptionAndResume:
             campaign(self.corpus(), store=tmp_path / "store",
                      incremental=True, sample=SAMPLE_PAIRWISE,
                      checkpoint_path=checkpoint).run()
+
+
+class TestOneFold:
+    """Restored, reused and freshly run profiles all enter the campaign
+    through parallel.commit_outcome, each exactly once."""
+
+    def corpus(self):
+        return [exchange_test("TestPlan.testExchangeA"),
+                exchange_test("TestPlan.testExchangeB"),
+                lean_safe_test()]
+
+    def test_restored_reused_and_run_profiles_commit_once(self, tmp_path,
+                                                          monkeypatch):
+        # Both exchange profiles confirm synth.mode and synth.level, so
+        # at threshold 2 the second one's confirmations blacklist them:
+        # the report shows whether each fold replayed its confirmations.
+        settings = {"blacklist_threshold": 2}
+        cold = campaign(self.corpus(), **settings).run()
+        assert set(cold.blacklisted) == {"synth.level", "synth.mode"}
+        campaign(self.corpus()[:2], store=tmp_path / "store",
+                 **settings).run()
+        checkpoint = str(tmp_path / "ck.jsonl")
+        campaign(self.corpus(), store=tmp_path / "store", incremental=True,
+                 checkpoint_path=checkpoint, **settings).run()
+        # keep the journal's first test-done record (exchange A, reused)
+        with open(checkpoint) as handle:
+            lines = handle.readlines()
+        done = [line for line in lines if '"kind": "test-done"' in line]
+        kept = [line for line in lines if line not in done] + done[:1]
+        with open(checkpoint, "w") as handle:
+            handle.writelines(kept)
+
+        commits = []
+        commit = parallel.commit_outcome
+
+        def spy(campaign_, checkpoint_, name, outcome):
+            commits.append((name, outcome.status))
+            commit(campaign_, checkpoint_, name, outcome)
+
+        monkeypatch.setattr(parallel, "commit_outcome", spy)
+        resumed = campaign(self.corpus(), store=tmp_path / "store",
+                           incremental=True, checkpoint_path=checkpoint,
+                           **settings).run()
+        assert sorted(commits) == [
+            ("plansynth::TestPlan.testExchangeA", "restored"),
+            ("plansynth::TestPlan.testExchangeB", "reused"),
+            ("plansynth::TestPlan.testLeanSafe", "completed")]
+        assert findings(resumed) == findings(cold)
+        # the restored profile is not journaled a second time
+        with open(checkpoint) as handle:
+            journaled = [json.loads(line)["test"] for line in handle
+                         if '"kind": "test-done"' in line]
+        assert sorted(journaled) == sorted(name for name, _ in commits)
 
 
 # ---------------------------------------------------------------------------

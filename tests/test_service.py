@@ -208,6 +208,13 @@ def test_pooled_job_finds_what_the_serial_cli_finds(daemon, tmp_path):
             == findings_projection(json.loads(ref_json)))
 
 
+def test_job_leaves_only_its_journal(daemon):
+    record = daemon.wait_done(daemon.submit({"app": "hadooptools"})["id"])
+    journal = daemon.queue.checkpoint_path_for(record["spec_digest"])
+    assert os.listdir(os.path.dirname(journal)) \
+        == [os.path.basename(journal)]
+
+
 def test_report_404_until_done_and_listing(daemon):
     status, raw = daemon.request("GET", "/v1/campaigns/c999999/report")
     assert status == 404
