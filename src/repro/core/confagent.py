@@ -281,15 +281,30 @@ class ConfAgent:
         return clone
 
     def _move_to_unit_test(self, conf_id: int) -> None:
-        """Assign ``conf_id`` and its clone ancestors to the unit test."""
+        """Assign ``conf_id`` and its clone family to the unit test.
+
+        Rule 3 keeps a clone with its source, so the move follows clone
+        edges both ways: up to the confs ``conf_id`` was cloned from and
+        down to the clones made of them, which all shared its owner until
+        now.  A conf a node owns stays with the node and ends the walk.
+        """
+        clones: Dict[int, List[int]] = {}
+        for child_id, parent_id in self.parent_to_child.items():
+            clones.setdefault(parent_id, []).append(child_id)
+        pending = [conf_id]
         seen = set()
-        while conf_id is not None and conf_id not in seen:
+        while pending:
+            conf_id = pending.pop()
+            if conf_id in seen or self._owned_by_node(conf_id):
+                continue
             seen.add(conf_id)
             self._forget_conf(conf_id)
             self.uncertain_confs.discard(conf_id)
-            if not self._owned_by_node(conf_id):
-                self.unit_test_confs.add(conf_id)
-            conf_id = self.parent_to_child.get(conf_id)
+            self.unit_test_confs.add(conf_id)
+            parent_id = self.parent_to_child.get(conf_id)
+            if parent_id is not None:
+                pending.append(parent_id)
+            pending.extend(clones.get(conf_id, ()))
 
     def _owned_by_node(self, conf_id: int) -> bool:
         return any(conf_id in rec.conf_ids for rec in self.node_table.values())

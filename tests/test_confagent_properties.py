@@ -166,6 +166,9 @@ def test_injection_matches_resolution(operations):
 
 
 @given(OPERATIONS)
+# Rule 2 moves an uncertain source whose clone was made before the move
+@example(operations=[("new_node", 0), ("new_conf", 0), ("new_conf", 0),
+                     ("new_conf", 0), ("clone_last", 0), ("adopt", 2)])
 @settings(max_examples=80, deadline=None)
 def test_clones_follow_their_sources(operations):
     agent, confs, _, _, _ = run_operations(operations)
