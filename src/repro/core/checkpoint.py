@@ -5,7 +5,7 @@ used to mean starting over.  :class:`CampaignCheckpoint` journals results
 to an append-only JSON Lines file as they are produced, and a restarted
 campaign pointed at the same file skips everything already finished.
 
-Four record kinds appear in a journal:
+Three record kinds appear in a journal:
 
 * ``header``    — one per (app, campaign start): the settings that shape
   results.  A resume whose settings disagree with the journal would
@@ -15,9 +15,6 @@ Four record kinds appear in a journal:
   instead of replanning: the interrupted run already appended fresh
   profile records to the store, so replanning would silently reclassify
   its RERUN/NEW work as REUSE and change the journaled plan summary.
-* ``instance``  — streamed as each singleton :class:`InstanceResult`
-  completes.  Pure audit trail: it shows how far an interrupted test got,
-  but partially-journaled tests are re-run in full on resume.
 * ``test-done`` — one per finished unit-test profile (the campaign's
   parallelism granule): the profile's record
   (:func:`repro.core.parallel.profile_outcome_to_dict` — ``results``,
@@ -26,11 +23,12 @@ Four record kinds appear in a journal:
   which rebuilds the test's contribution to the final report
   bit-for-bit.
 
-Only ``test-done`` records are authoritative.  Restoring at the test
-granularity keeps resume correct for pooled testing, where a passing
-pool clears many parameters while producing *no* InstanceResults — an
-instance-level journal could not tell "pool passed" from "pool never
-ran".
+Restoring at the test granularity keeps resume correct for pooled
+testing, where a passing pool clears many parameters while producing
+*no* InstanceResults — an instance-level journal could not tell "pool
+passed" from "pool never ran" — so a test interrupted mid-profile is
+re-run in full.  :meth:`CampaignCheckpoint.load` ignores any other
+record kind, such as the per-instance lines older journals streamed.
 """
 
 from __future__ import annotations
@@ -161,8 +159,6 @@ class CampaignCheckpoint:
         self._headers: Dict[str, Dict[str, Any]] = {}
         #: app -> journaled ``plan`` payload (repro.core.plan dict).
         self._plans: Dict[str, Dict[str, Any]] = {}
-        #: tests that have streamed ``instance`` lines but no test-done.
-        self.partial_tests: Dict[str, int] = {}
 
     # -- reading -------------------------------------------------------
     def load(self) -> int:
@@ -170,7 +166,6 @@ class CampaignCheckpoint:
         self._done.clear()
         self._headers.clear()
         self._plans.clear()
-        self.partial_tests.clear()
         if not os.path.exists(self.path):
             return 0
         # errors="replace": a crash mid-append can leave raw garbage bytes
@@ -194,14 +189,8 @@ class CampaignCheckpoint:
                     self._headers[record["app"]] = record
                 elif kind == "plan":
                     self._plans[record["app"]] = record.get("plan", {})
-                elif kind == "instance":
-                    name = record["test"]
-                    if name not in self._done:
-                        self.partial_tests[name] = \
-                            self.partial_tests.get(name, 0) + 1
                 elif kind == "test-done":
                     self._done[record["test"]] = record
-                    self.partial_tests.pop(record["test"], None)
         return len(self._done)
 
     def check_header(self, app: str, settings: Mapping[str, Any]) -> None:
@@ -248,9 +237,6 @@ class CampaignCheckpoint:
         return self._done[test_name]
 
     # -- writing -------------------------------------------------------
-    def record_instance(self, result: InstanceResult) -> None:
-        self._append(dict(result_to_dict(result), kind="instance"))
-
     def record_test_done(self, test_name: str,
                          record: Mapping[str, Any]) -> None:
         """Journal one finished test's record

@@ -41,9 +41,9 @@ crashes, or answers late must never corrupt findings:
 Findings stay byte-identical to serial runs because the coordinator
 commits outcomes through the same :func:`repro.core.parallel.commit_outcome`
 path every backend uses, and the campaign folds them back in catalog
-order (:meth:`Campaign._run_inner`).  The lease queue is LPT-ordered
-(:mod:`repro.core.costmodel`), which — like every dispatch-order choice
-— affects wall-clock makespan only.
+order (:meth:`Campaign._run_inner`).  The lease queue is in
+:func:`repro.core.parallel.dispatch_order`, which — like every
+dispatch-order choice — affects wall-clock makespan only.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class Coordinator:
 
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        #: (test full name, delivery number), grant order = LPT order.
+        #: (test full name, delivery number), grant order = dispatch order.
         self.queue: List[Tuple[str, int]] = [
             (p.test.full_name, 1) for p in self.profiles]
         #: test name -> {"delivery", "holders": {worker keys}, "granted_at"}.
@@ -580,8 +580,8 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
     config = campaign.config
     host, port = net.parse_address(config.distributed)
     campaign.distribution.enabled = True
-    # LPT grant order: pure makespan, the fold stays catalog-ordered.
-    order = campaign.cost_model.lpt_order(profiles)
+    # Grant order is pure makespan: the fold stays catalog-ordered.
+    order = parallel.dispatch_order(campaign, profiles)
     coordinator = Coordinator(campaign, order, checkpoint, tests_by_name,
                               host=host, port=port)
     outcomes, remaining = coordinator.serve()

@@ -174,12 +174,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         buckets=_POOL_SIZE_BUCKETS),
     "zc_pool_max_depth": MetricSpec(
         "gauge", "Deepest bisection recursion reached."),
-    "zc_sched_predicted_executions_total": MetricSpec(
-        "counter", "Cost-model predicted executions summed over usable "
-        "profiles (analytic, emitted identically on every backend)."),
-    "zc_sched_prediction_error_executions_total": MetricSpec(
-        "counter", "Sum of |predicted - actual| executions over usable "
-        "profiles: the cost model's absolute forecasting error."),
     "zc_audit_params_total": MetricSpec(
         "counter", "Registry parameters audited by the wiring audit, "
         "by verdict (WIRED / UNREAD / READ_BUT_INERT)."),

@@ -20,7 +20,6 @@ from repro.common.simulation import kernel_stats_snapshot
 from repro.core import parallel
 from repro.core.confagent import UNIT_TEST
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.costmodel import CostModel
 from repro.core.execcache import ExecutionCache
 from repro.core.observe import MetricsRegistry, Observation, ProgressReporter
 from repro.core.plan import (PLAN_DECISIONS, PLAN_REUSE, SAMPLE_MODES,
@@ -346,12 +345,8 @@ class Campaign:
         #: durable cross-campaign result store (opened once per run by
         #: _open_store when config.store_path; closed after each run).
         self._store: Optional[Any] = None
-        #: per-run scheduler cost model (rebuilt in _run_inner once the
-        #: pre-run profiles exist).
-        self.cost_model = CostModel(self)
         #: per-run incremental plan (repro.core.plan.CampaignPlan; built
-        #: in _run_inner when config.incremental, else None).  The cost
-        #: model reads it to price REUSE profiles at zero.
+        #: in _run_inner when config.incremental, else None).
         self._plan: Optional[CampaignPlan] = None
         #: supervised-pool counters for the current run (reset in _run;
         #: filled by repro.core.supervise when the supervisor is used).
@@ -470,7 +465,6 @@ class Campaign:
             else:
                 outcome_by_test[name] = outcome
 
-        self.cost_model = CostModel(self)
         self.supervision = SupervisionStats()
         self.distribution = DistributionStats()
         if self.config.distributed is not None and pending:
@@ -494,18 +488,12 @@ class Campaign:
         degraded: List[str] = []
         quarantined: List[str] = []
         degraded_errors: Dict[str, str] = {}
-        predicted_total = 0
-        prediction_error = 0
         for profile in usable:
             name = profile.test.full_name
             outcome = outcome_by_test[name]
             results.extend(outcome.results)
             _merge_stats(pool_stats, outcome.stats)
             executions += outcome.executions
-            prediction = self.cost_model.predict(profile)
-            predicted_total += prediction.predicted_executions
-            prediction_error += abs(prediction.predicted_executions
-                                    - outcome.executions)
             for kind, count in outcome.fault_counts.items():
                 fault_counts[kind] = fault_counts.get(kind, 0) + count
             retries += outcome.retries
@@ -514,16 +502,6 @@ class Campaign:
                 degraded_errors[name] = outcome.error
                 if outcome.error_kind == WORKER_CRASH:
                     quarantined.append(name)
-        if self.observation is not None:
-            # Predicted-vs-actual bookkeeping is computed here in the
-            # parent, identically for every backend (and for restored
-            # profiles), so the deterministic snapshot stays
-            # backend-invariant.
-            metrics = self.observation.metrics
-            metrics.counter_inc("zc_sched_predicted_executions_total",
-                                predicted_total)
-            metrics.counter_inc("zc_sched_prediction_error_executions_total",
-                                prediction_error)
 
         stage_counts.after_pooling = pool_stats.total_instances_run
         hypothesis_stats = _hypothesis_stats(results)
@@ -755,7 +733,11 @@ class Campaign:
         one.  Only clean outcomes are recorded (degraded or quarantined
         profiles must be re-run, never reused), and REUSE folds are
         skipped: their authoritative record — with the *original*
-        execution count the planner prices — is already durable.
+        execution count the planner prices — is already durable.  For the
+        same reason a stored record that differs from the fresh one only
+        in accounting (:func:`repro.core.parallel.without_accounting`) is
+        kept: a warm rerun answered from the store spends no executions,
+        and its record would tell the planner that reusing saves none.
         """
         if self._store is None:
             return
@@ -772,9 +754,11 @@ class Campaign:
             record = parallel.profile_outcome_to_dict(outcome)
             stored = self._store.lookup_profile(key)
             if stored is not None \
-                    and stored.get("record") == record \
-                    and list(stored.get("confirmed", [])) == confirmed:
-                continue  # identical record already durable
+                    and list(stored.get("confirmed", [])) == confirmed \
+                    and parallel.without_accounting(
+                        stored.get("record", {})) \
+                    == parallel.without_accounting(record):
+                continue  # the same findings are already durable
             self._store.append_profile(key, name, record,
                                        confirmed=confirmed)
 
@@ -786,8 +770,9 @@ class Campaign:
         """Run ``profiles`` on this host; outcomes keyed by test name.
 
         ``workers > 1`` with ``fork`` available runs the supervised pool
-        (repro.core.supervise), longest-predicted-first; anything else
-        runs serially, in the order given.  Every outcome commits through
+        (repro.core.supervise) in
+        :func:`repro.core.parallel.dispatch_order`; anything else runs
+        serially, in the order given.  Every outcome commits through
         :func:`repro.core.parallel.commit_outcome` the moment it
         finishes, then goes to ``outcome_sink(name, outcome)`` if set.
         """
@@ -796,7 +781,7 @@ class Campaign:
             # keyed by test and folded back in catalog order, so
             # reordering here cannot change findings or deterministic
             # metrics.
-            profiles = self.cost_model.lpt_order(profiles)
+            profiles = parallel.dispatch_order(self, profiles)
             from repro.core.supervise import run_profiles_parallel
             return run_profiles_parallel(self, profiles, checkpoint,
                                          tests_by_name, outcome_sink)
@@ -804,20 +789,18 @@ class Campaign:
         for profile in profiles:
             self._check_cancelled()
             name = profile.test.full_name
-            outcome = self._run_profile_contained(profile, checkpoint)
+            outcome = self._run_profile_contained(profile)
             parallel.commit_outcome(self, checkpoint, name, outcome)
             if outcome_sink is not None:
                 outcome_sink(name, outcome)
             outcomes[name] = outcome
         return outcomes
 
-    def _run_profile_contained(self, profile: TestProfile,
-                               checkpoint: Optional[CampaignCheckpoint]
-                               ) -> ProfileOutcome:
+    def _run_profile_contained(self, profile: TestProfile) -> ProfileOutcome:
         """Run one profile, containing harness crashes as a degraded
         outcome instead of letting them abort the campaign."""
         try:
-            return self._run_test_profile(profile, checkpoint)
+            return self._run_test_profile(profile)
         except Exception:  # noqa: BLE001 - graceful degradation
             return ProfileOutcome(error=traceback.format_exc(),
                                   error_kind=HARNESS_ERROR)
@@ -1005,18 +988,14 @@ class Campaign:
                               executions=outcome.executions,
                               machine_time_s=(outcome.executions
                                               * self.config.run_cost_s),
-                              instances=len(outcome.results),
-                              predicted_executions=self.cost_model.predict(
-                                  profile).predicted_executions)
+                              instances=len(outcome.results))
                    for profile in usable
                    for outcome in (outcome_by_test[profile.test.full_name],)]
         centers.sort(key=lambda center: (-center.executions, center.test))
         return tuple(centers[:limit])
 
     # ------------------------------------------------------------------
-    def _run_test_profile(self, profile: TestProfile,
-                          checkpoint: Optional[CampaignCheckpoint] = None
-                          ) -> ProfileOutcome:
+    def _run_test_profile(self, profile: TestProfile) -> ProfileOutcome:
         """All pooled testing for one unit test (parallelism granule).
 
         With observation on, the profile gets its *own* Observation —
@@ -1025,18 +1004,17 @@ class Campaign:
         parent can merge it deterministically.
         """
         if not self._observing():
-            return self._profile_body(profile, checkpoint, None)
+            return self._profile_body(profile, None)
         obs = Observation(metrics=MetricsRegistry(
             constant_labels={"app": self.app}))
         with obs.span(profile.test.full_name, kind="profile") as span:
-            outcome = self._profile_body(profile, checkpoint, obs)
+            outcome = self._profile_body(profile, obs)
             if outcome.error_kind:
                 span.attrs["error_kind"] = outcome.error_kind
         outcome.observation = obs.to_wire()
         return outcome
 
     def _profile_body(self, profile: TestProfile,
-                      checkpoint: Optional[CampaignCheckpoint],
                       obs: Optional[Observation]) -> ProfileOutcome:
         runner = TestRunner(alpha=self.config.alpha,
                             max_trials=self.config.max_trials,
@@ -1048,10 +1026,8 @@ class Campaign:
                             cache=self._build_cache(),
                             collapse_exclude=profile.explicit_sets,
                             observe=obs)
-        on_result = None if checkpoint is None else checkpoint.record_instance
         tester = PooledTester(runner, tracker=self.tracker,
-                              max_pool_size=self.config.max_pool_size,
-                              on_result=on_result)
+                              max_pool_size=self.config.max_pool_size)
         kernel_before = kernel_stats_snapshot()
         results: List[InstanceResult] = []
         error = ""
@@ -1068,8 +1044,7 @@ class Campaign:
                                   for name in params}
                 layers = max((len(p) for p in pairs_by_param.values()), default=0)
                 # Deterministic, seeded subset of (strategy, layer, param)
-                # cells (--sample); None = exhaustive.  The cost model
-                # mirrors this exact filter so its forecast stays honest.
+                # cells (--sample); None = exhaustive.
                 kept = sample_cells(
                     self.config.sample, self.config.sample_seed,
                     self.config.sample_k, profile.test.full_name, group,

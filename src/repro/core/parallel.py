@@ -25,6 +25,10 @@ path shares:
   Blacklist propagation *between* concurrently running profiles follows
   completion order, so run-to-run byte-identity at ``workers > 1``
   requires decoupled profiles.
+* **The dispatch order.**  :func:`dispatch_order` is the queue the
+  supervised pool and the distributed coordinator hand profiles out
+  from: longest first by measured pre-run weight.  Serial runs keep
+  catalog order.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import asdict
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.checkpoint import result_from_dict, result_to_dict
+from repro.core.plan import profile_testable_params
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
 
@@ -57,6 +62,22 @@ def profile_outcome_to_dict(outcome: Any) -> Dict[str, Any]:
         record["error"] = outcome.error
         record["error_kind"] = outcome.error_kind
     return record
+
+
+def without_accounting(record: Mapping[str, Any]) -> Dict[str, Any]:
+    """A record minus what the profile spent: ``executions``,
+    ``fault_counts`` and ``retries``, each result's ``executions`` and the
+    ``exec_cache_*`` pool counters.  Two runs that found the same thing
+    agree here even when one was answered from the store for free."""
+    body = {key: value for key, value in record.items()
+            if key not in ("executions", "fault_counts", "retries")}
+    body["results"] = [{key: value for key, value in result.items()
+                        if key != "executions"}
+                       for result in record.get("results", ())]
+    body["pool_stats"] = {key: value for key, value
+                          in record.get("pool_stats", {}).items()
+                          if not key.startswith("exec_cache_")}
+    return body
 
 
 def profile_outcome_from_dict(record: Mapping[str, Any],
@@ -91,6 +112,17 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
+
+
+def dispatch_order(campaign: Any, profiles: Sequence[Any]) -> List[Any]:
+    """``profiles`` longest first, as a new list: the pre-run's measured
+    wall time times the number of parameters the campaign will test on
+    the profile, ties broken on test name.  Outcomes fold back in
+    catalog order, so the order moves wall clock only, never findings."""
+    def weight(profile: Any) -> float:
+        return profile.prerun_wall_s * len(
+            profile_testable_params(campaign, profile))
+    return sorted(profiles, key=lambda p: (-weight(p), p.test.full_name))
 
 
 def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.execcache import execution_seed
 from repro.core.runner import CONFIRMED_UNSAFE, InstanceResult, TestRunner
@@ -97,7 +97,6 @@ class PooledTester:
     def __init__(self, runner: TestRunner,
                  tracker: Optional[FrequentFailureTracker] = None,
                  max_pool_size: Optional[int] = None,
-                 on_result: Optional[Callable[[InstanceResult], None]] = None,
                  max_pool_redraws: int = 2) -> None:
         self.runner = runner
         self.tracker = tracker if tracker is not None else FrequentFailureTracker()
@@ -108,9 +107,6 @@ class PooledTester:
         #: re-drawn under a fresh seed before the pool gives up (infra)
         #: or the failure is accepted as oracle evidence (timeout).
         self.max_pool_redraws = max(max_pool_redraws, 0)
-        #: invoked with each InstanceResult the moment it is produced
-        #: (campaign checkpoints journal through this).
-        self.on_result = on_result
         self.stats = PoolStats()
         #: test full name -> parameters already confirmed unsafe on it;
         #: once a parameter is confirmed for a unit test, its remaining
@@ -172,8 +168,6 @@ class PooledTester:
             if result.verdict == CONFIRMED_UNSAFE:
                 confirmed_here.add(param)
                 self.tracker.record_unsafe(param, test.full_name)
-            if self.on_result is not None:
-                self.on_result(result)
             return [result]
 
         assignment = HeteroAssignment(tuple(units))

@@ -65,8 +65,8 @@ class TestProfile:
     #: wall seconds the single pre-run execution took: the first
     #: measurement in this process, since later pre-runs of the same
     #: test reuse its profile.  Volatile (host dependent) — used only as
-    #: the per-execution weight in the cost model's makespan scheduling,
-    #: never in findings or reports.
+    #: the weight in :func:`repro.core.parallel.dispatch_order`, never
+    #: in findings or reports.
     prerun_wall_s: float = 0.0
 
     @property

@@ -157,10 +157,6 @@ class CostCenter:
     executions: int
     machine_time_s: float
     instances: int
-    #: the scheduler cost model's analytic forecast for this profile
-    #: (deterministic integer math; see repro.core.costmodel).  Rendered
-    #: next to the actuals so prediction drift is visible per test.
-    predicted_executions: int = 0
 
 
 @dataclass
@@ -362,8 +358,7 @@ def app_report_to_dict(report: AppReport) -> Dict[str, object]:
         "cost_centers": [
             {"test": center.test, "executions": center.executions,
              "machine_time_s": center.machine_time_s,
-             "instances": center.instances,
-             "predicted_executions": center.predicted_executions}
+             "instances": center.instances}
             for center in report.cost_centers
         ],
         "supervision": {

@@ -113,10 +113,8 @@ def app_report_markdown(report: AppReport) -> str:
     if report.cost_centers:
         sections.append("## Top cost centers")
         sections.append(_table(
-            ["Unit test", "Executions", "Predicted", "Modelled hours",
-             "Instances"],
+            ["Unit test", "Executions", "Modelled hours", "Instances"],
             [["`%s`" % center.test, format(center.executions, ","),
-              format(center.predicted_executions, ","),
               "%.1f" % (center.machine_time_s / 3600), center.instances]
              for center in report.cost_centers]))
         sections.append("")

@@ -172,7 +172,7 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
         if plan is not None and plan.worker_crash_decision(name, delivery):
             os._exit(INJECTED_CRASH_EXIT)
         try:
-            outcome = campaign._run_profile_contained(profiles[name], None)
+            outcome = campaign._run_profile_contained(profiles[name])
         except BaseException:  # noqa: BLE001 - the wire carries the stack
             from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
             outcome = ProfileOutcome(error=traceback.format_exc(),

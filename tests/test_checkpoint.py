@@ -86,7 +86,6 @@ class TestJournal:
         result = evaluated_result()
         first = CampaignCheckpoint(path)
         first.load()
-        first.record_instance(result)
         first.record_test_done(result.instance.test.full_name, done_record(
             [result], 9, fault_counts={"drop": 2}, retries=1))
         second = CampaignCheckpoint(path)
@@ -163,12 +162,31 @@ class TestJournal:
         assert not fresh.has_test("synth::c")
 
     def test_partial_instances_do_not_count_as_done(self, tmp_path):
+        """Journals used to stream one ``instance`` line per singleton
+        result.  One that holds a header and such lines but no
+        ``test-done`` has finished nothing, and resumes to the
+        uninterrupted report."""
         path = str(tmp_path / "ck.jsonl")
-        checkpoint = CampaignCheckpoint(path)
-        checkpoint.record_instance(evaluated_result())
-        fresh = CampaignCheckpoint(path)
-        assert fresh.load() == 0
-        assert "synth::TestSynth.testExchange" in fresh.partial_tests
+        full = campaign(counting_tests({}), checkpoint_path=path).run()
+        old_format = []
+        for line in open(path):
+            record = json.loads(line)
+            if record["kind"] == "test-done":
+                old_format.extend(
+                    json.dumps(dict(result, kind="instance"),
+                               sort_keys=True) + "\n"
+                    for result in record["results"])
+            else:
+                old_format.append(line)
+        assert any('"kind": "instance"' in line for line in old_format)
+        with open(path, "w") as handle:
+            handle.writelines(old_format)
+        assert CampaignCheckpoint(path).load() == 0
+        counters = {}
+        resumed = campaign(counting_tests(counters),
+                           checkpoint_path=path).run()
+        assert app_report_to_dict(resumed) == app_report_to_dict(full)
+        assert all(count > 1 for count in counters.values())  # all re-ran
 
     def test_header_mismatch_is_refused(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
@@ -328,6 +346,26 @@ class TestCampaignResume:
                           checkpoint_path=path).run()
         assert app_report_to_dict(second) == app_report_to_dict(first)
         assert all(count == 1 for count in counters.values())  # pre-run only
+
+
+class TestJournalRecords:
+    def test_journal_holds_a_header_and_one_record_per_profile(self,
+                                                               tmp_path):
+        """A serial journal carries what a resume reads and nothing
+        else, the same records as a pooled run's."""
+        kinds = {}
+        for workers in (1, 2):
+            path = str(tmp_path / ("ck%d.jsonl" % workers))
+            campaign(counting_tests({}), workers=workers,
+                     blacklist_threshold=999, checkpoint_path=path).run()
+            with open(path) as handle:
+                records = [json.loads(line) for line in handle]
+            kinds[workers] = sorted((record["kind"], record.get("test", ""))
+                                    for record in records)
+        assert kinds[1] == kinds[2]
+        assert kinds[1] == [("header", "")] + [
+            ("test-done", "synth::TestCk.testExchange%02d" % index)
+            for index in range(5)]
 
 
 class TestNothingBesideTheJournal:

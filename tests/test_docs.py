@@ -55,6 +55,20 @@ def test_checker_catches_a_planted_unknown_spec_key(tmp_path):
     assert any("'app' is undocumented" in p for p in problems)
 
 
+def test_checker_catches_a_planted_unknown_metric(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "Export `zc_definitely_not_a_metric_total`, `zc_nothing_here_*`, "
+        "`zc_pool_size_bucket`, `zc_runtime_*` and `zc_executions_total` "
+        "for " + _README_SURFACE)
+    problems = check_docs.check(str(tmp_path))
+    metric_problems = [p for p in problems if " zc_" in p]
+    assert len(metric_problems) == 2, metric_problems
+    assert any("zc_definitely_not_a_metric_total is not in the metric "
+               "catalog" in p for p in metric_problems)
+    assert any("zc_nothing_here_* matches no catalogued metric" in p
+               for p in metric_problems)
+
+
 def test_checker_requires_the_docs_index(tmp_path):
     (tmp_path / "README.md").write_text("")
     problems = check_docs.check(str(tmp_path))

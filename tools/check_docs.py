@@ -14,7 +14,11 @@ flag the README never documents.  Concretely, it enforces:
 4. every ``docs/NAME.md`` cross-reference points at a file that exists;
 5. ``docs/README.md`` (the index) links every ``docs/*.md`` file;
 6. the spec-key table in ``docs/SERVICE.md`` lists exactly the keys of
-   ``repro.core.jobqueue.SPEC_SCHEMA``.
+   ``repro.core.jobqueue.SPEC_SCHEMA``;
+7. every ``zc_*`` metric named in README.md or docs/*.md exists in
+   ``repro.core.observe.METRIC_CATALOG`` (a histogram's ``_bucket``,
+   ``_sum`` and ``_count`` series included), and every ``zc_family_*``
+   shorthand matches at least one catalogued name.
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -44,6 +48,12 @@ EXTERNAL_FLAGS = {
 #: matches at punctuation (``--store's`` -> ``--store``).
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*(?:-?\*)?")
 
+#: ``zc_metric_name`` or ``zc_family_*`` tokens.
+_METRIC_RE = re.compile(r"\bzc_[a-z0-9_]*(?:[a-z0-9]|\*)")
+
+#: series a histogram exports beside its catalogued name.
+_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
+
 #: ``docs/NAME.md`` cross-references.
 _DOCREF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 
@@ -70,6 +80,20 @@ def collect_cli_surface() -> "tuple[Set[str], Set[str]]":
 
     walk(parser)
     return flags, commands
+
+
+def metric_problem(token: str, catalog: Set[str]) -> str:
+    """Why ``token`` names no catalogued metric ("" when it does)."""
+    if token.endswith("*"):
+        prefix = token[:-1]
+        if any(name.startswith(prefix) for name in catalog):
+            return ""
+        return "metric family %s matches no catalogued metric" % token
+    if token in catalog or any(
+            token.endswith(suffix) and token[:-len(suffix)] in catalog
+            for suffix in _HISTOGRAM_SUFFIXES):
+        return ""
+    return "%s is not in the metric catalog" % token
 
 
 def doc_files(root: str) -> List[str]:
@@ -117,8 +141,10 @@ def check_spec_table(root: str) -> List[str]:
 
 def check(root: str) -> List[str]:
     """Run every cross-reference check; return a list of problems."""
+    from repro.core.observe import METRIC_CATALOG
     problems: List[str] = []
     known_flags, commands = collect_cli_surface()
+    metrics = set(METRIC_CATALOG)
     files = doc_files(root)
     readme_text = ""
     flag_mentions: Dict[str, Set[str]] = {}
@@ -145,6 +171,10 @@ def check(root: str) -> List[str]:
                     problems.append(
                         "%s:%d: %s is not a flag of any repro subcommand"
                         % (rel, lineno, token))
+            for token in _METRIC_RE.findall(line):
+                problem = metric_problem(token, metrics)
+                if problem:
+                    problems.append("%s:%d: %s" % (rel, lineno, problem))
         for ref in _DOCREF_RE.findall(text):
             if not os.path.isfile(os.path.join(root, ref)):
                 problems.append("%s: broken cross-reference %s"
