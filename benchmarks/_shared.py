@@ -40,7 +40,7 @@ def bench_artifact_path(name: str) -> str:
 
 
 def write_bench_artifact(name: str, rows: dict) -> str:
-    """Persist one bench's measured rows as ``BENCH_<name>``; returns path."""
+    """Persist one bench's measured rows as ``name``; returns the path."""
     path = bench_artifact_path(name)
     directory = os.path.dirname(path)
     if directory:

@@ -18,17 +18,17 @@ Two claims are measured on the HDFS campaign:
    ``taskset -c 0``) — on a single-core runner process fan-out cannot
    win and only the equal-findings invariant is checked.
 
-The measured rows are written as a JSON artifact (path from the
-``EXECCACHE_BENCH_JSON`` environment variable, default
-``bench_execcache.json``) so CI can archive the numbers per commit.
+The measured rows are written as ``bench_execcache.json`` through
+``_shared.write_bench_artifact`` (under ``$BENCH_ARTIFACT_DIR``, default
+the working directory) so CI can archive the numbers per commit.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
+from _shared import write_bench_artifact
 from repro.apps import catalog
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.parallel import usable_cpus
@@ -117,10 +117,7 @@ def test_execcache_and_backends(benchmark):
           % (backends["workers"], backends["cpu_count"],
              backends["wall_serial_s"], backends["wall_supervised_s"]))
 
-    artifact = os.environ.get("EXECCACHE_BENCH_JSON", "bench_execcache.json")
-    with open(artifact, "w") as sink:
-        json.dump(rows, sink, indent=2, sort_keys=True)
-    print("wrote %s" % artifact)
+    write_bench_artifact("bench_execcache.json", rows)
 
     # soundness: caching may only remove duplicate work, never change it
     assert cache["verdicts_identical"]

@@ -20,9 +20,9 @@ The benchmark also asserts the two invariants that make the layer safe
 to leave on: observation never changes findings, and the exported
 metrics reconcile *exactly* with the report.
 
-Rows are written as a JSON artifact (path from the
-``OBSERVABILITY_BENCH_JSON`` environment variable, default
-``bench_observability.json``) so CI can archive the numbers per commit.
+Rows are written as ``bench_observability.json`` through
+``_shared.write_bench_artifact`` (under ``$BENCH_ARTIFACT_DIR``, default
+the working directory) so CI can archive the numbers per commit.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import os
 import statistics
 import time
 
+from _shared import write_bench_artifact
 from repro.apps import catalog
 from repro.core.observe import (read_metrics_totals, reconcile_with_report,
                                 write_metrics_text)
@@ -119,11 +120,7 @@ def test_observability_overhead(benchmark):
              for fraction in rows["overhead_fractions"])],
          ["spans collected", format(rows["spans"], ",")]]))
 
-    artifact = os.environ.get("OBSERVABILITY_BENCH_JSON",
-                              "bench_observability.json")
-    with open(artifact, "w") as sink:
-        json.dump(rows, sink, indent=2, sort_keys=True)
-    print("wrote %s" % artifact)
+    write_bench_artifact("bench_observability.json", rows)
 
     # observation may change what we can see, never what we find
     assert rows["findings_identical"]

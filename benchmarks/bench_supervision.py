@@ -17,17 +17,17 @@ scheduling):
   Four workers on one usable CPU only contend for it (1.35 × serial
   under ``taskset -c 0`` on a 2-vCPU host), and the gate fails there.
 
-Rows are written as a JSON artifact (path from the
-``SUPERVISION_BENCH_JSON`` environment variable, default
-``bench_supervision.json``) so CI can archive the numbers per commit.
+Rows are written as ``bench_supervision.json`` through
+``_shared.write_bench_artifact`` (under ``$BENCH_ARTIFACT_DIR``, default
+the working directory) so CI can archive the numbers per commit.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
+from _shared import write_bench_artifact
 from repro.apps import catalog
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.parallel import usable_cpus
@@ -91,11 +91,7 @@ def test_supervision_overhead(benchmark):
           % (rows["wall_ratio"], MAX_WALL_RATIO)],
          ["workers spawned", rows["workers_spawned"]]]))
 
-    artifact = os.environ.get("SUPERVISION_BENCH_JSON",
-                              "bench_supervision.json")
-    with open(artifact, "w") as sink:
-        json.dump(rows, sink, indent=2, sort_keys=True)
-    print("wrote %s" % artifact)
+    write_bench_artifact("bench_supervision.json", rows)
 
     # supervision may change how workers run, never what they find
     assert rows["findings_identical"]

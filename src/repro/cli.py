@@ -19,9 +19,11 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import catalog
+from repro.common.faults import (FAULT_KINDS, NET_FAULT_KINDS, check_faults,
+                                 fault_plans)
 from repro.core.checkpoint import CheckpointError
 from repro.core.orchestrator import Campaign, CampaignConfig, run_full_campaign
 from repro.core.registry import load_all_suites
@@ -91,41 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--name", default="",
                         help="worker name shown in the coordinator's fleet "
                              "table (default: host#pid)")
-    worker.add_argument("--workers", type=int, default=1,
-                        help="local execution slots; >1 runs leased "
-                             "profiles through the supervised process pool")
-    worker.add_argument("--worker-redelivery", type=int, default=2,
-                        metavar="N",
-                        help="local in-pool redeliveries before a profile "
-                             "is reported as quarantined (default 2)")
-    worker.add_argument("--crash-loop-threshold", type=int, default=5,
-                        metavar="K",
-                        help="consecutive local worker deaths that trip the "
-                             "local circuit breaker (default 5)")
-    worker.add_argument("--profile-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per profile in the local "
-                             "pool (default: none)")
-    worker.add_argument("--worker-rlimit-cpu", type=int, default=None,
-                        metavar="SECONDS", help="RLIMIT_CPU per pool worker")
-    worker.add_argument("--worker-rlimit-mem", type=int, default=None,
-                        metavar="MB", help="RLIMIT_AS (MB) per pool worker")
     worker.add_argument("--reconnect-attempts", type=int, default=8,
                         metavar="N",
                         help="consecutive failed (re)connects before the "
                              "worker gives up (default 8; backoff is "
                              "exponential with jitter)")
-    worker.add_argument("--store", metavar="DIR", default=None,
-                        help="durable result store for this worker's own "
-                             "executions (local directory; store paths "
-                             "never travel over the wire)")
-    worker.add_argument("--dist-secret", metavar="SECRET",
-                        default=os.environ.get("REPRO_DIST_SECRET") or None,
-                        help="shared secret for the HMAC handshake with the "
-                             "coordinator (default: $REPRO_DIST_SECRET); a "
-                             "worker with a secret refuses coordinators "
-                             "that do not authenticate")
-    _add_net_fault_flags(worker)
+    _add_shared_flags(worker)
+    _add_fault_flags(worker.add_argument_group(
+        "network chaos", "deterministic fault injection on this worker's "
+                         "own connections"), NET_FAULT_KINDS)
 
     store = sub.add_parser("store",
                            help="inspect or compact a durable result store "
@@ -210,12 +186,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``campaign``, ``evaluate`` and ``worker`` share; they
+    set the config fields :func:`_shared_config_fields` returns."""
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers (default 1); >1 runs "
-                             "profiles on the supervised pool of forked "
-                             "processes (serially where fork is "
-                             "unavailable)")
+                             "profiles (on a worker: leased profiles) on "
+                             "the supervised pool of forked processes "
+                             "(serially where fork is unavailable)")
+    parser.add_argument("--store", metavar="DIR", default=None,
+                        help="durable cross-campaign result store: implies "
+                             "--exec-cache accounting, persists outcomes and "
+                             "reports to DIR so a second campaign starts "
+                             "warm; findings are byte-identical warm or "
+                             "cold (docs/STORE.md); a worker uses its store "
+                             "only when the coordinator has one, and store "
+                             "paths never travel over the wire")
+    parser.add_argument("--dist-secret", metavar="SECRET",
+                        default=os.environ.get("REPRO_DIST_SECRET") or None,
+                        help="shared secret for the coordinator/worker HMAC "
+                             "handshake (default: $REPRO_DIST_SECRET); each "
+                             "side refuses a peer that does not "
+                             "authenticate, and the secret never appears "
+                             "on the wire or in the checkpoint journal")
+    pool = parser.add_argument_group(
+        "supervised pool", "crash containment for --workers > 1")
+    pool.add_argument("--profile-deadline", type=float, default=None,
+                      metavar="SECONDS",
+                      help="real-time wall-clock budget per unit-test "
+                           "profile under supervision; on expiry the "
+                           "worker is SIGKILLed and the profile "
+                           "quarantined (default: none)")
+    pool.add_argument("--worker-rlimit-cpu", type=int, default=None,
+                      metavar="SECONDS",
+                      help="RLIMIT_CPU for each supervised worker; "
+                           "workers are recycled per profile so every "
+                           "profile gets a fresh CPU budget")
+    pool.add_argument("--worker-rlimit-mem", type=int, default=None,
+                      metavar="MB",
+                      help="RLIMIT_AS (address space, MB) for each "
+                           "supervised worker")
+    pool.add_argument("--worker-redelivery", type=int, default=2,
+                      metavar="N",
+                      help="times a profile is redelivered to a fresh "
+                           "worker after its worker crashed, before "
+                           "being quarantined (default 2)")
+    pool.add_argument("--crash-loop-threshold", type=int, default=5,
+                      metavar="K",
+                      help="consecutive worker deaths (no completed "
+                           "profile in between) that trip the "
+                           "supervisor's circuit breaker and halt the "
+                           "campaign with a partial report (default 5)")
+
+
+def _shared_config_fields(args: argparse.Namespace) -> Dict[str, Any]:
+    """The config fields :func:`_add_shared_flags`' flags set."""
+    return {"workers": args.workers,
+            "store_path": args.store,
+            "dist_secret": args.dist_secret,
+            "profile_deadline_s": args.profile_deadline,
+            "worker_rlimit_cpu_s": args.worker_rlimit_cpu,
+            "worker_rlimit_mem_mb": args.worker_rlimit_mem,
+            "worker_redelivery": args.worker_redelivery,
+            "crash_loop_threshold": args.crash_loop_threshold}
+
+
+def _fault_arg(kinds: Sequence[str]) -> Callable[[str], Tuple[str, Any]]:
+    """The argparse type of ``--fault KIND=VALUE``, limited to ``kinds``."""
+    def parse(text: str) -> Tuple[str, Any]:
+        kind, _, value = text.partition("=")
+        try:
+            return check_faults({kind: float(value)}, kinds).popitem()
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("%s: %s" % (text, exc))
+    return parse
+
+
+def _add_fault_flags(group: argparse._ArgumentGroup,
+                     kinds: Sequence[str]) -> None:
+    """``--fault-seed`` and ``--fault KIND=VALUE`` for ``kinds``."""
+    group.add_argument("--fault-seed", type=int, default=0, metavar="SEED",
+                       help="seed for every deterministic fault schedule "
+                            "(same seed = identical chaos, default 0)")
+    group.add_argument("--fault", action="append", dest="faults",
+                       type=_fault_arg(kinds), metavar="KIND=VALUE",
+                       help="inject one fault kind (repeatable; overrides "
+                            "the --chaos preset); VALUE is a probability, "
+                            "or for net_partition the frames before each "
+                            "connection is severed.  Kinds: "
+                            + ", ".join(kinds))
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    _add_shared_flags(parser)
     parser.add_argument("--parallel-backend", choices=("process",),
                         help="accepted for compatibility and ignored: "
                              "--workers > 1 always forks processes")
@@ -226,12 +289,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "simulates once, cost nothing instead of being "
                              "charged as the paper does; verdicts are "
                              "byte-identical either way")
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="durable cross-campaign result store: implies "
-                             "--exec-cache accounting, persists outcomes and "
-                             "reports to DIR so a second campaign starts "
-                             "warm; findings are byte-identical warm or "
-                             "cold (docs/STORE.md)")
     parser.add_argument("--incremental", action="store_true",
                         help="plan against the --store before running: "
                              "profiles whose parameters and settings are "
@@ -299,64 +356,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                             help="inject the moderate fault preset (message "
                                  "drops/delays/duplicates, node crashes, "
                                  "slow I/O, clock jitter, infra errors)")
-    resilience.add_argument("--fault-seed", type=int, default=0,
-                            metavar="SEED",
-                            help="seed for the deterministic fault schedule "
-                                 "(same seed = identical chaos, default 0)")
-    for flag, text in (
-            ("--fault-drop", "message/RPC drop probability"),
-            ("--fault-delay", "message delay probability"),
-            ("--fault-duplicate", "RPC duplicate-delivery probability"),
-            ("--fault-crash", "per-node crash/restart probability"),
-            ("--fault-slow-io", "slow-I/O perturbation probability"),
-            ("--fault-clock-jitter", "relative timer clock jitter"),
-            ("--fault-infra", "injected infrastructure-error probability"),
-            ("--fault-worker-crash", "probability a supervised worker "
-                                     "process hard-crashes per delivery")):
-        resilience.add_argument(flag, type=float, default=None,
-                                metavar="PROB",
-                                help="%s (overrides the --chaos preset)" % text)
-    for flag, text in (
-            ("--fault-disk-torn-write", "a store append is torn mid-record "
-                                        "(prefix reaches disk, then EIO)"),
-            ("--fault-disk-short-write", "a store append silently persists "
-                                         "only a prefix"),
-            ("--fault-disk-enospc", "a store append fails with ENOSPC "
-                                    "before writing anything"),
-            ("--fault-disk-crash-after-write", "the process crashes "
-                                               "immediately after a durable "
-                                               "store append")):
-        resilience.add_argument(flag, type=float, default=0.0,
-                                metavar="PROB",
-                                help="probability %s; applies only to the "
-                                     "--store disk layer, seeded by "
-                                     "--fault-seed" % text)
-    resilience.add_argument("--profile-deadline", type=float, default=None,
-                            metavar="SECONDS",
-                            help="real-time wall-clock budget per unit-test "
-                                 "profile under supervision; on expiry the "
-                                 "worker is SIGKILLed and the profile "
-                                 "quarantined (default: none)")
-    resilience.add_argument("--worker-rlimit-cpu", type=int, default=None,
-                            metavar="SECONDS",
-                            help="RLIMIT_CPU for each supervised worker; "
-                                 "workers are recycled per profile so every "
-                                 "profile gets a fresh CPU budget")
-    resilience.add_argument("--worker-rlimit-mem", type=int, default=None,
-                            metavar="MB",
-                            help="RLIMIT_AS (address space, MB) for each "
-                                 "supervised worker")
-    resilience.add_argument("--worker-redelivery", type=int, default=2,
-                            metavar="N",
-                            help="times a profile is redelivered to a fresh "
-                                 "worker after its worker crashed, before "
-                                 "being quarantined (default 2)")
-    resilience.add_argument("--crash-loop-threshold", type=int, default=5,
-                            metavar="K",
-                            help="consecutive worker deaths (no completed "
-                                 "profile in between) that trip the "
-                                 "supervisor's circuit breaker and halt the "
-                                 "campaign with a partial report (default 5)")
+    _add_fault_flags(resilience, tuple(FAULT_KINDS))
     distributed = parser.add_argument_group(
         "distributed execution", "coordinator-side remote worker fleet "
                                  "(docs/DISTRIBUTED.md)")
@@ -394,15 +394,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              help="how long to run with zero live workers "
                                   "(after some joined) before degrading to "
                                   "the local pool (default 10)")
-    distributed.add_argument("--dist-secret", metavar="SECRET",
-                             default=os.environ.get("REPRO_DIST_SECRET")
-                             or None,
-                             help="shared secret for the worker HMAC "
-                                  "handshake (default: $REPRO_DIST_SECRET); "
-                                  "unauthenticated workers are rejected and "
-                                  "the secret never appears on the wire or "
-                                  "in the checkpoint journal")
-    _add_net_fault_flags(parser, group=distributed)
     observability = parser.add_argument_group(
         "observability", "span tracing, metrics, live progress "
                          "(docs/OBSERVABILITY.md)")
@@ -425,95 +416,25 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                                     "hit-rate, voids, respawns)")
 
 
-def _add_net_fault_flags(parser: argparse.ArgumentParser,
-                         group: Optional[argparse._ArgumentGroup] = None
-                         ) -> None:
-    """Transport-level chaos knobs, shared by coordinator and worker."""
-    target = group if group is not None else parser.add_argument_group(
-        "network chaos", "deterministic transport-level fault injection")
-    target.add_argument("--fault-net-drop", type=float, default=0.0,
-                        metavar="PROB",
-                        help="probability an outbound frame is silently "
-                             "dropped (deterministic per frame)")
-    target.add_argument("--fault-net-delay", type=float, default=0.0,
-                        metavar="PROB",
-                        help="probability an outbound frame is delayed")
-    target.add_argument("--fault-net-partition", type=int, default=0,
-                        metavar="N",
-                        help="hard-close each connection after N outbound "
-                             "frames (0 = never), simulating a partition")
-    target.add_argument("--fault-net-seed", type=int, default=0,
-                        metavar="SEED",
-                        help="seed for the net fault schedule (same seed = "
-                             "identical chaos, default 0)")
-
-
-def _net_fault_plan(args: argparse.Namespace) -> "Optional[NetFaultPlan]":
-    from repro.common.transport import NetFaultPlan
-    plan = NetFaultPlan(seed=args.fault_net_seed,
-                        drop_prob=args.fault_net_drop,
-                        delay_prob=args.fault_net_delay,
-                        partition_after=args.fault_net_partition)
-    return plan if plan.active else None
-
-
-def _fault_plan(args: argparse.Namespace) -> "Optional[FaultPlan]":
-    from dataclasses import replace
-
-    from repro.common.faults import FaultPlan
-    base = (FaultPlan.moderate(args.fault_seed) if args.chaos
-            else FaultPlan(seed=args.fault_seed))
-    overrides = {}
-    for flag, fieldname in (("fault_drop", "drop_prob"),
-                            ("fault_delay", "delay_prob"),
-                            ("fault_duplicate", "duplicate_prob"),
-                            ("fault_crash", "crash_prob"),
-                            ("fault_slow_io", "io_slowdown_prob"),
-                            ("fault_clock_jitter", "clock_jitter"),
-                            ("fault_infra", "infra_error_prob"),
-                            ("fault_worker_crash", "worker_crash_prob")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[fieldname] = value
-    plan = replace(base, **overrides) if overrides else base
-    return plan if plan.active else None
-
-
-def _disk_fault_plan(args: argparse.Namespace) -> "Optional[DiskFaultPlan]":
-    from repro.common.faults import DiskFaultPlan
-    plan = DiskFaultPlan(
-        seed=args.fault_seed,
-        torn_write_prob=args.fault_disk_torn_write,
-        short_write_prob=args.fault_disk_short_write,
-        enospc_prob=args.fault_disk_enospc,
-        crash_after_write_prob=args.fault_disk_crash_after_write)
-    return plan if plan.active else None
-
-
 def _config(args: argparse.Namespace) -> CampaignConfig:
     only = frozenset(args.params) if args.params else None
-    config = CampaignConfig(workers=args.workers,
+    fault_plan, disk_fault_plan, net_fault_plan = fault_plans(
+        args.chaos, args.fault_seed, dict(args.faults or ()))
+    config = CampaignConfig(**_shared_config_fields(args),
                             max_pool_size=args.pool_size,
                             blacklist_threshold=args.blacklist_threshold,
                             disable_ipc_sharing=args.disable_ipc_sharing,
                             only_params=only,
-                            fault_plan=_fault_plan(args),
+                            fault_plan=fault_plan,
                             checkpoint_path=args.checkpoint,
                             infra_retries=args.infra_retries,
                             exec_cache=args.exec_cache,
-                            store_path=args.store,
                             incremental=args.incremental,
                             sample=args.sample,
                             sample_k=args.sample_k,
                             sample_seed=args.sample_seed,
-                            disk_fault_plan=_disk_fault_plan(args),
-                            dist_secret=args.dist_secret,
+                            disk_fault_plan=disk_fault_plan,
                             audit=args.audit,
-                            profile_deadline_s=args.profile_deadline,
-                            worker_rlimit_cpu_s=args.worker_rlimit_cpu,
-                            worker_rlimit_mem_mb=args.worker_rlimit_mem,
-                            worker_redelivery=args.worker_redelivery,
-                            crash_loop_threshold=args.crash_loop_threshold,
                             distributed=args.distributed,
                             dist_heartbeat_s=args.dist_heartbeat,
                             dist_heartbeat_timeout_s=args.dist_heartbeat_timeout,
@@ -521,7 +442,7 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             dist_max_copies=args.dist_max_copies,
                             dist_join_grace_s=args.dist_join_grace,
                             dist_fleet_grace_s=args.dist_fleet_grace,
-                            net_fault_plan=_net_fault_plan(args),
+                            net_fault_plan=net_fault_plan,
                             observe=bool(args.trace_spans or args.trace_chrome
                                          or args.metrics_out),
                             progress_stream=(sys.stderr if args.progress
@@ -830,18 +751,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "worker":
         from repro.core.distrib import run_worker
-        worker_config = CampaignConfig(
-            workers=args.workers,
-            worker_redelivery=args.worker_redelivery,
-            crash_loop_threshold=args.crash_loop_threshold,
-            profile_deadline_s=args.profile_deadline,
-            worker_rlimit_cpu_s=args.worker_rlimit_cpu,
-            worker_rlimit_mem_mb=args.worker_rlimit_mem,
-            store_path=args.store,
-            dist_secret=args.dist_secret)
-        return run_worker(args.connect, worker_config=worker_config,
+        _, _, net_fault_plan = fault_plans(False, args.fault_seed,
+                                           dict(args.faults or ()))
+        return run_worker(args.connect,
+                          worker_config=CampaignConfig(
+                              **_shared_config_fields(args)),
                           name=args.name,
-                          net_fault_plan=_net_fault_plan(args),
+                          net_fault_plan=net_fault_plan,
                           max_reconnects=args.reconnect_attempts,
                           log=sys.stderr)
 

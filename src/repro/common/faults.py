@@ -15,6 +15,13 @@ flakiness is injected.  This module injects it **reproducibly**:
   deterministic, so the same seed yields a byte-identical fault schedule
   — trials stay reproducible while becoming realistically flaky.
 
+Two more plans share the seed and the fault-kind table
+(:data:`FAULT_KINDS`): :class:`DiskFaultPlan` for the result store's own
+writes and :class:`NetFaultPlan` for the distributed transport's
+sockets.  :func:`fault_plans` builds all three from one ``(chaos,
+seed, overrides)`` triple — the CLI's ``--chaos --fault-seed N --fault
+KIND=VALUE`` and the serve spec's ``chaos``/``fault_seed``/``faults``.
+
 The injector is activated with :func:`fault_scope` (a contextvar, like
 ``ConfAgent``) and consulted from hook points in
 :mod:`repro.common.ipc` (drop/delay/duplicate), :mod:`repro.common.network`
@@ -36,8 +43,9 @@ import random
 import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping,
+                    Optional, Tuple)
 
 from repro.common.errors import InfrastructureError
 
@@ -389,6 +397,141 @@ class DiskFaultPlan:
             return 0
         rng = random.Random(fault_seed(self.seed, "disk-keep", label, index))
         return rng.randrange(0, size - 1)
+
+
+@dataclass(frozen=True)
+class NetFaultPlan:
+    """Declarative transport chaos: probabilities + a seed.
+
+    Frozen and inert by default, like :class:`FaultPlan` (its design
+    template).  Decisions are per *outbound frame* of a
+    :class:`repro.common.transport.FrameTransport` and deterministic in
+    ``(seed, connection id, frame index)``; two runs that send the same
+    frames over connections with the same ids observe identical chaos.
+    """
+
+    seed: int = 0
+    #: probability that an outbound frame is silently discarded.
+    drop_prob: float = 0.0
+    #: probability that an outbound frame is held back before sending.
+    delay_prob: float = 0.0
+    delay_range_s: Tuple[float, float] = (0.01, 0.25)
+    #: sever the link after this many outbound frames (0 = never).  The
+    #: count is per transport, so a reconnected link is severed again
+    #: after another N frames — a deterministic flapping partition.
+    partition_after: int = 0
+
+    @property
+    def active(self) -> bool:
+        return bool(self.drop_prob or self.delay_prob
+                    or self.partition_after)
+
+    # -- per-frame decisions (pure; unit-testable without sockets) ------
+    def drop_decision(self, conn_id: str, frame_index: int) -> bool:
+        if not self.drop_prob:
+            return False
+        rng = random.Random(fault_seed(self.seed, "net-drop", conn_id,
+                                       frame_index))
+        return rng.random() < self.drop_prob
+
+    def delay_decision(self, conn_id: str, frame_index: int) -> float:
+        if not self.delay_prob:
+            return 0.0
+        rng = random.Random(fault_seed(self.seed, "net-delay", conn_id,
+                                       frame_index))
+        if rng.random() >= self.delay_prob:
+            return 0.0
+        low, high = self.delay_range_s
+        return rng.uniform(low, high)
+
+    def partition_decision(self, frame_index: int) -> bool:
+        return bool(self.partition_after
+                    and frame_index >= self.partition_after)
+
+
+# ----------------------------------------------------------------------
+# one table for every fault kind, shared by the CLI and the serve spec
+# ----------------------------------------------------------------------
+
+#: fault kind -> (plan class, plan field).  Each kind's value has the
+#: field's type: a probability, or for ``net_partition`` a frame count.
+FAULT_KINDS: Dict[str, Tuple[type, str]] = {
+    "drop": (FaultPlan, "drop_prob"),
+    "delay": (FaultPlan, "delay_prob"),
+    "duplicate": (FaultPlan, "duplicate_prob"),
+    "crash": (FaultPlan, "crash_prob"),
+    "slow_io": (FaultPlan, "io_slowdown_prob"),
+    "clock_jitter": (FaultPlan, "clock_jitter"),
+    "infra": (FaultPlan, "infra_error_prob"),
+    "worker_crash": (FaultPlan, "worker_crash_prob"),
+    "disk_torn_write": (DiskFaultPlan, "torn_write_prob"),
+    "disk_short_write": (DiskFaultPlan, "short_write_prob"),
+    "disk_enospc": (DiskFaultPlan, "enospc_prob"),
+    "disk_crash_after_write": (DiskFaultPlan, "crash_after_write_prob"),
+    "net_drop": (NetFaultPlan, "drop_prob"),
+    "net_delay": (NetFaultPlan, "delay_prob"),
+    "net_partition": (NetFaultPlan, "partition_after"),
+}
+
+#: the kinds that perturb one execution (FaultPlan): the only kinds a
+#: serve spec accepts, since disk kinds would act on the daemon's shared
+#: store and net kinds on a fleet the daemon does not own.
+EXECUTION_FAULT_KINDS = tuple(kind for kind, (cls, _) in FAULT_KINDS.items()
+                              if cls is FaultPlan)
+
+#: the kinds ``repro worker`` accepts: its own transport's chaos.
+NET_FAULT_KINDS = tuple(kind for kind, (cls, _) in FAULT_KINDS.items()
+                        if cls is NetFaultPlan)
+
+
+def check_faults(overrides: Mapping[str, Any],
+                 kinds: Iterable[str] = tuple(FAULT_KINDS)
+                 ) -> Dict[str, Any]:
+    """Validate ``{kind: value}`` against ``kinds``; return it sorted,
+    each value coerced to its plan field's type.  Raises ValueError."""
+    kinds = tuple(kinds)
+    bad = sorted(set(overrides) - set(kinds))
+    if bad:
+        raise ValueError("unknown fault kind(s): %s (known: %s)"
+                         % (", ".join(bad), ", ".join(sorted(kinds))))
+    checked = {}
+    for kind, value in sorted(overrides.items()):
+        cls, name = FAULT_KINDS[kind]
+        field_type = type(getattr(cls, name))
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or (field_type is int and value != int(value)):
+            raise ValueError("fault %s must be %s" % (
+                kind, "an integer" if field_type is int else "a number"))
+        checked[kind] = field_type(value)
+    return checked
+
+
+def fault_plans(chaos: bool, seed: int, overrides: Mapping[str, Any]
+                ) -> Tuple[Optional[FaultPlan], Optional[DiskFaultPlan],
+                           Optional[NetFaultPlan]]:
+    """The execution, disk and net plans for one ``(chaos, seed,
+    overrides)`` setting, each None when inert.  ``chaos`` starts the
+    execution plan from :meth:`FaultPlan.moderate`; every override wins
+    over the preset.  All three plans share ``seed``."""
+    checked = check_faults(overrides)
+    plans = []
+    for base in (FaultPlan.moderate(seed) if chaos else FaultPlan(seed=seed),
+                 DiskFaultPlan(seed=seed), NetFaultPlan(seed=seed)):
+        plan = replace(base, **{FAULT_KINDS[kind][1]: value
+                                for kind, value in checked.items()
+                                if FAULT_KINDS[kind][0] is type(base)})
+        plans.append(plan if plan.active else None)
+    return plans[0], plans[1], plans[2]
+
+
+def plan_from_dict(cls: type, record: Optional[Mapping[str, Any]]) -> Any:
+    """Rebuild a :class:`FaultPlan`, :class:`DiskFaultPlan` or
+    :class:`NetFaultPlan` from its ``asdict`` form, turning the lists
+    JSON makes of tuple fields back into tuples (None stays None)."""
+    if record is None:
+        return None
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in record.items()})
 
 
 class FaultyFile:

@@ -9,8 +9,9 @@ directly:
 * **Framing.**  Every message is ``4-byte big-endian length + UTF-8
   JSON``.  Short reads, EOF mid-frame, and oversized frames surface as
   :class:`TransportError` instead of garbled JSON.
-* **Chaos.**  A frozen :class:`NetFaultPlan` injects faults on the
-  *real* socket layer, deterministically: every decision is drawn from
+* **Chaos.**  A frozen :class:`repro.common.faults.NetFaultPlan`
+  (re-exported here) injects faults on the *real* socket layer,
+  deterministically: every decision is drawn from
   :func:`repro.common.faults.fault_seed` over ``(plan seed, connection
   id, frame index)``, so the same plan against the same traffic produces
   the same drops/delays/partitions on every run.  Three fault kinds:
@@ -35,11 +36,10 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.common.faults import fault_seed
+from repro.common.faults import NetFaultPlan
 
 #: Frame length prefix: 4-byte unsigned big-endian.
 _HEADER = struct.Struct(">I")
@@ -56,70 +56,6 @@ class TransportError(ReproError):
 class TransportTimeout(TransportError):
     """No frame arrived within the read deadline (connection may still
     be alive — the caller decides whether that means *dead peer*)."""
-
-
-@dataclass(frozen=True)
-class NetFaultPlan:
-    """Declarative transport chaos: probabilities + a seed.
-
-    Frozen and inert by default, like :class:`repro.common.faults.FaultPlan`
-    (its design template).  Decisions are per *outbound frame* and
-    deterministic in ``(seed, connection id, frame index)``; two runs
-    that send the same frames over connections with the same ids observe
-    identical chaos.
-    """
-
-    seed: int = 0
-    #: probability that an outbound frame is silently discarded.
-    drop_prob: float = 0.0
-    #: probability that an outbound frame is held back before sending.
-    delay_prob: float = 0.0
-    delay_range_s: Tuple[float, float] = (0.01, 0.25)
-    #: sever the link after this many outbound frames (0 = never).  The
-    #: count is per transport, so a reconnected link is severed again
-    #: after another N frames — a deterministic flapping partition.
-    partition_after: int = 0
-
-    @property
-    def active(self) -> bool:
-        return bool(self.drop_prob or self.delay_prob
-                    or self.partition_after)
-
-    # -- per-frame decisions (pure; unit-testable without sockets) ------
-    def drop_decision(self, conn_id: str, frame_index: int) -> bool:
-        if not self.drop_prob:
-            return False
-        import random
-        rng = random.Random(fault_seed(self.seed, "net-drop", conn_id,
-                                       frame_index))
-        return rng.random() < self.drop_prob
-
-    def delay_decision(self, conn_id: str, frame_index: int) -> float:
-        if not self.delay_prob:
-            return 0.0
-        import random
-        rng = random.Random(fault_seed(self.seed, "net-delay", conn_id,
-                                       frame_index))
-        if rng.random() >= self.delay_prob:
-            return 0.0
-        low, high = self.delay_range_s
-        return rng.uniform(low, high)
-
-    def partition_decision(self, frame_index: int) -> bool:
-        return bool(self.partition_after
-                    and frame_index >= self.partition_after)
-
-
-def net_fault_plan_from_dict(record: Optional[Dict[str, Any]]
-                             ) -> Optional[NetFaultPlan]:
-    """Rebuild a plan from its ``asdict`` form (JSON turns the tuple
-    field into a list)."""
-    if not record:
-        return None
-    data = dict(record)
-    if "delay_range_s" in data:
-        data["delay_range_s"] = tuple(data["delay_range_s"])
-    return NetFaultPlan(**data)
 
 
 class FrameTransport:

@@ -55,6 +55,7 @@ import random
 import socket
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common import transport as net
@@ -596,51 +597,6 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
-def _config_from_settings(settings: Mapping[str, Any], run_cost_s: float,
-                          observe: bool, base: Any) -> Any:
-    """Coordinator-sent findings-shaping settings + local execution shape
-    (worker count, supervision knobs) -> the worker's config."""
-    from repro.common.faults import FaultPlan
-    from repro.core.orchestrator import CampaignConfig
-    plan_record = settings.get("fault_plan")
-    fault_plan = None
-    if plan_record is not None:
-        data = dict(plan_record)
-        for key in ("delay_range_s", "crash_window_s", "restart_delay_s"):
-            if key in data:
-                data[key] = tuple(data[key])
-        fault_plan = FaultPlan(**data)
-    only = settings.get("only_params")
-    return CampaignConfig(
-        alpha=settings["alpha"],
-        max_trials=settings["max_trials"],
-        blacklist_threshold=settings["blacklist_threshold"],
-        max_value_pairs=settings["max_value_pairs"],
-        max_pool_size=settings["max_pool_size"],
-        disable_ipc_sharing=settings["disable_ipc_sharing"],
-        only_params=None if only is None else frozenset(only),
-        fault_plan=fault_plan,
-        infra_retries=settings["infra_retries"],
-        watchdog_sim_s=settings["watchdog_sim_s"],
-        exec_cache=settings["exec_cache"],
-        run_cost_s=run_cost_s,
-        observe=observe,
-        # Local-execution shape (never findings-bearing): the worker's
-        # own durable store and its disk chaos come from its own flags,
-        # not the coordinator's — store paths do not travel between
-        # hosts, and the content-addressed keys make sharing safe.
-        store_path=base.store_path,
-        disk_fault_plan=base.disk_fault_plan,
-        dist_secret=base.dist_secret,
-        workers=base.workers,
-        profile_deadline_s=base.profile_deadline_s,
-        worker_rlimit_cpu_s=base.worker_rlimit_cpu_s,
-        worker_rlimit_mem_mb=base.worker_rlimit_mem_mb,
-        worker_redelivery=base.worker_redelivery,
-        crash_loop_threshold=base.crash_loop_threshold,
-        heartbeat_timeout_s=base.heartbeat_timeout_s)
-
-
 def catalog_campaign_factory(app: str, config: Any) -> Any:
     """Default factory: build the worker's campaign from the app catalog
     (both sides must share the checkout; the corpus digest enforces it)."""
@@ -794,9 +750,11 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     raise net.TransportError("expected welcome, got %r"
                                              % welcome.get("kind"))
                 if campaign is None or campaign_app != welcome["app"]:
-                    config = _config_from_settings(
-                        welcome["settings"], welcome["run_cost_s"],
-                        bool(welcome.get("observe")), base)
+                    # the coordinator's settings over this worker's own
+                    # execution shape (slots, supervision, store, secret)
+                    config = replace(base.with_settings(welcome["settings"]),
+                                     run_cost_s=welcome["run_cost_s"],
+                                     observe=bool(welcome.get("observe")))
                     campaign = campaign_factory(welcome["app"], config)
                     campaign_app = welcome["app"]
                     if corpus_digest(campaign) != welcome["digest"]:

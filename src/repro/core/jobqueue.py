@@ -50,6 +50,8 @@ import threading
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.faults import (EXECUTION_FAULT_KINDS, check_faults,
+                                 fault_plans)
 from repro.core.checkpoint import CheckpointError, fsync_directory
 from repro.core.orchestrator import (Campaign, CampaignCancelled,
                                      CampaignConfig)
@@ -67,24 +69,11 @@ JOB_STATES = (SUBMITTED, QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: states a job can never leave.
 TERMINAL_STATES = frozenset((DONE, FAILED, CANCELLED))
 
-#: fault-probability override keys accepted in a spec's ``faults`` map,
-#: mirroring the CLI's --fault-* flags (repro.common.faults.FaultPlan).
-FAULT_KEYS = {
-    "drop": "drop_prob",
-    "delay": "delay_prob",
-    "duplicate": "duplicate_prob",
-    "crash": "crash_prob",
-    "slow_io": "io_slowdown_prob",
-    "clock_jitter": "clock_jitter",
-    "infra": "infra_error_prob",
-    "worker_crash": "worker_crash_prob",
-}
-
 #: campaign-spec schema: key -> (default, type tag).  Type tags: "bool",
 #: "int", "float?" (optional float), "int?" (optional int), "str?"
 #: (optional string), "params" (optional list of parameter names),
-#: "faults" (mapping of FAULT_KEYS to probabilities) and "choice?:..."
-#: (nullable choice).
+#: "faults" (mapping of repro.common.faults.EXECUTION_FAULT_KINDS to
+#: probabilities, the CLI's --fault) and "choice?:..." (nullable choice).
 #: Kept flat and explicit so docs/SERVICE.md can state it verbatim.
 SPEC_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "app": (None, "app"),
@@ -164,16 +153,10 @@ def canonical_spec(spec: Any) -> Dict[str, Any]:
             if value is not None:
                 if not isinstance(value, dict):
                     raise JobSpecError("faults must be an object")
-                bad = sorted(set(value) - set(FAULT_KEYS))
-                if bad:
-                    raise JobSpecError(
-                        "unknown fault key(s): %s (known: %s)"
-                        % (", ".join(bad), ", ".join(sorted(FAULT_KEYS))))
-                for name, prob in value.items():
-                    if not isinstance(prob, (int, float)):
-                        raise JobSpecError("faults.%s must be a number"
-                                           % name)
-                value = {k: float(v) for k, v in sorted(value.items())}
+                try:
+                    value = check_faults(value, EXECUTION_FAULT_KINDS)
+                except ValueError as exc:
+                    raise JobSpecError("faults: %s" % exc) from None
         elif kind.startswith("choice?:"):
             choices = kind.split(":", 1)[1].split(",")
             if value is not None and value not in choices:
@@ -190,19 +173,6 @@ def spec_digest(spec: Dict[str, Any]) -> str:
     """Content digest of a canonical spec (the checkpoint-journal key)."""
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-
-def _fault_plan_from_spec(spec: Dict[str, Any]) -> Optional[Any]:
-    """Mirror of the CLI's --chaos/--fault-* flag handling."""
-    from dataclasses import replace
-
-    from repro.common.faults import FaultPlan
-    base = (FaultPlan.moderate(spec["fault_seed"]) if spec["chaos"]
-            else FaultPlan(seed=spec["fault_seed"]))
-    overrides = {FAULT_KEYS[name]: prob
-                 for name, prob in (spec["faults"] or {}).items()}
-    plan = replace(base, **overrides) if overrides else base
-    return plan if plan.active else None
 
 
 def _write_json_atomic(path: str, record: Dict[str, Any]) -> None:
@@ -506,7 +476,8 @@ class JobQueue:
             only_params=(frozenset(spec["params"]) if spec["params"]
                          else None),
             infra_retries=spec["infra_retries"],
-            fault_plan=_fault_plan_from_spec(spec),
+            fault_plan=fault_plans(spec["chaos"], spec["fault_seed"],
+                                   spec["faults"] or {})[0],
             distributed=spec["distributed"],
             dist_secret=self.dist_secret,
             checkpoint_path=self.checkpoint_path_for(job.digest),

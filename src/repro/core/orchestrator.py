@@ -13,7 +13,7 @@ import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.faults import FaultPlan
+from repro.common.faults import FaultPlan, plan_from_dict
 from repro.common.node import NODE_TYPES
 from repro.common.params import ParamRegistry
 from repro.common.simulation import kernel_stats_snapshot
@@ -278,6 +278,24 @@ class CampaignConfig:
             "sample_k": self.sample_k,
             "sample_seed": self.sample_seed,
         }
+
+    def with_settings(self, settings: Mapping[str, Any]) -> "CampaignConfig":
+        """This config with ``settings`` (a :meth:`checkpoint_settings`
+        record) applied: its inverse, so a remote worker runs under every
+        setting its coordinator journals.  ``store`` is the one key that
+        is not a field: a coordinator with a store accounts repeats as
+        free, so it turns on ``exec_cache``; one without charges them, so
+        this config's own store goes unused.  Any other key that is not a
+        field raises TypeError."""
+        fields = dict(settings)
+        if fields.pop("store"):
+            fields["exec_cache"] = True
+        else:
+            fields["store_path"] = None
+        if fields["only_params"] is not None:
+            fields["only_params"] = frozenset(fields["only_params"])
+        fields["fault_plan"] = plan_from_dict(FaultPlan, fields["fault_plan"])
+        return replace(self, **fields)
 
 
 @dataclass
@@ -714,8 +732,12 @@ class Campaign:
             return None
         # Zero fresh executions: the whole point of the plan.  The stored
         # pool statistics are preserved so the findings projection is
-        # byte-identical to the campaign that produced them.
+        # byte-identical to the campaign that produced them; its cache
+        # traffic is that campaign's, not this one's.
         outcome.executions = 0
+        outcome.stats.exec_cache_hits = 0
+        outcome.stats.exec_cache_misses = 0
+        outcome.stats.exec_cache_bypasses = 0
         outcome.folded = "reused"
         parallel.commit_outcome(self, checkpoint, name, outcome)
         return outcome

@@ -245,6 +245,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1 parameters" in out and target in out
 
+    def test_audit_all_prints_wired_verdicts_too(self, capsys):
+        target = "ipc.client.kill.max"
+        assert main(["audit", "hadooptools", "--param", target]) == 0
+        out = capsys.readouterr().out
+        assert "every audited parameter is wired" in out
+        assert target not in out
+        assert main(["audit", "hadooptools", "--param", target,
+                     "--all"]) == 0
+        assert target in capsys.readouterr().out
+
     def test_audit_json(self, tmp_path, capsys):
         path = str(tmp_path / "audit.json")
         assert main(["audit", "hdfs", "--json", path]) == 0

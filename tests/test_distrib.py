@@ -16,19 +16,20 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
 import repro
 from repro.common import transport as net
-from repro.common.faults import FaultPlan
+from repro.common.faults import FaultPlan, plan_from_dict
 from repro.core import distrib, parallel
 from repro.core.distrib import (EXIT_OK, EXIT_RECONNECTS_EXHAUSTED,
                                 EXIT_REJECTED, Coordinator, _Conn,
                                 corpus_digest, run_worker)
 from repro.core.orchestrator import Campaign, CampaignConfig, ProfileOutcome
 from repro.core.prerun import prerun_corpus
-from repro.core.report import app_report_to_dict
+from repro.core.report import app_report_to_dict, findings_projection
 from repro.core.runner import WORKER_CRASH
 from synthetic_app import SYNTH_REGISTRY, two_service_test
 from test_orchestrator import synthetic_campaign
@@ -216,11 +217,10 @@ class TestNetFaultPlan:
     def test_round_trip_through_dict(self):
         plan = net.NetFaultPlan(seed=3, drop_prob=0.1, delay_prob=0.2,
                                 delay_range_s=(0.5, 1.5), partition_after=9)
-        from dataclasses import asdict
-        rebuilt = net.net_fault_plan_from_dict(
-            json.loads(json.dumps(asdict(plan))))
+        rebuilt = plan_from_dict(net.NetFaultPlan,
+                                 json.loads(json.dumps(asdict(plan))))
         assert rebuilt == plan
-        assert net.net_fault_plan_from_dict(None) is None
+        assert plan_from_dict(net.NetFaultPlan, None) is None
 
     def _pair_with_plan(self, plan):
         left, right = socket.socketpair()
@@ -512,6 +512,63 @@ class TestAuthHandshake:
 
 
 # ---------------------------------------------------------------------------
+# the worker's config: the coordinator's journaled settings, all of them
+# ---------------------------------------------------------------------------
+#: checkpoint_settings() key -> coordinator config fields that move it
+#: off its default.
+OFF_DEFAULT_SETTINGS = {
+    "alpha": {"alpha": 0.01},
+    "max_trials": {"max_trials": 7},
+    "blacklist_threshold": {"blacklist_threshold": 999},
+    "max_value_pairs": {"max_value_pairs": 2},
+    "max_pool_size": {"max_pool_size": 4},
+    "disable_ipc_sharing": {"disable_ipc_sharing": True},
+    "only_params": {"only_params": frozenset({"b", "a"})},
+    "fault_plan": {"fault_plan": FaultPlan(seed=3, drop_prob=0.1)},
+    "infra_retries": {"infra_retries": 5},
+    "watchdog_sim_s": {"watchdog_sim_s": 99.0},
+    "exec_cache": {"exec_cache": True},
+    "store": {"store_path": "coordinator-only-store"},
+    "incremental": {"incremental": True},
+    "sample": {"sample": "pairwise"},
+    "sample_k": {"sample_k": 3},
+    "sample_seed": {"sample_seed": 5},
+}
+
+
+class TestWorkerSettings:
+    def test_table_covers_every_journaled_setting(self):
+        assert set(OFF_DEFAULT_SETTINGS) == \
+            set(CampaignConfig().checkpoint_settings())
+
+    @pytest.mark.parametrize("key", sorted(OFF_DEFAULT_SETTINGS))
+    def test_each_setting_reaches_the_worker(self, key):
+        coordinator = CampaignConfig(**OFF_DEFAULT_SETTINGS[key])
+        # the settings travel as JSON in the welcome frame
+        shipped = json.loads(json.dumps(coordinator.checkpoint_settings()))
+        worker = CampaignConfig(workers=2).with_settings(shipped)
+        default = CampaignConfig()
+        if key == "store":
+            # store paths stay on their host; the accounting travels
+            assert worker.store_path is None
+            assert worker.exec_cache and not default.exec_cache
+        else:
+            assert getattr(worker, key) == getattr(coordinator, key) \
+                != getattr(default, key)
+        assert worker.workers == 2  # the worker's own execution shape
+
+    def test_storeless_coordinator_idles_the_workers_store(self):
+        shipped = CampaignConfig().checkpoint_settings()
+        worker = CampaignConfig(store_path="w").with_settings(shipped)
+        assert worker.store_path is None and not worker.exec_cache
+
+    def test_unknown_setting_fails_loudly(self):
+        shipped = dict(CampaignConfig().checkpoint_settings(), bogus=1)
+        with pytest.raises(TypeError):
+            CampaignConfig().with_settings(shipped)
+
+
+# ---------------------------------------------------------------------------
 # end-to-end: coordinator + in-process workers over real TCP
 # ---------------------------------------------------------------------------
 def run_distributed(n_workers=2, worker_kwargs=None, config_kwargs=None,
@@ -583,6 +640,31 @@ class TestDistributedEndToEnd:
             + stats.quarantined >= 1
         assert not stats.degraded_to_local
         assert sum(w.profiles for w in stats.fleet) == stats.remote_profiles
+
+    @pytest.mark.parametrize("coordinator,worker", [
+        ({"sample": "pairwise"}, {}),
+        ({"store_path": "cold-store"}, {}),
+        ({}, {"store_path": "worker-store"}),
+    ], ids=["sample-pairwise", "cold-store", "worker-store-only"])
+    def test_remote_run_reports_what_a_local_one_does(self, tmp_path,
+                                                      coordinator, worker):
+        # what the coordinator's settings decide must be decided the same
+        # way on the worker, whatever store the worker has
+        def rooted(kwargs, name):
+            return {key: str(tmp_path / name) if key == "store_path"
+                    else value for key, value in kwargs.items()}
+
+        local = app_report_to_dict(synthetic_campaign(
+            config=decoupled_config(**rooted(coordinator, "local"))).run())
+        report, stats, exit_codes = run_distributed(
+            n_workers=1, config_kwargs=rooted(coordinator, "coordinator"),
+            worker_kwargs={0: {"worker_config": CampaignConfig(
+                **rooted(worker, "worker"))}})
+        remote = app_report_to_dict(report)
+        assert stats.remote_profiles > 0 and exit_codes == {0: EXIT_OK}
+        assert findings_projection(remote) == findings_projection(local)
+        assert remote["executions"] == local["executions"]
+        assert remote["exec_cache"] == local["exec_cache"]
 
     def fleet_never_joins(self, serial_baseline, observe):
         report, stats, _ = run_distributed(

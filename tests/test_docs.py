@@ -53,6 +53,9 @@ def test_checker_catches_a_planted_unknown_spec_key(tmp_path):
     assert any("'definitely_not_a_key' is not in SPEC_SCHEMA" in p
                for p in problems)
     assert any("'app' is undocumented" in p for p in problems)
+    # "`faults` keys: ..." names none of the execution fault kinds
+    assert any("`faults` keys [] are not the execution fault kinds" in p
+               for p in problems)
 
 
 def test_checker_catches_a_planted_unknown_metric(tmp_path):
@@ -67,6 +70,19 @@ def test_checker_catches_a_planted_unknown_metric(tmp_path):
                "catalog" in p for p in metric_problems)
     assert any("zc_nothing_here_* matches no catalogued metric" in p
                for p in metric_problems)
+
+
+def test_checker_catches_a_planted_untested_flag(tmp_path):
+    flags, _ = check_docs.collect_cli_surface()
+    untested = "--crash-loop-threshold"
+    (tmp_path / "README.md").write_text(_README_SURFACE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_flags.py").write_text(
+        "FLAGS = %r\n" % sorted(flags - {untested}))
+    problems = [p for p in check_docs.check(str(tmp_path))
+                if p.startswith("tests/")]
+    assert problems == ["tests/: CLI flag %s is named in no test"
+                        % untested]
 
 
 def test_checker_requires_the_docs_index(tmp_path):

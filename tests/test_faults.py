@@ -11,13 +11,19 @@ testing must dismiss.
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, fields
+
 import pytest
 
 from repro.common.cluster import MiniCluster
 from repro.common.configuration import Configuration
 from repro.common.errors import InfrastructureError, TestFailure
-from repro.common.faults import (FaultInjector, FaultPlan, current_injector,
-                                 fault_scope)
+from repro.common.faults import (EXECUTION_FAULT_KINDS, FAULT_KINDS,
+                                 NET_FAULT_KINDS, DiskFaultPlan,
+                                 FaultInjector, FaultPlan, NetFaultPlan,
+                                 check_faults, current_injector,
+                                 fault_scope, plan_from_dict)
 from repro.common.ipc import RpcClient, RpcServer
 from repro.common.node import Node, node_init, register_node_type
 from repro.common.params import ENUM, INT, ParamRegistry
@@ -330,3 +336,35 @@ class TestChaosCampaign:
             assert trial.kind == "trial"
             assert trial.sim_start <= event.sim_start == event.sim_end \
                 <= trial.sim_end
+
+
+# ---------------------------------------------------------------------------
+# the fault-kind table behind --fault KIND=VALUE and the serve spec
+# ---------------------------------------------------------------------------
+class TestFaultTable:
+    def test_every_kind_names_a_field_of_its_plan(self):
+        for kind, (cls, name) in FAULT_KINDS.items():
+            assert name in {f.name for f in fields(cls)}, kind
+        assert len(EXECUTION_FAULT_KINDS) == 8 and len(NET_FAULT_KINDS) == 3
+
+    def test_values_take_their_field_type(self):
+        assert check_faults({"net_partition": 3.0, "drop": 1}) == {
+            "drop": 1.0, "net_partition": 3}
+
+    @pytest.mark.parametrize("overrides,kinds", [
+        ({"gamma": 0.1}, tuple(FAULT_KINDS)),
+        ({"disk_enospc": 0.1}, EXECUTION_FAULT_KINDS),
+        ({"drop": "0.1"}, tuple(FAULT_KINDS)),
+        ({"drop": True}, tuple(FAULT_KINDS)),
+        ({"net_partition": 2.5}, tuple(FAULT_KINDS)),
+    ])
+    def test_invalid_overrides_are_refused(self, overrides, kinds):
+        with pytest.raises(ValueError):
+            check_faults(overrides, kinds)
+
+    def test_decoder_rebuilds_every_plan_from_json(self):
+        for plan in (FaultPlan.moderate(3),
+                     DiskFaultPlan(seed=2, torn_write_prob=0.1),
+                     NetFaultPlan(seed=1, delay_range_s=(0.5, 1.0))):
+            record = json.loads(json.dumps(asdict(plan)))
+            assert plan_from_dict(type(plan), record) == plan

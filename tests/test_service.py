@@ -136,6 +136,9 @@ def test_canonical_spec_fills_defaults_and_sorts():
     {"app": "flink", "bogus_knob": 1},
     {"app": "flink", "workers": "two"},
     {"app": "flink", "faults": {"gamma_rays": 0.5}},
+    # the fault table's disk and net kinds are CLI-only
+    {"app": "flink", "faults": {"disk_enospc": 0.1}},
+    {"app": "flink", "faults": {"net_drop": 0.1}},
     {"app": "flink", "parallel_backend": "quantum"},
     [],
     # retired with the thread and bare process backends

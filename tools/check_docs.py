@@ -14,11 +14,14 @@ flag the README never documents.  Concretely, it enforces:
 4. every ``docs/NAME.md`` cross-reference points at a file that exists;
 5. ``docs/README.md`` (the index) links every ``docs/*.md`` file;
 6. the spec-key table in ``docs/SERVICE.md`` lists exactly the keys of
-   ``repro.core.jobqueue.SPEC_SCHEMA``;
+   ``repro.core.jobqueue.SPEC_SCHEMA``, and its "`faults` keys:"
+   paragraph exactly ``repro.common.faults.EXECUTION_FAULT_KINDS``;
 7. every ``zc_*`` metric named in README.md or docs/*.md exists in
    ``repro.core.observe.METRIC_CATALOG`` (a histogram's ``_bucket``,
    ``_sum`` and ``_count`` series included), and every ``zc_family_*``
-   shorthand matches at least one catalogued name.
+   shorthand matches at least one catalogued name;
+8. every flag that ``build_parser()`` defines is named in at least one
+   file under ``tests/``, so an option no test exercises fails the check.
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -60,6 +63,10 @@ _DOCREF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
 #: header row of docs/SERVICE.md's spec-key table, and one key row.
 _SPEC_TABLE_HEADER = "| spec key |"
 _SPEC_ROW_RE = re.compile(r"^\| `([a-z_]+)` \|")
+
+#: docs/SERVICE.md's list of the kinds a spec's ``faults`` accepts:
+#: the backticked names before the first dash.
+_FAULT_KEYS_RE = re.compile(r"^`faults` keys:([^—]*)", re.MULTILINE)
 
 
 def collect_cli_surface() -> "tuple[Set[str], Set[str]]":
@@ -129,14 +136,34 @@ def check_spec_table(root: str) -> List[str]:
     if not os.path.isfile(path):
         return ["docs/SERVICE.md: missing (documents the spec keys)"]
     with open(path) as handle:
-        documented = spec_table_keys(handle.read())
+        text = handle.read()
+    documented = spec_table_keys(text)
     if not documented:
         return ["docs/SERVICE.md: no spec-key table"]
     problems = ["docs/SERVICE.md: spec key %r is not in SPEC_SCHEMA" % key
                 for key in documented if key not in SPEC_SCHEMA]
     problems.extend("docs/SERVICE.md: spec key %r is undocumented" % key
                     for key in SPEC_SCHEMA if key not in documented)
+    from repro.common.faults import EXECUTION_FAULT_KINDS
+    match = _FAULT_KEYS_RE.search(text)
+    kinds = re.findall(r"`([a-z_]+)`", match.group(1)) if match else []
+    if sorted(kinds) != sorted(EXECUTION_FAULT_KINDS):
+        problems.append("docs/SERVICE.md: `faults` keys %s are not the "
+                        "execution fault kinds %s"
+                        % (kinds, list(EXECUTION_FAULT_KINDS)))
     return problems
+
+
+def check_flags_tested(root: str, known_flags: Set[str]) -> List[str]:
+    """Flags that no file under ``tests/`` names."""
+    named: Set[str] = set()
+    for directory, _, names in os.walk(os.path.join(root, "tests")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name)) as handle:
+                    named.update(_FLAG_RE.findall(handle.read()))
+    return ["tests/: CLI flag %s is named in no test" % flag
+            for flag in sorted(known_flags - named - {"--help"})]
 
 
 def check(root: str) -> List[str]:
@@ -209,6 +236,7 @@ def check(root: str) -> List[str]:
                                 % rel)
 
     problems.extend(check_spec_table(root))
+    problems.extend(check_flags_tested(root, known_flags))
     return problems
 
 
