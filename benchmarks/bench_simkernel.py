@@ -8,23 +8,20 @@ per operation:
 
 1. **cancel-heavy** — the heartbeat/timeout-reset pattern (ipc timeouts,
    node heartbeats, bandwidth throttling): a monitor cancels and
-   re-arms a deadline timer on every tick; cost per cancel/re-arm.  Heap
-   compaction keeps the cancelled entries from bloating the heap.
-2. **pending-scan** — ``Simulator.pending_events()``, the watchdog's
-   per-step call; cost per call of the O(1) live counter.
-3. **wire-encode** — repeated identical layered frames (codec /
-   encryption headers), small and large; cost per frame with the encode
-   memo warm.
-4. **conf-get** — registry-backed ``Configuration.get`` outside any agent
+   re-arms a deadline timer on every tick; cost per cancel/re-arm.  A
+   cancel is a flag write; the dead entry leaves the heap when popped.
+2. **wire-encode** — layered frames (codec plus encryption), small and
+   large; cost per frame, every frame encoded in full.
+3. **conf-get** — registry-backed ``Configuration.get`` outside any agent
    scope; cost per read.  No execution reads this way, so two rows time
    the path campaigns take: **conf-get-agent**, repeat reads inside a
    ConfAgent session with a heterogeneous assignment (answered by the
    conf's view), and **conf-get-first**, first reads of each name on a
    fresh conf (the full resolution that fills the view).
-5. **rpc-call** — a heartbeat-shaped ``RpcClient.call`` inside a session:
+4. **rpc-call** — a heartbeat-shaped ``RpcClient.call`` inside a session:
    SASL negotiation plus copying the arguments and the result; cost per
    call.
-6. **sim-event** — raw scheduled callbacks, scheduled then run; cost per
+5. **sim-event** — raw scheduled callbacks, scheduled then run; cost per
    sim event.
 
 The numbers are host-dependent trajectory rows with no committed
@@ -43,7 +40,7 @@ from repro.common.configuration import Configuration
 from repro.common.ipc import RpcClient, RpcServer
 from repro.common.params import INT, ParamRegistry
 from repro.common.simulation import PeriodicTask, Simulator
-from repro.common.wire import clear_wire_memo, encode_payload
+from repro.common.wire import encode_payload
 from repro.core.confagent import ConfAgent
 from repro.core.report import render_table
 from repro.core.testgen import HeteroAssignment, ParamAssignment
@@ -91,17 +88,6 @@ def cancel_heavy(resets: int) -> int:
     return sim.pending_events()
 
 
-def pending_scan(live: int, calls: int) -> int:
-    sim = Simulator()
-    for _ in range(live):
-        sim.schedule(1.0, int)
-    total = 0
-    for _ in range(calls):
-        total += sim.pending_events()
-    assert total == live * calls
-    return total
-
-
 def wire_encode(frames: int) -> int:
     payload = {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128}
     total = 0
@@ -112,13 +98,8 @@ def wire_encode(frames: int) -> int:
 
 
 def wire_encode_large(frames: int) -> int:
-    """Large repeated frames: the digest-keyed encode memo's home turf.
-
-    A block manifest is kilobytes of JSON; with the memo keyed by a
-    16-byte content digest instead of the full canonical text, thousands
-    of distinct large frames fit in the memo without pinning their key
-    strings, and repeated sends skip the compress+encrypt stack.
-    """
+    """A block manifest: kilobytes of JSON compressed and encrypted per
+    frame."""
     payload = {"method": "blockReport", "node": "dn-0",
                "blocks": [{"id": i, "gen": i % 7, "len": 134217728}
                           for i in range(256)]}
@@ -188,8 +169,6 @@ def sim_events(events: int) -> None:
 #: cost is its wall time divided by its operation count.
 WORKLOADS = (
     ("cancel_heavy", "resets", 20000, cancel_heavy, (20000,)),
-    # enough calls that scheduling the 2000 live timers is noise
-    ("pending_scan", "calls", 1000000, pending_scan, (2000, 1000000)),
     ("wire_encode", "frames", 20000, wire_encode, (20000,)),
     ("wire_encode_large", "frames", 2000, wire_encode_large, (2000,)),
     ("conf_get", "lookups", 200000, conf_get, (200000,)),
@@ -203,7 +182,6 @@ WORKLOADS = (
 def measure() -> dict:
     rows = {}
     for name, unit, operations, fn, args in WORKLOADS:
-        clear_wire_memo()
         started = time.perf_counter()
         fn(*args)
         wall = time.perf_counter() - started

@@ -379,11 +379,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              help="wall-clock budget per granted lease; on "
                                   "expiry the profile is redelivered "
                                   "(default: none)")
-    distributed.add_argument("--dist-max-copies", type=int, default=2,
-                             metavar="N",
-                             help="max concurrent holders per profile when "
-                                  "idle workers steal straggler leases "
-                                  "(default 2; first finisher wins)")
     distributed.add_argument("--dist-join-grace", type=float, default=20.0,
                              metavar="SECONDS",
                              help="how long to wait for the first worker "
@@ -439,7 +434,6 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             dist_heartbeat_s=args.dist_heartbeat,
                             dist_heartbeat_timeout_s=args.dist_heartbeat_timeout,
                             dist_lease_deadline_s=args.dist_lease_deadline,
-                            dist_max_copies=args.dist_max_copies,
                             dist_join_grace_s=args.dist_join_grace,
                             dist_fleet_grace_s=args.dist_fleet_grace,
                             net_fault_plan=net_fault_plan,

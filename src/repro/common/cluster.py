@@ -65,10 +65,6 @@ class MiniCluster:
         self.sim.run_for(duration)
         self.sim.raise_crashes()
 
-    def run_until_idle(self, max_time: float = 3600.0) -> None:
-        self.sim.run(max_time=self.sim.now + max_time)
-        self.sim.raise_crashes()
-
     def check_health(self) -> None:
         """Raise the first unobserved background failure, if any."""
         self.sim.raise_crashes()

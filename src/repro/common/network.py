@@ -1,25 +1,21 @@
-"""Simulated network primitives: bandwidth throttling and timed waits.
+"""Simulated network primitive: bandwidth throttling.
 
 The interesting Table-3 timing bugs (balancer bandwidth overload,
-congestion-control collapse, socket timeouts) come from nodes *pacing*
-their I/O according to their own configuration.  The primitives here run
-on the discrete-event simulator so those interactions are reproduced
-deterministically:
-
-* :class:`BandwidthThrottler` — the DataXceiver-style token bucket behind
-  ``dfs.datanode.balance.bandwidthPerSec``.
-* :func:`timed_wait` — wait for an event with a deadline, raising
-  :class:`~repro.common.errors.SocketTimeout` like a socket read with
-  ``SO_TIMEOUT`` set.
+congestion-control collapse) come from nodes *pacing* their I/O
+according to their own configuration.  :class:`BandwidthThrottler`, the
+DataXceiver-style token bucket behind
+``dfs.datanode.balance.bandwidthPerSec``, runs on the discrete-event
+simulator so those interactions are reproduced deterministically.
+Socket timeouts are the RPC client's inline deadline
+(:class:`~repro.common.ipc.RpcClient`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator
 
-from repro.common.errors import SocketTimeout
 from repro.common.faults import current_injector
-from repro.common.simulation import Event, Simulator
+from repro.common.simulation import Simulator
 
 
 class BandwidthThrottler:
@@ -70,10 +66,6 @@ class BandwidthThrottler:
             self.total_throttled_time += wait
             yield wait
 
-    def would_block(self, nbytes: float) -> bool:
-        self._refill()
-        return self._available < nbytes
-
     def force_debit(self, nbytes: float) -> None:
         """Charge quota for bytes that *already* hit the wire.
 
@@ -102,40 +94,3 @@ class BandwidthThrottler:
         self._refill()
         return max(0.0, -self._available)
 
-
-def timed_wait(sim: Simulator, event: Event, timeout: float,
-               what: str = "socket read") -> Generator:
-    """Wait for ``event`` with a deadline (process helper).
-
-    Yields the event's value on success; raises
-    :class:`~repro.common.errors.SocketTimeout` when ``timeout`` simulated
-    seconds pass first.
-
-    The race leaves nothing behind once it resolves: the deadline timer
-    is cancelled when the event wins, and the event side is a trigger
-    callback rather than a watcher process — so the losing side neither
-    inflates :meth:`Simulator.pending_events` nor keeps a dead generator
-    alive (it used to do both).
-    """
-    race = sim.event()
-
-    def _on_deadline() -> None:
-        if not race.triggered:
-            race.fail(SocketTimeout("%s timed out after %.3fs" % (what, timeout)))
-
-    deadline_timer = sim.schedule(timeout, _on_deadline)
-
-    if current_injector().drop_message(what):
-        # The awaited bytes never arrive; only the deadline can resolve
-        # the race.  (The real event may still trigger for other waiters.)
-        value = yield race
-        return value
-
-    def _on_event() -> None:
-        if not race.triggered:
-            deadline_timer.cancel()
-            race.succeed(event.value if event.ok else None)
-
-    event.on_trigger(_on_event)
-    value = yield race
-    return value

@@ -15,10 +15,8 @@ The kernel is intentionally small and SimPy-flavoured:
   generator that yields:
 
   - a number        — sleep that many simulated seconds,
-  - an :class:`Event` — suspend until the event triggers (its value is
-    sent back into the generator; a failed event re-raises inside it),
-  - a :class:`Process` — join another process (same semantics as waiting
-    for its completion event).
+  - a :class:`Process` — join another process (its result is sent back
+    into the generator; its exception re-raises inside it).
 
 * ``sim.run()`` / ``sim.run_until(t)`` / ``sim.run_for(dt)`` advance time.
 
@@ -29,14 +27,14 @@ order (a monotonically increasing sequence number breaks ties).
 from __future__ import annotations
 
 import heapq
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 
 class SimulationError(Exception):
-    """Internal kernel misuse (e.g. waiting on an already-consumed event)."""
+    """Internal kernel misuse (e.g. a process yielding an unsupported
+    target)."""
 
 
 class SimTimeLimitExceeded(SimulationError):
@@ -48,38 +46,6 @@ class SimTimeLimitExceeded(SimulationError):
 #: Simulated-time budget inherited by every Simulator created in scope.
 _TIME_LIMIT: ContextVar[Optional[float]] = ContextVar(
     "sim_time_limit", default=None)
-
-
-class _KernelStats(threading.local):
-    """Volatile per-thread counters for the ``zc_runtime_sim_*`` metrics.
-
-    Thread-local so campaigns running side by side on the service
-    daemon's job threads attribute their own deltas; forked process
-    workers inherit a private copy.  These feed *volatile* metrics only
-    — they describe how much work the kernel avoided, never the
-    simulated outcome.
-    """
-
-    def __init__(self) -> None:
-        self.timers_cancelled = 0
-        self.heap_compactions = 0
-        self.timers_compacted = 0
-
-
-KERNEL_STATS = _KernelStats()
-
-
-def kernel_stats_snapshot() -> Tuple[int, int, int]:
-    """(cancelled, compactions, compacted-entries) for the calling thread."""
-    stats = KERNEL_STATS
-    return (stats.timers_cancelled, stats.heap_compactions,
-            stats.timers_compacted)
-
-
-#: Compaction trigger: sweep the heap once at least this many cancelled
-#: entries are buried in it *and* they outnumber the live ones.  Small
-#: heaps never compact (the sweep would cost more than the pops saved).
-COMPACT_MIN_CANCELLED = 64
 
 
 @contextmanager
@@ -99,114 +65,24 @@ def sim_time_limit(limit: Optional[float]) -> Iterator[None]:
         _TIME_LIMIT.reset(token)
 
 
-class Event:
-    """A one-shot occurrence that processes can wait on.
-
-    An event either *succeeds* with a value or *fails* with an exception.
-    Processes waiting on it are resumed at the simulated instant it
-    triggers.
-    """
-
-    __slots__ = ("sim", "_triggered", "_value", "_exception", "_waiters",
-                 "_callbacks")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._triggered = False
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._waiters: List["Process"] = []
-        self._callbacks: List[Callable[[], None]] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        return self._triggered and self._exception is None
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimulationError("event has not triggered yet")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        self._triggered = True
-        self._value = value
-        self._wake()
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        self._triggered = True
-        self._exception = exception
-        self._wake()
-        return self
-
-    def _wake(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self.sim._schedule_resume(process, self)
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.sim.schedule(0.0, callback)
-
-    def _add_waiter(self, process: "Process") -> None:
-        if self._triggered:
-            self.sim._schedule_resume(process, self)
-        else:
-            self._waiters.append(process)
-
-    def on_trigger(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` (at the trigger instant) when this event fires.
-
-        Unlike spawning a watcher process, a callback holds no heap entry
-        and no live generator while it waits — racing helpers like
-        :func:`repro.common.network.timed_wait` use this so the losing
-        side of a race leaves nothing behind.
-        """
-        if self._triggered:
-            self.sim.schedule(0.0, callback)
-        else:
-            self._callbacks.append(callback)
-
-
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
-    ``_sim`` back-references the owning simulator *while the timer sits in
-    its heap* so a cancel can be accounted O(1); it is detached the moment
-    the entry is popped (fired or swept).  A ``cancel()`` that arrives
-    after that — a handle kept across the timer firing, or outliving the
-    simulator the test tore down — degrades to a pure flag write instead
-    of corrupting the live-timer count.
+    Cancelling is a flag write: the entry stays in the heap and ``run()``
+    drops it when it is popped.
     """
 
-    __slots__ = ("_cancelled", "when", "callback", "args", "_sim")
+    __slots__ = ("_cancelled", "when", "callback", "args")
 
     def __init__(self, when: float, callback: Callable[..., Any],
-                 args: Tuple[Any, ...], sim: Optional["Simulator"] = None):
+                 args: Tuple[Any, ...]):
         self._cancelled = False
         self.when = when
         self.callback = callback
         self.args = args
-        self._sim = sim
 
     def cancel(self) -> None:
-        if self._cancelled:
-            return
         self._cancelled = True
-        sim = self._sim
-        if sim is not None:
-            self._sim = None
-            sim._note_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -216,9 +92,9 @@ class Timer:
 class Process:
     """A cooperative task driven by the simulator.
 
-    The completion of a process behaves like an event: other processes may
-    ``yield`` it to join, and :meth:`Simulator.run_process` uses it to run
-    a process to completion synchronously from test code.
+    Other processes may ``yield`` a process to join it, and
+    :meth:`Simulator.run_process` runs one to completion synchronously
+    from test code.
     """
 
     __slots__ = ("sim", "name", "_generator", "_done", "_result",
@@ -249,21 +125,12 @@ class Process:
     def exception(self) -> Optional[BaseException]:
         return self._exception
 
-    # -- event-like protocol so processes can be yielded (joined) --------
-    @property
-    def triggered(self) -> bool:
-        return self._done
-
+    # -- joining: other processes may yield this one ---------------------
     def _add_waiter(self, process: "Process") -> None:
         if self._done:
             self.sim._schedule_resume(process, self)
         else:
             self._waiters.append(process)
-
-    def _resume_value(self) -> Any:
-        if self._exception is not None:
-            raise self._exception
-        return self._result
 
     def _step(self, send_value: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -293,18 +160,13 @@ class Process:
 class Simulator:
     """Deterministic event loop over simulated seconds."""
 
-    __slots__ = ("_now", "_seq", "_heap", "_live", "_cancelled_in_heap",
-                 "crashed_processes", "time_limit", "jitter_fn")
+    __slots__ = ("_now", "_seq", "_heap", "crashed_processes",
+                 "time_limit", "jitter_fn")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._heap: List[Tuple[float, int, Timer]] = []
-        #: number of heap entries whose timer is not cancelled — kept
-        #: exact so pending_events() is O(1) instead of an O(n) scan.
-        self._live = 0
-        #: cancelled entries still buried in the heap; drives compaction.
-        self._cancelled_in_heap = 0
         self.crashed_processes: List[Tuple[Process, BaseException]] = []
         #: watchdog: raise once the loop would advance past this instant.
         self.time_limit: Optional[float] = _TIME_LIMIT.get()
@@ -325,55 +187,10 @@ class Simulator:
             raise ValueError("delay must be non-negative, got %r" % delay)
         if self.jitter_fn is not None and delay > 0:
             delay = self.jitter_fn(delay)
-        timer = Timer(self._now + delay, callback, args, self)
+        timer = Timer(self._now + delay, callback, args)
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (timer.when, seq, timer))
-        self._live += 1
         return timer
-
-    def _note_cancel(self) -> None:
-        """O(1) accounting for a timer cancelled while still in the heap."""
-        self._live -= 1
-        cancelled = self._cancelled_in_heap = self._cancelled_in_heap + 1
-        KERNEL_STATS.timers_cancelled += 1
-        # Heartbeat/timeout-reset patterns cancel timers far faster than
-        # the loop pops them; once the dead entries dominate, sweep them
-        # in one pass instead of paying log(bloated n) on every push/pop.
-        if cancelled >= COMPACT_MIN_CANCELLED and cancelled > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the heap, **in place**.
-
-        ``run()`` holds a local reference to the heap list while callbacks
-        execute, and a callback's ``cancel()`` can trigger this sweep
-        mid-run — so the list object must survive (slice-assign, never
-        rebind).  Entry order within the heap may change, but pops are
-        ordered by the ``(when, seq)`` keys, which are untouched:
-        observable event order is identical.
-        """
-        heap = self._heap
-        survivors = [entry for entry in heap if not entry[2]._cancelled]
-        swept = len(heap) - len(survivors)
-        heap[:] = survivors
-        heapq.heapify(heap)
-        self._cancelled_in_heap = 0
-        KERNEL_STATS.heap_compactions += 1
-        KERNEL_STATS.timers_compacted += swept
-
-    def event(self) -> Event:
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds after ``delay`` simulated seconds."""
-        ev = Event(self)
-        self.schedule(delay, self._succeed_if_pending, ev, value)
-        return ev
-
-    @staticmethod
-    def _succeed_if_pending(ev: Event, value: Any) -> None:
-        if not ev.triggered:
-            ev.succeed(value)
 
     # ------------------------------------------------------------------
     # processes
@@ -409,29 +226,21 @@ class Simulator:
     def _wait_on(self, process: Process, target: Any) -> None:
         if isinstance(target, (int, float)):
             self.schedule(float(target), process._step)
-        elif isinstance(target, (Event, Process)):
+        elif isinstance(target, Process):
             target._add_waiter(process)
         else:
             process._step(throw=SimulationError(
                 "process %s yielded unsupported %r" % (process.name, target)))
 
-    def _schedule_resume(self, process: Process, source: Any) -> None:
+    def _schedule_resume(self, process: Process, source: Process) -> None:
         self.schedule(0.0, self._resume, process, source)
 
     @staticmethod
-    def _resume(process: Process, source: Any) -> None:
-        if isinstance(source, Process):
-            if source._exception is not None:
-                process._step(throw=source._exception)
-            else:
-                process._step(send_value=source._result)
-        elif isinstance(source, Event):
-            if source._exception is not None:
-                process._step(throw=source._exception)
-            else:
-                process._step(send_value=source._value)
-        else:  # pragma: no cover - defensive
-            process._step(send_value=source)
+    def _resume(process: Process, source: Process) -> None:
+        if source._exception is not None:
+            process._step(throw=source._exception)
+        else:
+            process._step(send_value=source._result)
 
     def _record_crash(self, process: Process, exception: BaseException) -> None:
         self.crashed_processes.append((process, exception))
@@ -456,8 +265,7 @@ class Simulator:
         """Process events until the heap drains, ``max_time`` passes, or
         ``until_done`` completes."""
         # The loop dominates every unit-test execution, so its hot names
-        # are bound locally.  ``heap`` stays valid across _compact(),
-        # which mutates the list in place rather than rebinding it.
+        # are bound locally.
         heap = self._heap
         heappop = heapq.heappop
         time_limit = self.time_limit
@@ -472,12 +280,7 @@ class Simulator:
             heappop(heap)
             timer = entry[2]
             if timer._cancelled:
-                self._cancelled_in_heap -= 1
                 continue
-            # Detach before firing: a cancel() on this handle from now on
-            # must not decrement the live count a second time.
-            timer._sim = None
-            self._live -= 1
             if time_limit is not None and when > time_limit:
                 self._now = time_limit
                 raise SimTimeLimitExceeded(
@@ -499,7 +302,8 @@ class Simulator:
         self.run_until(self._now + duration)
 
     def pending_events(self) -> int:
-        return self._live
+        """Timers still due to fire (cancelled heap entries excluded)."""
+        return sum(1 for _, _, timer in self._heap if not timer._cancelled)
 
 
 class PeriodicTask:

@@ -20,11 +20,9 @@ algorithm fails verification on honest data.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 
@@ -54,59 +52,11 @@ def _xor_stream(data: bytes, key: bytes) -> bytes:
             ^ int.from_bytes(stream, "little")).to_bytes(size, "little")
 
 
-# Memoisation of the *byte-transform* layers (compress / xor / ssl) for
-# repeated identical frames — block headers, heartbeats, and handshake
-# messages are sent thousands of times with the same body.  Keys include
-# every format-affecting option, so a node with different settings can
-# never observe another node's cached frame.  Plain frames (no layers)
-# are not cached: their encode is a single concatenation and their decode
-# must re-parse anyway (callers may mutate the returned object, so JSON
-# parsing is always fresh — only the layer unwrapping is memoised).
-# tests/test_wire.py checks memoised frames against cold encodes.
-#
-# The encode memo is keyed by a 16-byte digest of the canonical JSON text
-# rather than the text itself: large repeated frames (block manifests,
-# batched edits) do not pin megabytes of key strings, so far more of
-# them fit under _WIRE_MEMO_MAX before eviction kicks in.
-_ENCODE_MEMO: Dict[Tuple[bytes, Optional[str], Optional[bytes], bool], bytes] = {}
-_DECODE_MEMO: Dict[Tuple[bytes, Optional[str], Optional[bytes], bool], bytes] = {}
-_WIRE_MEMO_MAX = 2048
-
-
-def _payload_digest(raw: bytes) -> bytes:
-    """16-byte content digest of the canonical payload text."""
-    return hashlib.blake2b(raw, digest_size=16).digest()
-
-
-def _evict_half(memo: Dict[Any, bytes]) -> None:
-    """Drop the oldest half of a memo (dict preserves insertion order).
-
-    Recently-inserted hot frames survive, unlike a full clear() which
-    throws away every hot entry at once and restarts the cache cold.
-    """
-    for key in list(itertools.islice(iter(memo), len(memo) // 2 or 1)):
-        del memo[key]
-
-
-def clear_wire_memo() -> None:
-    """Drop both frame caches, so the next encode and decode run cold."""
-    _ENCODE_MEMO.clear()
-    _DECODE_MEMO.clear()
-
-
 def encode_payload(payload: Any, *, codec: Optional[str] = None,
                    encryption_key: Optional[bytes] = None,
                    ssl: bool = False) -> bytes:
     """Serialize ``payload`` with the sender's format settings."""
-    raw = json.dumps(payload, sort_keys=True).encode("utf-8")
-    layered = codec is not None or encryption_key is not None or ssl
-    key = None
-    if layered:
-        key = (_payload_digest(raw), codec, encryption_key, ssl)
-        cached = _ENCODE_MEMO.get(key)
-        if cached is not None:
-            return cached
-    data = _PLAIN_MAGIC + raw
+    data = _PLAIN_MAGIC + json.dumps(payload, sort_keys=True).encode("utf-8")
     if codec is not None:
         magic, compress = _codec(codec)
         data = magic + compress(data)
@@ -114,10 +64,6 @@ def encode_payload(payload: Any, *, codec: Optional[str] = None,
         data = _xor_stream(data, encryption_key)
     if ssl:
         data = _SSL_MAGIC + _xor_stream(data, b"\x5c")
-    if key is not None:
-        if len(_ENCODE_MEMO) >= _WIRE_MEMO_MAX:
-            _evict_half(_ENCODE_MEMO)
-        _ENCODE_MEMO[key] = data
     return data
 
 
@@ -129,22 +75,6 @@ def decode_payload(data: bytes, *, codec: Optional[str] = None,
     Raises :class:`SslError` or :class:`DecodeError` when the receiver's
     expectations do not match what is actually on the wire.
     """
-    layered = codec is not None or encryption_key is not None or ssl
-    if layered:
-        key = (data, codec, encryption_key, ssl)
-        plain = _DECODE_MEMO.get(key)
-        if plain is not None:
-            return _parse_plain(plain)
-        plain = _unwrap_layers(data, codec, encryption_key, ssl)
-        if len(_DECODE_MEMO) >= _WIRE_MEMO_MAX:
-            _evict_half(_DECODE_MEMO)
-        _DECODE_MEMO[key] = plain
-        return _parse_plain(plain)
-    return _parse_plain(_unwrap_layers(data, codec, encryption_key, ssl))
-
-
-def _unwrap_layers(data: bytes, codec: Optional[str],
-                   encryption_key: Optional[bytes], ssl: bool) -> bytes:
     if ssl:
         if not data.startswith(_SSL_MAGIC):
             raise SslError("expected TLS record, peer sent plaintext")
@@ -161,10 +91,6 @@ def _unwrap_layers(data: bytes, codec: Optional[str],
             data = zlib.decompress(data[len(magic):])
         except zlib.error as exc:
             raise DecodeError("decompression failed: %s" % exc)
-    return data
-
-
-def _parse_plain(data: bytes) -> Any:
     if not data.startswith(_PLAIN_MAGIC):
         raise DecodeError("bad frame magic: %r" % data[:4])
     try:
@@ -239,8 +165,8 @@ def roundtrip_payload(payload: Any, *, codec: Optional[str] = None,
     object with JSON semantics (tuples become lists, dicts re-keyed in
     sorted order) and unserialisable payloads still fail.  For plain
     frames that result is built structurally, skipping the dumps/loads
-    pair; layered frames keep the real byte transforms (and their memo)
-    since format errors are the point of those layers.
+    pair; layered frames keep the real byte transforms since format
+    errors are the point of those layers.
     """
     layered = codec is not None or encryption_key is not None or ssl
     if not layered:

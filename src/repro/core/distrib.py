@@ -29,7 +29,7 @@ crashes, or answers late must never corrupt findings:
   :data:`~repro.core.runner.WORKER_CRASH` outcome — poison cannot starve
   the fleet.
 * **Work stealing.**  When the queue drains, an idle worker is granted a
-  *copy* of the oldest outstanding lease (at most ``dist_max_copies``
+  *copy* of the oldest outstanding lease (at most :data:`MAX_COPIES`
   holders): a straggler or silently-dead holder cannot stall campaign
   completion; the first copy to finish wins, the rest are suppressed.
 * **Graceful degradation.**  If no worker joins within
@@ -68,6 +68,8 @@ from repro.core.runner import WORKER_CRASH
 #: read deadline for a control reply (welcome, lease, ack) before the
 #: worker declares the connection wedged and reconnects.
 CONTROL_TIMEOUT_S = 30.0
+#: work stealing: maximum concurrent holders of one lease.
+MAX_COPIES = 2
 #: delay a worker is told to idle before re-fetching when the queue is
 #: momentarily empty but the campaign is not finished.
 WAIT_DELAY_S = 0.2
@@ -157,7 +159,6 @@ class Coordinator:
         self.heartbeat_timeout = max(config.dist_heartbeat_timeout_s,
                                      2 * config.dist_heartbeat_s)
         self.lease_deadline = config.dist_lease_deadline_s
-        self.max_copies = max(config.dist_max_copies, 1)
         self.join_grace = config.dist_join_grace_s
         self.fleet_grace = config.dist_fleet_grace_s
         self.redelivery = max(config.worker_redelivery, 0)
@@ -428,7 +429,7 @@ class Coordinator:
             for name, lease in self.leases.items()
             if name not in self.outcomes
             and worker.key not in lease["holders"]
-            and len(lease["holders"]) < self.max_copies)
+            and len(lease["holders"]) < MAX_COPIES)
         if not candidates:
             return None
         _, name = candidates[0]
@@ -671,7 +672,7 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
     from repro.core.orchestrator import CampaignConfig
     host, port = net.parse_address(connect)
     base = worker_config if worker_config is not None else CampaignConfig()
-    worker_name = name or "%s-%d" % (socket.gethostname(), id(base) % 10000)
+    worker_name = name or "%s#%d" % (socket.gethostname(), os.getpid())
     if log is None:
         def say(text: str) -> None:
             pass

@@ -221,16 +221,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
         "counter", "Executions the simulator ran; under paper accounting "
         "zc_executions_total minus this is the repeats the execution "
         "cache answered.", volatile=True),
-    "zc_runtime_sim_timers_cancelled_total": MetricSpec(
-        "counter", "Simulation timers cancelled while still in a heap "
-        "(kernel fast-path accounting; run-shape dependent).",
-        volatile=True),
-    "zc_runtime_sim_heap_compactions_total": MetricSpec(
-        "counter", "Threshold-triggered simulation-heap compaction "
-        "sweeps.", volatile=True),
-    "zc_runtime_sim_timers_compacted_total": MetricSpec(
-        "counter", "Cancelled heap entries removed by compaction sweeps.",
-        volatile=True),
     "zc_dist_workers_joined_total": MetricSpec(
         "counter", "Remote worker connections that completed the "
         "hello/welcome handshake.", volatile=True),

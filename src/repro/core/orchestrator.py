@@ -16,7 +16,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.common.faults import FaultPlan, plan_from_dict
 from repro.common.node import NODE_TYPES
 from repro.common.params import ParamRegistry
-from repro.common.simulation import kernel_stats_snapshot
 from repro.core import parallel
 from repro.core.confagent import UNIT_TEST
 from repro.core.checkpoint import CampaignCheckpoint
@@ -192,11 +191,6 @@ class CampaignConfig:
     #: that trip the crash-loop circuit breaker and halt the campaign
     #: gracefully with a salvaged partial report.
     crash_loop_threshold: int = 5
-    #: seconds of heartbeat silence from a BUSY worker before the
-    #: supervisor declares it frozen and kills it.  Heartbeats come from
-    #: a side thread, so plain CPU-bound work keeps beating; only a
-    #: genuinely stopped process (SIGSTOP, stuck syscall) goes silent.
-    heartbeat_timeout_s: float = 30.0
     #: serve pending profiles to remote workers from this listen address
     #: ("[HOST:]PORT"; see repro.core.distrib).  None = single-host run.
     distributed: Optional[str] = None
@@ -209,8 +203,6 @@ class CampaignConfig:
     #: its holder still heartbeats (None = no deadline; late results are
     #: still accepted idempotently).
     dist_lease_deadline_s: Optional[float] = None
-    #: work stealing: maximum concurrent holders of one lease.
-    dist_max_copies: int = 2
     #: seconds to wait for the first worker before degrading to the
     #: local pool.
     dist_join_grace_s: float = 20.0
@@ -1050,7 +1042,6 @@ class Campaign:
                             observe=obs)
         tester = PooledTester(runner, tracker=self.tracker,
                               max_pool_size=self.config.max_pool_size)
-        kernel_before = kernel_stats_snapshot()
         results: List[InstanceResult] = []
         error = ""
         error_kind = ""
@@ -1096,15 +1087,6 @@ class Campaign:
         stats.exec_cache_bypasses += runner.cache_bypasses
         if obs is not None:
             self._fill_profile_metrics(obs.metrics, runner, stats)
-            kernel_after = kernel_stats_snapshot()
-            for delta, metric in zip(
-                    (after - before for after, before
-                     in zip(kernel_after, kernel_before)),
-                    ("zc_runtime_sim_timers_cancelled_total",
-                     "zc_runtime_sim_heap_compactions_total",
-                     "zc_runtime_sim_timers_compacted_total")):
-                if delta:
-                    obs.metrics.counter_inc(metric, delta)
         return ProfileOutcome(results=results, stats=stats,
                               executions=runner.executions,
                               fault_counts=dict(runner.fault_counts),

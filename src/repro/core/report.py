@@ -245,18 +245,6 @@ class CampaignReport:
         raise KeyError(name)
 
     @property
-    def total_reported(self) -> int:
-        return sum(len(a.verdicts) for a in self.apps)
-
-    @property
-    def total_true_problems(self) -> int:
-        return sum(len(a.true_problems) for a in self.apps)
-
-    @property
-    def total_false_positives(self) -> int:
-        return sum(len(a.false_positives) for a in self.apps)
-
-    @property
     def total_machine_hours(self) -> float:
         return sum(a.machine_time_s for a in self.apps) / 3600.0
 
@@ -267,9 +255,6 @@ class CampaignReport:
         containers on each")."""
         slots = max(machines * containers_per_machine, 1)
         return self.total_machine_hours / slots
-
-    def all_true_problem_params(self) -> List[Tuple[str, str]]:
-        return [(a.app, v.param) for a in self.apps for v in a.true_problems]
 
     # ------------------------------------------------------------------
     # cross-campaign deduplication: HBase tests rediscover HDFS params,

@@ -87,10 +87,6 @@ class InstanceResult:
     tally: Optional[TrialTally] = None
     executions: int = 0
 
-    @property
-    def suspicious_at_first_trial(self) -> bool:
-        return self.verdict in (CONFIRMED_UNSAFE, FLAKY_DISMISSED)
-
 
 class _TrackedRandom(random.Random):
     """A ``random.Random`` that records whether it was ever consulted.

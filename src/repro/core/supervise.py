@@ -88,6 +88,11 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 #: cadence of the child-side heartbeat thread.
 HEARTBEAT_INTERVAL_S = 0.5
+#: seconds of heartbeat silence from a BUSY worker before the supervisor
+#: declares it frozen and kills it.  Heartbeats come from a side thread,
+#: so plain CPU-bound work keeps beating; only a genuinely stopped
+#: process (SIGSTOP, stuck syscall) goes silent.
+HEARTBEAT_TIMEOUT_S = 30.0
 #: parent poll tick: deadline/heartbeat checks happen at this resolution.
 _POLL_INTERVAL_S = 0.05
 #: exit status used by the injected worker_crash chaos hook.
@@ -241,8 +246,6 @@ class Supervisor:
         self.outcome_sink = outcome_sink
         self.stats = SupervisionStats(enabled=True)
         self.deadline = config.profile_deadline_s
-        self.heartbeat_timeout = max(config.heartbeat_timeout_s,
-                                     2 * HEARTBEAT_INTERVAL_S)
         self.redelivery = max(config.worker_redelivery, 0)
         self.breaker_threshold = max(config.crash_loop_threshold, 1)
         self.rlimit_cpu = config.worker_rlimit_cpu_s
@@ -440,7 +443,7 @@ class Supervisor:
                 continue
             over_deadline = (self.deadline is not None
                              and now - worker.started_at > self.deadline)
-            silent = now - worker.last_seen > self.heartbeat_timeout
+            silent = now - worker.last_seen > HEARTBEAT_TIMEOUT_S
             if not (over_deadline or silent):
                 continue
             # The result may have landed just under the wire.
@@ -473,7 +476,7 @@ class Supervisor:
                 self._requeue_or_quarantine(
                     name, delivery,
                     "worker sent no heartbeat for %.1fs; killed as frozen"
-                    % self.heartbeat_timeout)
+                    % HEARTBEAT_TIMEOUT_S)
                 if self.consecutive_crashes >= self.breaker_threshold:
                     self._trip_breaker("repeated heartbeat silence")
                 else:

@@ -106,6 +106,8 @@ class TestLocalBackendFlags:
         ["campaign", "flink", "--fault-drop", "0.1"],
         ["campaign", "flink", "--fault-disk-enospc", "0.1"],
         ["worker", "--connect", "127.0.0.1:1", "--fault-net-seed", "1"],
+        # work stealing's copy bound is the constant distrib.MAX_COPIES
+        ["campaign", "flink", "--dist-max-copies", "1"],
     ])
     def test_retired_backend_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -275,7 +277,6 @@ CAMPAIGN_FIELD_FLAGS = [
     (["--dist-heartbeat", "0.5"], "dist_heartbeat_s", 0.5),
     (["--dist-heartbeat-timeout", "3"], "dist_heartbeat_timeout_s", 3.0),
     (["--dist-lease-deadline", "8"], "dist_lease_deadline_s", 8.0),
-    (["--dist-max-copies", "3"], "dist_max_copies", 3),
     (["--dist-join-grace", "1"], "dist_join_grace_s", 1.0),
     (["--dist-fleet-grace", "2"], "dist_fleet_grace_s", 2.0),
     (["--trace-spans", "s.jsonl"], "observe", True),

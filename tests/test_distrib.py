@@ -334,8 +334,9 @@ class TestCoordinatorProtocol:
         assert coordinator.stats.remote_profiles == 1
         assert coordinator.stats.duplicates_suppressed == 1
 
-    def test_steal_bounded_by_max_copies(self):
-        _, coordinator, profiles = make_coordinator(dist_max_copies=1)
+    def test_steal_bounded_by_max_copies(self, monkeypatch):
+        monkeypatch.setattr(distrib, "MAX_COPIES", 1)
+        _, coordinator, profiles = make_coordinator()
         straggler, _ = join(coordinator, name="slow")
         fetch(coordinator, straggler, max_tasks=len(profiles))
         thief, _ = join(coordinator, name="fast")
@@ -640,6 +641,16 @@ class TestDistributedEndToEnd:
             + stats.quarantined >= 1
         assert not stats.degraded_to_local
         assert sum(w.profiles for w in stats.fleet) == stats.remote_profiles
+
+    def test_unnamed_worker_is_named_host_pid(self, serial_baseline):
+        # the coordinator keys its fleet table by worker name, so the
+        # default must tell two hosts' processes apart (`--name` help)
+        report, stats, exit_codes = run_distributed(
+            n_workers=1, worker_kwargs={0: {"name": ""}})
+        assert full_dict(report) == serial_baseline
+        assert exit_codes == {0: EXIT_OK}
+        assert [row.worker for row in stats.fleet] == [
+            "%s#%d" % (socket.gethostname(), os.getpid())]
 
     @pytest.mark.parametrize("coordinator,worker", [
         ({"sample": "pairwise"}, {}),

@@ -72,6 +72,23 @@ def test_checker_catches_a_planted_unknown_metric(tmp_path):
                for p in metric_problems)
 
 
+def test_checker_catches_a_planted_unknown_call(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "LIMIT: int = 3\n\n\nclass Kernel:\n    def run(self):\n"
+        "        pass\n")
+    (tmp_path / "README.md").write_text(
+        "Call `Kernel.run()`, `mod.LIMIT()`, `Kernel()`, `time.time()`, "
+        "`Kernel.vanished()` and `definitely_not_code()` for "
+        + _README_SURFACE)
+    problems = [p for p in check_docs.check(str(tmp_path)) if "()`" in p]
+    assert problems == [
+        "README.md:1: `Kernel.vanished()` names no def, class or "
+        "module-level binding in the code",
+        "README.md:1: `definitely_not_code()` names no def, class or "
+        "module-level binding in the code"]
+
+
 def test_checker_catches_a_planted_untested_flag(tmp_path):
     flags, _ = check_docs.collect_cli_surface()
     untested = "--crash-loop-threshold"

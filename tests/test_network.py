@@ -1,4 +1,4 @@
-"""Unit tests for the throttler and timed waits."""
+"""Unit tests for the bandwidth throttler."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import SocketTimeout
-from repro.common.network import BandwidthThrottler, timed_wait
+from repro.common.network import BandwidthThrottler
 from repro.common.simulation import Simulator
 
 
@@ -75,13 +74,6 @@ class TestBandwidthThrottler:
 
         assert sim.run_process(body()) == 0.0
 
-    def test_would_block_reflects_quota(self):
-        sim = Simulator()
-        throttler = BandwidthThrottler(sim, rate_fn=lambda: 100.0)
-        assert not throttler.would_block(50)
-        throttler.force_debit(100)
-        assert throttler.would_block(50)
-
     def test_throttled_time_accumulates(self):
         sim = Simulator()
         throttler = BandwidthThrottler(sim, rate_fn=lambda: 100.0)
@@ -103,67 +95,3 @@ class TestBandwidthThrottler:
         lower_bound = max(nbytes - free, 0) / rate
         assert elapsed >= lower_bound - 1e-6
 
-
-class TestTimedWait:
-    def test_value_delivered_before_deadline(self):
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(1.0, event.succeed, "data")
-
-        def body():
-            value = yield from timed_wait(sim, event, timeout=5.0)
-            return value
-
-        assert sim.run_process(body()) == "data"
-
-    def test_timeout_raises(self):
-        sim = Simulator()
-        event = sim.event()  # never triggers
-
-        def body():
-            yield from timed_wait(sim, event, timeout=2.0, what="read")
-
-        with pytest.raises(SocketTimeout):
-            sim.run_process(body())
-        assert sim.now == pytest.approx(2.0)
-
-    def test_late_event_does_not_crash_after_timeout(self):
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(10.0, event.succeed, "late")
-
-        def body():
-            yield from timed_wait(sim, event, timeout=2.0)
-
-        with pytest.raises(SocketTimeout):
-            sim.run_process(body())
-        sim.run()  # the late succeed must not surface as a crash
-        assert sim.crashed_processes == []
-
-    def test_early_win_cancels_deadline_timer(self):
-        """The losing deadline must not linger: timed_wait used to leak a
-        watcher process plus a live deadline timer per resolved race."""
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(1.0, event.succeed, "data")
-
-        def body():
-            value = yield from timed_wait(sim, event, timeout=1000.0)
-            return value
-
-        assert sim.run_process(body()) == "data"
-        assert sim.pending_events() == 0
-
-    def test_many_races_leave_no_residue(self):
-        sim = Simulator()
-
-        def one_race(index):
-            event = sim.event()
-            sim.schedule(0.5, event.succeed, index)
-            value = yield from timed_wait(sim, event, timeout=60.0)
-            return value
-
-        for index in range(50):
-            assert sim.run_process(one_race(index)) == index
-        assert sim.pending_events() == 0
-        assert sim.crashed_processes == []

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.simulation import (COMPACT_MIN_CANCELLED, Event,
-                                     PeriodicTask, Process, SimulationError,
-                                     Simulator, kernel_stats_snapshot)
+from repro.common.simulation import PeriodicTask, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -93,42 +91,6 @@ class TestScheduling:
         assert len(fired) == len(delays)
 
 
-class TestEvents:
-    def test_succeed_carries_value(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed(42)
-        assert event.triggered and event.ok
-        assert event.value == 42
-
-    def test_fail_carries_exception(self):
-        sim = Simulator()
-        event = sim.event()
-        event.fail(RuntimeError("boom"))
-        assert event.triggered and not event.ok
-        with pytest.raises(RuntimeError):
-            _ = event.value
-
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_value_before_trigger_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            _ = sim.event().value
-
-    def test_timeout_event_fires_after_delay(self):
-        sim = Simulator()
-        event = sim.timeout(7.0, value="done")
-        sim.run()
-        assert event.value == "done"
-        assert sim.now == 7.0
-
-
 class TestProcesses:
     def test_process_sleeps_on_numeric_yield(self):
         sim = Simulator()
@@ -138,17 +100,6 @@ class TestProcesses:
             return sim.now
 
         assert sim.run_process(body()) == 3.0
-
-    def test_process_waits_on_event(self):
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(4.0, event.succeed, "payload")
-
-        def body():
-            value = yield event
-            return (sim.now, value)
-
-        assert sim.run_process(body()) == (4.0, "payload")
 
     def test_process_joins_another_process(self):
         sim = Simulator()
@@ -162,17 +113,6 @@ class TestProcesses:
             return value
 
         assert sim.run_process(parent()) == "child-result"
-
-    def test_failed_event_raises_inside_process(self):
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(1.0, event.fail, ValueError("nope"))
-
-        def body():
-            yield event
-
-        with pytest.raises(ValueError):
-            sim.run_process(body())
 
     def test_child_exception_propagates_to_joiner(self):
         sim = Simulator()
@@ -304,39 +244,20 @@ class TestPeriodicTask:
 
 
 # ---------------------------------------------------------------------------
-# kernel: heap compaction, O(1) accounting, teardown safety
+# kernel: lazy deletion, cancel storms, teardown safety
 # ---------------------------------------------------------------------------
 class TestHeapCompaction:
-    def test_cancel_storm_compacts_the_heap(self):
-        sim = Simulator()
-        victims = [sim.schedule(100.0, int)
-                   for _ in range(COMPACT_MIN_CANCELLED * 2)]
-        for _ in range(3):
-            sim.schedule(50.0, int)
-        _, compactions_before, _ = kernel_stats_snapshot()
-        for timer in victims:
-            timer.cancel()
-        _, compactions_after, _ = kernel_stats_snapshot()
-        assert compactions_after > compactions_before
-        # the sweep physically removed dead entries
-        assert len(sim._heap) < len(victims)
-        assert sim.pending_events() == 3
-
     def test_small_heaps_never_compact(self):
         sim = Simulator()
         timers = [sim.schedule(10.0, int) for _ in range(10)]
-        _, compactions_before, _ = kernel_stats_snapshot()
         for timer in timers:
             timer.cancel()
-        _, compactions_after, _ = kernel_stats_snapshot()
-        assert compactions_after == compactions_before
-        assert len(sim._heap) == 10  # lazy deletion still applies
+        assert len(sim._heap) == 10  # lazy deletion: entries stay queued
         assert sim.pending_events() == 0
 
     def test_compaction_mid_run_preserves_event_order(self):
-        """A callback's cancel storm compacts the heap while run() /
-        run_until() hold a local reference to it; remaining events must
-        still fire, in order."""
+        """A callback's cancel storm inside a bounded run() leaves the
+        remaining events firing, in order."""
         sim = Simulator()
         order = []
         for i in range(5):
@@ -348,18 +269,15 @@ class TestHeapCompaction:
                 timer.cancel()
 
         sim.schedule(1.0, slaughter)
-        _, compactions_before, _ = kernel_stats_snapshot()
-        sim.run_until(1.5)  # compaction races the bounded run
-        _, compactions_after, _ = kernel_stats_snapshot()
-        assert compactions_after > compactions_before
+        sim.run_until(1.5)  # the storm lands inside the bounded run
         assert sim.pending_events() == 5
         sim.run()
         assert order == [0, 1, 2, 3, 4]
         assert sim.pending_events() == 0
 
     def test_event_order_identical_fast_and_legacy(self):
-        """A cancel storm that compacts the heap fires the survivors in
-        exactly the (time, scheduling order) a plain sort gives."""
+        """After a cancel storm the survivors fire in exactly the (time,
+        scheduling order) a plain sort gives."""
         sim = Simulator()
         log = []
         timers = {}
@@ -372,10 +290,7 @@ class TestHeapCompaction:
                     timers[i].cancel()
 
         sim.schedule(0.5, kill)
-        _, compactions_before, _ = kernel_stats_snapshot()
         sim.run()
-        _, compactions_after, _ = kernel_stats_snapshot()
-        assert compactions_after > compactions_before
         # time-0 timers fire before kill() runs at 0.5; of the rest only
         # every fourth survives
         expected = [i for i in sorted(range(300), key=lambda i: (i % 11, i))
@@ -388,11 +303,9 @@ class TestCancelAccounting:
         sim = Simulator()
         timer = sim.schedule(5.0, int)
         sim.schedule(6.0, int)
-        cancelled_before, _, _ = kernel_stats_snapshot()
         timer.cancel()
         timer.cancel()
-        cancelled_after, _, _ = kernel_stats_snapshot()
-        assert cancelled_after - cancelled_before == 1
+        assert timer.cancelled
         assert sim.pending_events() == 1
 
     def test_cancel_after_fire_is_inert(self):
@@ -404,7 +317,7 @@ class TestCancelAccounting:
         assert fired == [1]
         timer.cancel()  # handle kept across the firing
         timer.cancel()
-        assert sim.pending_events() == 1  # live count not corrupted
+        assert sim.pending_events() == 1
         sim.run()
         assert fired == [1, 2]
         assert sim.pending_events() == 0
@@ -415,8 +328,8 @@ class TestCancelAccounting:
         pending_handle = sim.schedule(50.0, int)
         sim.run_until(2.0)
         del sim
-        fired_handle.cancel()    # popped: detached, pure flag write
-        pending_handle.cancel()  # un-popped: safe accounting, no error
+        fired_handle.cancel()    # already popped: a flag write
+        pending_handle.cancel()  # never popped: a flag write, no error
         assert fired_handle.cancelled
         assert pending_handle.cancelled
 

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.common.faults import FaultPlan
+from repro.core import supervise
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
 from repro.core.report import app_report_to_dict, findings_projection
@@ -273,10 +274,12 @@ class TestHungWorkers:
         found = {v.param for v in report.verdicts if v.is_true_problem}
         assert found == {"synth.mode", "synth.level"}
 
-    def test_frozen_worker_is_killed_on_heartbeat_silence(self):
+    def test_frozen_worker_is_killed_on_heartbeat_silence(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(supervise, "HEARTBEAT_TIMEOUT_S", 1.0)
         frozen = sigstop_self_test()
         report = campaign([frozen, safe_only_test()],
-                          heartbeat_timeout_s=1.0, worker_redelivery=0).run()
+                          worker_redelivery=0).run()
         assert frozen.full_name in report.quarantined_tests
         assert "heartbeat" in report.degraded_errors[frozen.full_name]
         assert report.supervision.heartbeat_kills >= 1

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repro.common import wire
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
 from repro.common.wire import (CHECKSUM_TYPES, SASL_LEVELS, SUPPORTED_CODECS,
-                               clear_wire_memo, compute_checksums,
-                               decode_payload, encode_payload, negotiate_sasl,
+                               compute_checksums, decode_payload,
+                               encode_payload, negotiate_sasl,
                                roundtrip_payload, transfer, verify_checksums)
 
 PAYLOAD = {"op": "write", "block": 17, "data": "0011aabb"}
@@ -249,72 +249,6 @@ class TestChecksums:
         corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
         with pytest.raises(ChecksumError):
             verify_checksums(corrupted, sums, chunk, "CRC32")
-
-
-class TestWireMemo:
-    """The frame memo: digest keys, bounded size, partial eviction."""
-
-    def setup_method(self):
-        clear_wire_memo()
-
-    def teardown_method(self):
-        clear_wire_memo()
-
-    def test_fast_path_bytes_identical_to_legacy(self):
-        """A memoised encode returns exactly the bytes a cold encode
-        (empty memo, every layer transform run) produces."""
-        payloads = [
-            PAYLOAD,
-            {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128},
-            {"manifest": list(range(512)), "meta": {"gen": 7}},
-            {"nested": {"a": [1, {"b": None}], "c": True}},
-        ]
-        options = [
-            {"codec": "gzip"},
-            {"encryption_key": b"sasl-privacy-wrap"},
-            {"ssl": True},
-            {"codec": "zstd", "encryption_key": b"k"},
-            {"codec": "zstd", "encryption_key": b"k", "ssl": True},
-        ]
-        # Warm one memo with every (payload, options) pair, so a key
-        # that missed a format option would hand one pair another's frame.
-        memoised = {}
-        for i, payload in enumerate(payloads):
-            for j, opts in enumerate(options):
-                first = encode_payload(payload, **opts)
-                assert encode_payload(payload, **opts) is first  # memo hit
-                memoised[i, j] = first
-        for (i, j), frame in memoised.items():
-            clear_wire_memo()
-            assert encode_payload(payloads[i], **options[j]) == frame
-
-    def test_hot_key_survives_overflow(self):
-        hot = {"method": "sendHeartbeat", "node": "dn-0", "blocks": 128}
-        for i in range(wire._WIRE_MEMO_MAX - 1):
-            encode_payload({"cold": i}, codec="gzip")
-        first = encode_payload(hot, codec="gzip")
-        # these inserts trip the eviction threshold; the hot frame is in
-        # the newest half and must survive (a full clear() would drop it)
-        for i in range(100):
-            encode_payload({"cold2": i}, codec="gzip")
-        assert len(wire._ENCODE_MEMO) <= wire._WIRE_MEMO_MAX
-        assert encode_payload(hot, codec="gzip") is first
-
-    def test_memo_stays_bounded(self):
-        for i in range(wire._WIRE_MEMO_MAX + 300):
-            encode_payload({"cold": i}, codec="gzip")
-        assert len(wire._ENCODE_MEMO) <= wire._WIRE_MEMO_MAX
-
-    def test_decode_memo_partial_eviction(self):
-        frames = [encode_payload({"cold": i}, codec="gzip")
-                  for i in range(wire._WIRE_MEMO_MAX + 10)]
-        clear_wire_memo()
-        for frame in frames:
-            decode_payload(frame, codec="gzip")
-        assert len(wire._DECODE_MEMO) <= wire._WIRE_MEMO_MAX
-        # the most recent frame is still cached
-        recent_key = (frames[-1], "gzip", None, False)
-        assert recent_key in wire._DECODE_MEMO
 
 
 class TestSasl:

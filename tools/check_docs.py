@@ -21,7 +21,12 @@ flag the README never documents.  Concretely, it enforces:
    ``_sum`` and ``_count`` series included), and every ``zc_family_*``
    shorthand matches at least one catalogued name;
 8. every flag that ``build_parser()`` defines is named in at least one
-   file under ``tests/``, so an option no test exercises fails the check.
+   file under ``tests/``, so an option no test exercises fails the check;
+9. every backticked call (`` `name()` `` or `` `dotted.name()` ``) in
+   README.md or docs/*.md names real code: its last dotted part is a
+   ``def``, a ``class`` or a module-level binding in a ``.py`` file under
+   ``src/``, ``tests/``, ``benchmarks/`` or ``tools/``, modulo an
+   allowlist of outside names (the standard library's).
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -47,6 +52,15 @@ EXTERNAL_FLAGS = {
     "--benchmark-only",
 }
 
+#: calls the docs name that are not ours (the standard library's).
+EXTERNAL_CALLS = {
+    "time.time",
+    "Process.is_alive",
+}
+
+#: directories whose ``.py`` files define the names rule 9 accepts.
+CODE_DIRS = ("src", "tests", "benchmarks", "tools")
+
 #: ``--flag`` or ``--family-*`` tokens.  The trailing ``[a-z0-9]`` stops
 #: matches at punctuation (``--store's`` -> ``--store``).
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9]*(?:-[a-z0-9]+)*(?:-?\*)?")
@@ -56,6 +70,14 @@ _METRIC_RE = re.compile(r"\bzc_[a-z0-9_]*(?:[a-z0-9]|\*)")
 
 #: series a histogram exports beside its catalogued name.
 _HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
+
+#: backticked calls: `` `name()` `` or `` `dotted.name()` ``.
+_CALL_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(\)`")
+
+#: a ``def`` or ``class`` at any depth, or a module-level binding.
+_DEFINITION_RE = re.compile(
+    r"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+([A-Za-z_]\w*)"
+    r"|^([A-Za-z_]\w*)[ \t]*(?::[^=\n]*)?=(?!=)", re.MULTILINE)
 
 #: ``docs/NAME.md`` cross-references.
 _DOCREF_RE = re.compile(r"docs/[A-Za-z0-9_.-]+\.md")
@@ -154,6 +176,22 @@ def check_spec_table(root: str) -> List[str]:
     return problems
 
 
+def code_definitions(root: str) -> Set[str]:
+    """Names a ``def``, ``class`` or module-level binding introduces in
+    the ``.py`` files under :data:`CODE_DIRS`."""
+    names: Set[str] = set()
+    for top in CODE_DIRS:
+        for directory, _, files in os.walk(os.path.join(root, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name)) as handle:
+                        names.update(
+                            match.group(1) or match.group(2)
+                            for match in _DEFINITION_RE.finditer(
+                                handle.read()))
+    return names
+
+
 def check_flags_tested(root: str, known_flags: Set[str]) -> List[str]:
     """Flags that no file under ``tests/`` names."""
     named: Set[str] = set()
@@ -172,6 +210,7 @@ def check(root: str) -> List[str]:
     problems: List[str] = []
     known_flags, commands = collect_cli_surface()
     metrics = set(METRIC_CATALOG)
+    definitions = code_definitions(root)
     files = doc_files(root)
     readme_text = ""
     flag_mentions: Dict[str, Set[str]] = {}
@@ -202,6 +241,12 @@ def check(root: str) -> List[str]:
                 problem = metric_problem(token, metrics)
                 if problem:
                     problems.append("%s:%d: %s" % (rel, lineno, problem))
+            for token in _CALL_RE.findall(line):
+                if (token not in EXTERNAL_CALLS
+                        and token.rsplit(".", 1)[-1] not in definitions):
+                    problems.append(
+                        "%s:%d: `%s()` names no def, class or module-level "
+                        "binding in the code" % (rel, lineno, token))
         for ref in _DOCREF_RE.findall(text):
             if not os.path.isfile(os.path.join(root, ref)):
                 problems.append("%s: broken cross-reference %s"
