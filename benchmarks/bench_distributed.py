@@ -71,8 +71,7 @@ def _findings_view(report):
 def _run_fleet():
     port = _free_port()
     address = "127.0.0.1:%d" % port
-    campaign = _fresh_campaign(distributed=address, dist_join_grace_s=60.0,
-                               dist_fleet_grace_s=30.0)
+    campaign = _fresh_campaign(distributed=address, dist_join_grace_s=60.0)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     workers = [

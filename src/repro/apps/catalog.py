@@ -8,8 +8,8 @@ tests, never by detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.common.params import ParamRegistry
 from repro.core.registry import load_all_suites

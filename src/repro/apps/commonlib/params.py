@@ -9,7 +9,7 @@ that nodes read during initialization (feeding ZebraConf's pools).
 from __future__ import annotations
 
 from repro.common.params import (BOOL, DURATION_MS, ENUM, INT, SIZE, STR,
-                                 ParamDef, ParamRegistry)
+                                 ParamRegistry)
 
 COMMON_REGISTRY = ParamRegistry("hadoop-common")
 _d = COMMON_REGISTRY.define

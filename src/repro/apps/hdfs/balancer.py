@@ -21,8 +21,7 @@ Implements the paper's two §7.1 case studies mechanistically:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List
 
 from repro.common.errors import BalancerTimeout, PlacementPolicyError
 from repro.common.ipc import RpcClient

@@ -14,7 +14,7 @@ Backs three Table-3 parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.common.errors import PlacementPolicyError
 

@@ -8,7 +8,7 @@ ZebraConf's ConfAgent untangles (§6.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.apps.hdfs.datanode import DEFAULT_CAPACITY, DataNode
 from repro.apps.hdfs.journal import JournalNode, SecondaryNameNode

@@ -10,7 +10,7 @@ encryption-key distribution) reproduce here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.apps.hdfs.blockmanager import BlockManager
 from repro.apps.hdfs.namespace import Namespace

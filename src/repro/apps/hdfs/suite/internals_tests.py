@@ -9,7 +9,7 @@ only triage does.
 
 from __future__ import annotations
 
-from repro.apps.hdfs import DFSClient, HdfsConfiguration, MiniDFSCluster
+from repro.apps.hdfs import HdfsConfiguration, MiniDFSCluster
 from repro.apps.hdfs.namespace import split_path
 from repro.common.errors import TestFailure
 from repro.common.wire import compute_checksums

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.apps.hdfs import (Balancer, DFSClient, HdfsConfiguration,
                              MiniDFSCluster, run_fsck)
 from repro.apps.hdfs.namespace import Namespace
-from repro.common.errors import NodeStateError, ReproError, TestFailure
+from repro.common.errors import ReproError, TestFailure
 from repro.core.registry import TestContext, unit_test
 
 

@@ -12,7 +12,7 @@ import json
 import zlib
 from typing import Any, Dict, List
 
-from repro.apps.mapreduce.tasks import FINAL_OUTPUT_SUFFIX, MapTask, ReduceTask
+from repro.apps.mapreduce.tasks import FINAL_OUTPUT_SUFFIX
 from repro.common.errors import CommitError
 from repro.common.ipc import RpcClient
 

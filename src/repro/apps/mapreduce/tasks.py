@@ -16,7 +16,7 @@ This is the whole Table-3 MapReduce family, reproduced mechanistically.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ShuffleError
 from repro.common.node import Node, node_init, register_node_type

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.common.errors import AllocationError, ConnectError
 from repro.common.httpserver import HttpServer

@@ -214,29 +214,15 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     pool.add_argument("--profile-deadline", type=float, default=None,
                       metavar="SECONDS",
                       help="real-time wall-clock budget per unit-test "
-                           "profile under supervision; on expiry the "
-                           "worker is SIGKILLed and the profile "
-                           "quarantined (default: none)")
-    pool.add_argument("--worker-rlimit-cpu", type=int, default=None,
-                      metavar="SECONDS",
-                      help="RLIMIT_CPU for each supervised worker; "
-                           "workers are recycled per profile so every "
-                           "profile gets a fresh CPU budget")
+                           "profile wherever it runs: a supervised "
+                           "worker past it is SIGKILLed and the profile "
+                           "quarantined, and a --distributed coordinator "
+                           "requeues a lease older than it (default: "
+                           "none)")
     pool.add_argument("--worker-rlimit-mem", type=int, default=None,
                       metavar="MB",
                       help="RLIMIT_AS (address space, MB) for each "
                            "supervised worker")
-    pool.add_argument("--worker-redelivery", type=int, default=2,
-                      metavar="N",
-                      help="times a profile is redelivered to a fresh "
-                           "worker after its worker crashed, before "
-                           "being quarantined (default 2)")
-    pool.add_argument("--crash-loop-threshold", type=int, default=5,
-                      metavar="K",
-                      help="consecutive worker deaths (no completed "
-                           "profile in between) that trip the "
-                           "supervisor's circuit breaker and halt the "
-                           "campaign with a partial report (default 5)")
 
 
 def _shared_config_fields(args: argparse.Namespace) -> Dict[str, Any]:
@@ -245,10 +231,7 @@ def _shared_config_fields(args: argparse.Namespace) -> Dict[str, Any]:
             "store_path": args.store,
             "dist_secret": args.dist_secret,
             "profile_deadline_s": args.profile_deadline,
-            "worker_rlimit_cpu_s": args.worker_rlimit_cpu,
-            "worker_rlimit_mem_mb": args.worker_rlimit_mem,
-            "worker_redelivery": args.worker_redelivery,
-            "crash_loop_threshold": args.crash_loop_threshold}
+            "worker_rlimit_mem_mb": args.worker_rlimit_mem}
 
 
 def _fault_arg(kinds: Sequence[str]) -> Callable[[str], Tuple[str, Any]]:
@@ -366,29 +349,12 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                                   "`repro worker --connect` processes over "
                                   "TCP; falls back to the local pool if the "
                                   "fleet never joins or is lost")
-    distributed.add_argument("--dist-heartbeat", type=float, default=1.0,
-                             metavar="SECONDS",
-                             help="worker heartbeat cadence (default 1.0)")
-    distributed.add_argument("--dist-heartbeat-timeout", type=float,
-                             default=10.0, metavar="SECONDS",
-                             help="silence after which a worker is declared "
-                                  "dead and its leases redelivered "
-                                  "(default 10)")
-    distributed.add_argument("--dist-lease-deadline", type=float,
-                             default=None, metavar="SECONDS",
-                             help="wall-clock budget per granted lease; on "
-                                  "expiry the profile is redelivered "
-                                  "(default: none)")
     distributed.add_argument("--dist-join-grace", type=float, default=20.0,
                              metavar="SECONDS",
-                             help="how long to wait for the first worker "
+                             help="how long to run with no live worker, "
+                                  "from the start or from the last loss, "
                                   "before degrading to the local pool "
                                   "(default 20)")
-    distributed.add_argument("--dist-fleet-grace", type=float, default=10.0,
-                             metavar="SECONDS",
-                             help="how long to run with zero live workers "
-                                  "(after some joined) before degrading to "
-                                  "the local pool (default 10)")
     observability = parser.add_argument_group(
         "observability", "span tracing, metrics, live progress "
                          "(docs/OBSERVABILITY.md)")
@@ -431,11 +397,7 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
                             disk_fault_plan=disk_fault_plan,
                             audit=args.audit,
                             distributed=args.distributed,
-                            dist_heartbeat_s=args.dist_heartbeat,
-                            dist_heartbeat_timeout_s=args.dist_heartbeat_timeout,
-                            dist_lease_deadline_s=args.dist_lease_deadline,
                             dist_join_grace_s=args.dist_join_grace,
-                            dist_fleet_grace_s=args.dist_fleet_grace,
                             net_fault_plan=net_fault_plan,
                             observe=bool(args.trace_spans or args.trace_chrome
                                          or args.metrics_out),

@@ -9,7 +9,7 @@ exposes the time-advancing helpers corpus unit tests use.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Type, TypeVar
+from typing import Any, List, Optional, Type, TypeVar
 
 from repro.common.faults import current_injector
 from repro.common.node import Node

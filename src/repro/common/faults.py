@@ -51,11 +51,10 @@ from repro.common.errors import InfrastructureError
 
 
 def fault_seed(*parts: Any) -> int:
-    """Deterministic seed from identifying strings/ints (crc32, like
-    :func:`repro.core.execcache.stable_seed`; duplicated here because the
-    common substrate must not import the core layer).  Parts are
-    length-prefixed so distinct part tuples never join to the same byte
-    stream (``("a|b", "c")`` vs ``("a", "b|c")``)."""
+    """Deterministic cross-run seed (crc32) from identifying strings/ints;
+    the core layer imports it as ``repro.core.execcache.stable_seed``.
+    Parts are length-prefixed so distinct part tuples never join to the
+    same byte stream (``("a|b", "c")`` vs ``("a", "b|c")``)."""
     pieces = []
     for part in parts:
         text = str(part)

@@ -13,7 +13,7 @@ unit-test-provided conf to the node by Rule 2.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from repro.common.configuration import Configuration, ref_to_clone
 from repro.common.errors import NodeStateError

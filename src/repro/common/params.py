@@ -11,8 +11,8 @@ they are meaningful; enumerations test every documented value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 BOOL = "bool"
 INT = "int"

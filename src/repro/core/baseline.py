@@ -13,8 +13,8 @@ CLI: ``python -m repro campaign hdfs --json baseline.json`` once, then
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 from repro.core.report import AppReport, app_report_to_dict
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.params import ParamRegistry
 from repro.core.confagent import ConfAgent

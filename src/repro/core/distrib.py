@@ -12,10 +12,12 @@ plus the profile's observation.
 Robustness is the design driver — a worker that disconnects, hangs,
 crashes, or answers late must never corrupt findings:
 
-* **Liveness.**  Workers heartbeat on a side thread; a worker silent
-  past ``dist_heartbeat_timeout_s`` is declared lost and its leases are
-  redelivered.  An optional per-lease deadline (``dist_lease_deadline_s``)
-  bounds a lease even while its holder keeps beating.
+* **Liveness.**  Workers heartbeat every :data:`HEARTBEAT_S` on a side
+  thread; a worker silent past :data:`HEARTBEAT_TIMEOUT_S` is declared
+  lost and its leases are redelivered.  A lease older than the
+  campaign's ``profile_deadline_s`` (``--profile-deadline``, the same
+  per-profile budget the supervised pool enforces) is requeued even
+  while its holder keeps beating.
 * **At-least-once + idempotent.**  A worker treats a result as delivered
   only when the coordinator acks it; unacked results are resent after
   reconnect.  The coordinator commits each profile exactly once — a
@@ -24,18 +26,18 @@ crashes, or answers late must never corrupt findings:
 * **Bounded reconnect.**  Workers reconnect with exponential backoff and
   jitter, at most ``--reconnect-attempts`` consecutive failures.
 * **Redelivery with quarantine.**  A lease lost to a dead worker is
-  re-queued at most ``worker_redelivery`` times (the supervised pool's
-  own bound) before the profile is quarantined as a
+  re-queued at most :data:`repro.core.parallel.REDELIVERY` times (the
+  supervised pool's own bound) before the profile is quarantined as a
   :data:`~repro.core.runner.WORKER_CRASH` outcome — poison cannot starve
   the fleet.
 * **Work stealing.**  When the queue drains, an idle worker is granted a
   *copy* of the oldest outstanding lease (at most :data:`MAX_COPIES`
   holders): a straggler or silently-dead holder cannot stall campaign
   completion; the first copy to finish wins, the rest are suppressed.
-* **Graceful degradation.**  If no worker joins within
-  ``dist_join_grace_s``, or the whole fleet is lost and nobody rejoins
-  within ``dist_fleet_grace_s``, the coordinator closes shop and the
-  campaign finishes the remaining profiles on the local pool — a lost
+* **Graceful degradation.**  If no worker is live for
+  ``dist_join_grace_s`` — from the start until the first one joins, and
+  from the last loss after that — the coordinator closes shop and the
+  campaign finishes the remaining profiles on the local pool: a lost
   fleet degrades, it never aborts.
 
 Findings stay byte-identical to serial runs because the coordinator
@@ -70,6 +72,11 @@ from repro.core.runner import WORKER_CRASH
 CONTROL_TIMEOUT_S = 30.0
 #: work stealing: maximum concurrent holders of one lease.
 MAX_COPIES = 2
+#: cadence workers are told to heartbeat at.
+HEARTBEAT_S = 1.0
+#: seconds of heartbeat silence before a worker is declared lost and its
+#: leases redelivered.
+HEARTBEAT_TIMEOUT_S = 10.0
 #: delay a worker is told to idle before re-fetching when the queue is
 #: momentarily empty but the campaign is not finished.
 WAIT_DELAY_S = 0.2
@@ -155,13 +162,8 @@ class Coordinator:
         self.host, self.port = host, port
         self.stats = campaign.distribution
         self.digest = corpus_digest(campaign)
-        self.heartbeat_s = config.dist_heartbeat_s
-        self.heartbeat_timeout = max(config.dist_heartbeat_timeout_s,
-                                     2 * config.dist_heartbeat_s)
-        self.lease_deadline = config.dist_lease_deadline_s
+        self.lease_deadline = config.profile_deadline_s
         self.join_grace = config.dist_join_grace_s
-        self.fleet_grace = config.dist_fleet_grace_s
-        self.redelivery = max(config.worker_redelivery, 0)
         self.net_plan = config.net_fault_plan
         #: shared secret for the HMAC challenge-response handshake
         #: (None/"" = open coordinator, legacy hello/welcome).
@@ -180,7 +182,9 @@ class Coordinator:
         self._fleet: Dict[str, FleetWorker] = {}
         self.halted = False  # degradation tripped: stop granting
         self.closed = False  # serve() is tearing down
-        self._fleet_lost_at: Optional[float] = None
+        #: start of the current stretch with no live worker (None while
+        #: one is live); degradation trips once it outlasts join_grace.
+        self._idle_since: Optional[float] = time.monotonic()
         self.address: Tuple[str, int] = (host, port)
         self._listener: Optional[socket.socket] = None
         self._transports: List[net.FrameTransport] = []
@@ -200,13 +204,12 @@ class Coordinator:
         accept_thread = threading.Thread(target=self._accept_loop,
                                          name="dist-accept", daemon=True)
         accept_thread.start()
-        started = time.monotonic()
         try:
             with self.cond:
                 while True:
                     if len(self.outcomes) == len(self.profiles):
                         break
-                    self._police_locked(time.monotonic(), started)
+                    self._police_locked(time.monotonic())
                     if self.halted:
                         break
                     self.cond.wait(timeout=0.05)
@@ -255,7 +258,7 @@ class Coordinator:
             while True:
                 # A healthy worker heartbeats well inside this window,
                 # so a silent read here means the link itself is gone.
-                message = transport_.recv(timeout=self.heartbeat_timeout * 2)
+                message = transport_.recv(timeout=HEARTBEAT_TIMEOUT_S * 2)
                 if message.get("kind") == "bye":
                     self._departed(conn, "worker said goodbye",
                                    graceful=True)
@@ -366,7 +369,7 @@ class Coordinator:
         conn.worker = worker
         self.workers.append(worker)
         self.stats.workers_joined += 1
-        self._fleet_lost_at = None
+        self._idle_since = None
         from repro.core.report import FleetWorker
         fleet = self._fleet.setdefault(worker.name,
                                        FleetWorker(worker=worker.name))
@@ -380,8 +383,8 @@ class Coordinator:
             "settings": campaign.config.checkpoint_settings(),
             "run_cost_s": campaign.config.run_cost_s,
             "observe": campaign._observing(),
-            "heartbeat_s": self.heartbeat_s,
-            "heartbeat_timeout_s": self.heartbeat_timeout,
+            "heartbeat_s": HEARTBEAT_S,
+            "heartbeat_timeout_s": HEARTBEAT_TIMEOUT_S,
         }
 
     def _fetch_locked(self, worker: _RemoteWorker,
@@ -472,13 +475,13 @@ class Coordinator:
     # ------------------------------------------------------------------
     # failure policy (heartbeats, lease deadlines, degradation)
     # ------------------------------------------------------------------
-    def _police_locked(self, now: float, started: float) -> None:
+    def _police_locked(self, now: float) -> None:
         for worker in list(self.workers):
             if (worker.alive
-                    and now - worker.last_seen > self.heartbeat_timeout):
+                    and now - worker.last_seen > HEARTBEAT_TIMEOUT_S):
                 self.stats.heartbeat_expiries += 1
                 self._worker_lost_locked(
-                    worker, "no heartbeat for %.1fs" % self.heartbeat_timeout)
+                    worker, "no heartbeat for %.1fs" % HEARTBEAT_TIMEOUT_S)
         if self.lease_deadline is not None:
             for name, lease in list(self.leases.items()):
                 if now - lease["granted_at"] <= self.lease_deadline:
@@ -491,20 +494,15 @@ class Coordinator:
                 del self.leases[name]
                 self._requeue_or_quarantine_locked(
                     name, lease["delivery"],
-                    "lease exceeded the %.1fs deadline" % self.lease_deadline)
-        alive = any(w.alive for w in self.workers)
-        if self.stats.workers_joined == 0:
-            if now - started > self.join_grace:
-                self._degrade_locked("no remote worker joined within %.1fs"
-                                     % self.join_grace)
-        elif not alive:
-            if self._fleet_lost_at is None:
-                self._fleet_lost_at = now
-            elif now - self._fleet_lost_at > self.fleet_grace:
-                self._degrade_locked(
-                    "fleet lost: no live worker for %.1fs" % self.fleet_grace)
-        else:
-            self._fleet_lost_at = None
+                    "lease exceeded the %.1fs profile deadline"
+                    % self.lease_deadline)
+        if (self._idle_since is not None
+                and now - self._idle_since > self.join_grace):
+            self._degrade_locked(
+                ("no remote worker joined within %.1fs"
+                 if self.stats.workers_joined == 0
+                 else "fleet lost: no live worker for %.1fs")
+                % self.join_grace)
 
     def _worker_lost_locked(self, worker: _RemoteWorker, reason: str,
                             graceful: bool = False) -> None:
@@ -512,6 +510,8 @@ class Coordinator:
             return
         worker.alive = False
         self.workers.remove(worker)
+        if not self.workers:
+            self._idle_since = time.monotonic()
         if not graceful:
             self.stats.workers_lost += 1
             self._fleet[worker.name].leases_lost += len(worker.tasks)
@@ -539,7 +539,7 @@ class Coordinator:
 
     def _requeue_or_quarantine_locked(self, name: str, delivery: int,
                                       reason: str) -> None:
-        if delivery <= self.redelivery:
+        if delivery <= parallel.REDELIVERY:
             self.stats.redeliveries += 1
             self.queue.append((name, delivery + 1))
             return
@@ -779,7 +779,8 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                 shipper.broken = False
                 failures = 0
 
-                heartbeat_every = max(welcome.get("heartbeat_s", 1.0), 0.01)
+                heartbeat_every = max(welcome.get("heartbeat_s",
+                                                  HEARTBEAT_S), 0.01)
                 _start_heartbeat(transport_, stop_beating, heartbeat_every)
                 shipper.resend_unacked()
                 if shipper.broken:

@@ -64,29 +64,15 @@ test's explicitly-set parameters, and callers pass them as
 from __future__ import annotations
 
 import hashlib
-import zlib
 from dataclasses import replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.common.faults import fault_seed as stable_seed
 from repro.core.testgen import (HeteroAssignment, HomoAssignment,
                                 ParamAssignment)
 
 #: Canonical form of "no value injected anywhere" — the original run.
 ORIGINAL: Tuple[str, ...] = ("original",)
-
-
-def stable_seed(*parts: Any) -> int:
-    """Deterministic cross-run seed from identifying strings/ints.
-
-    Each part is length-prefixed before joining so that distinct part
-    tuples can never produce the same byte stream — ``("a|b", "c")`` and
-    ``("a", "b|c")`` must not share a seed.
-    """
-    pieces = []
-    for part in parts:
-        text = str(part)
-        pieces.append("%d:%s" % (len(text), text))
-    return zlib.crc32("".join(pieces).encode("utf-8"))
 
 
 def canonical_assignment(assignment: Any,

@@ -22,7 +22,7 @@ Node selectors:
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.core.confagent import NO_OVERRIDE, ConfAgent
 

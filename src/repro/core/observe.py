@@ -47,8 +47,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    TextIO, Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 __all__ = [
     "METRIC_CATALOG",
@@ -209,9 +208,6 @@ METRIC_CATALOG: Dict[str, MetricSpec] = {
     "zc_runtime_heartbeat_kills_total": MetricSpec(
         "counter", "Workers SIGKILLed for missing heartbeats.",
         volatile=True),
-    "zc_runtime_worker_recycles_total": MetricSpec(
-        "counter", "Workers retired after reaching their per-worker "
-        "profile budget.", volatile=True),
     "zc_runtime_quarantined_total": MetricSpec(
         "counter", "Profiles quarantined as WORKER_CRASH.", volatile=True),
     "zc_runtime_profile_wall_seconds": MetricSpec(

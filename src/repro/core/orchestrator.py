@@ -35,7 +35,7 @@ from repro.core.runner import (CONFIRMED_UNSAFE, DEFAULT_WATCHDOG_SIM_S,
                                TestRunner)
 from repro.core.stats import DEFAULT_ALPHA
 from repro.core.testgen import DependencyRule, TestGenerator
-from repro.core.triage import ParamVerdict, triage_report
+from repro.core.triage import triage_report
 
 #: ProfileOutcome.error_kind for an exception contained *in-process*
 #: (the campaign or worker process survived; partial accounting was
@@ -97,7 +97,6 @@ _SUPERVISION_METRICS = {
     "redeliveries": "zc_runtime_redeliveries_total",
     "deadline_kills": "zc_runtime_deadline_kills_total",
     "heartbeat_kills": "zc_runtime_heartbeat_kills_total",
-    "recycles": "zc_runtime_worker_recycles_total",
     "quarantined": "zc_runtime_quarantined_total",
 }
 
@@ -174,40 +173,22 @@ class CampaignConfig:
     #: checkpoint_settings(): a resumed campaign may toggle it freely
     #: because the audit never touches the journal.
     audit: bool = False
-    #: wall-clock seconds a worker may spend on one profile before the
-    #: supervisor SIGKILLs it and quarantines the profile (None = no
-    #: deadline).  This is *real* time — it catches CPU-bound hangs the
-    #: simulated-time watchdog cannot see.
+    #: wall-clock seconds one profile may take wherever it runs (None =
+    #: no deadline): the supervisor SIGKILLs a worker past it and
+    #: quarantines the profile, and the distributed coordinator requeues
+    #: a lease older than it.  This is *real* time — it catches
+    #: CPU-bound hangs the simulated-time watchdog cannot see.
     profile_deadline_s: Optional[float] = None
-    #: OS resource limits applied inside each worker (None = unlimited):
-    #: CPU seconds per profile (workers are recycled between profiles so
-    #: the budget does not accumulate) and address space in MiB.
-    worker_rlimit_cpu_s: Optional[int] = None
+    #: RLIMIT_AS applied inside each supervised worker, in MiB (None =
+    #: unlimited).
     worker_rlimit_mem_mb: Optional[int] = None
-    #: how many times a profile whose worker died is re-sent to a fresh
-    #: worker before it is quarantined as WORKER_CRASH.
-    worker_redelivery: int = 2
-    #: consecutive worker deaths (without a completed profile in between)
-    #: that trip the crash-loop circuit breaker and halt the campaign
-    #: gracefully with a salvaged partial report.
-    crash_loop_threshold: int = 5
     #: serve pending profiles to remote workers from this listen address
     #: ("[HOST:]PORT"; see repro.core.distrib).  None = single-host run.
     distributed: Optional[str] = None
-    #: cadence workers are told to heartbeat at.
-    dist_heartbeat_s: float = 1.0
-    #: seconds of heartbeat silence before a remote worker is declared
-    #: lost and its leases redelivered.
-    dist_heartbeat_timeout_s: float = 10.0
-    #: wall-clock bound on one lease before it is re-queued even though
-    #: its holder still heartbeats (None = no deadline; late results are
-    #: still accepted idempotently).
-    dist_lease_deadline_s: Optional[float] = None
-    #: seconds to wait for the first worker before degrading to the
-    #: local pool.
+    #: seconds the coordinator runs with no live worker — from the start
+    #: until one joins, and from the last loss after that — before it
+    #: degrades to the local pool.
     dist_join_grace_s: float = 20.0
-    #: seconds to wait for a lost fleet to rejoin before degrading.
-    dist_fleet_grace_s: float = 10.0
     #: deterministic transport chaos on coordinator-side connections
     #: (repro.common.transport.NetFaultPlan; None = clean links).
     net_fault_plan: Optional[Any] = None

@@ -29,6 +29,8 @@ path shares:
   supervised pool and the distributed coordinator hand profiles out
   from: longest first by measured pre-run weight.  Serial runs keep
   catalog order.
+* **The redelivery bound.**  :data:`REDELIVERY` caps how often both of
+  them hand out a profile again after losing its worker.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ from repro.core.checkpoint import result_from_dict, result_to_dict
 from repro.core.plan import profile_testable_params
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
+
+#: times a profile whose worker died (a forked pool worker, or a remote
+#: worker holding its lease) is delivered again before it is quarantined
+#: as a WORKER_CRASH outcome.
+REDELIVERY = 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ outright and excluded from future pools.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.execcache import execution_seed
 from repro.core.runner import CONFIRMED_UNSAFE, InstanceResult, TestRunner

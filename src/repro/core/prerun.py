@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-import traceback
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple

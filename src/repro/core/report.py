@@ -64,7 +64,7 @@ class SupervisionStats:
     #: the run used the supervised process pool (repro.core.supervise).
     enabled: bool = False
     workers_spawned: int = 0
-    #: worker processes that died (crash, rlimit kill, injected death).
+    #: worker processes that died (crash, RLIMIT_AS kill, injected death).
     crashes: int = 0
     #: replacement workers forked after a death.
     respawns: int = 0
@@ -74,12 +74,10 @@ class SupervisionStats:
     deadline_kills: int = 0
     #: workers SIGKILLed for missing heartbeats (frozen, not just slow).
     heartbeat_kills: int = 0
-    #: workers retired and replaced to refresh per-profile rlimit budgets.
-    recycles: int = 0
     #: profiles that exhausted redelivery (or hit the deadline) and were
     #: recorded as WORKER_CRASH infra outcomes instead of retried.
     quarantined: int = 0
-    #: >= crash_loop_threshold consecutive worker deaths: the supervisor
+    #: >= CRASH_LOOP_THRESHOLD consecutive worker deaths: the supervisor
     #: stopped dispatching and salvaged a partial report.
     circuit_breaker_tripped: bool = False
 
@@ -124,7 +122,7 @@ class DistributionStats:
     duplicates_suppressed: int = 0
     #: workers declared lost purely for heartbeat silence.
     heartbeat_expiries: int = 0
-    #: leases re-queued for exceeding ``dist_lease_deadline_s``.
+    #: leases re-queued for exceeding ``profile_deadline_s``.
     lease_expiries: int = 0
     #: profiles quarantined as WORKER_CRASH after exhausting redelivery.
     quarantined: int = 0
@@ -134,7 +132,7 @@ class DistributionStats:
     remote_profiles: int = 0
     #: profiles finished by the local fallback pool after degradation.
     local_profiles: int = 0
-    #: the coordinator gave up on the fleet (join/fleet grace expired)
+    #: the coordinator gave up on the fleet (its join grace expired)
     #: and handed the rest of the campaign to the local pool.
     degraded_to_local: bool = False
     #: injected transport fault kind -> count (coordinator side).
@@ -354,7 +352,6 @@ def app_report_to_dict(report: AppReport) -> Dict[str, object]:
             "redeliveries": report.supervision.redeliveries,
             "deadline_kills": report.supervision.deadline_kills,
             "heartbeat_kills": report.supervision.heartbeat_kills,
-            "recycles": report.supervision.recycles,
             "quarantined": report.supervision.quarantined,
             "circuit_breaker_tripped":
                 report.supervision.circuit_breaker_tripped,

@@ -140,7 +140,6 @@ def app_report_markdown(report: AppReport) -> str:
             ["profile redeliveries", supervision.redeliveries],
             ["deadline kills", supervision.deadline_kills],
             ["heartbeat kills", supervision.heartbeat_kills],
-            ["rlimit recycles", supervision.recycles],
             ["profiles quarantined", supervision.quarantined],
             ["circuit breaker tripped",
              "**yes — partial report**" if supervision.circuit_breaker_tripped

@@ -16,7 +16,7 @@ configurations fail in the first trial").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import InfrastructureError

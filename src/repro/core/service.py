@@ -58,8 +58,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.jobqueue import (TERMINAL_STATES, CampaignJob, JobQueue,
-                                 JobSpecError)
+from repro.core.jobqueue import CampaignJob, JobQueue, JobSpecError
 
 #: bump when the wire format changes incompatibly.
 API_VERSION = 1

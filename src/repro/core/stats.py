@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Tuple
 
 #: Significance level from §5.
 DEFAULT_ALPHA = 1e-4

@@ -84,7 +84,6 @@ MAX_RECORD = 8 * 1024 * 1024
 
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".log"
-MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "LOCK"
 
 
@@ -414,9 +413,7 @@ class ResultStore:
         self.disk_fault_plan = disk_fault_plan
         self.stats = StoreStats()
         self.fault_counts: Dict[str, int] = {}
-        # RLock: the append path holds it across segment claiming, which
-        # itself touches manifest helpers that count their own errors.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.app: Optional[str] = None
         self.digest: Optional[int] = None
         self._det: Dict[str, RunOutcome] = {}
@@ -468,60 +465,6 @@ class ResultStore:
                              % (self.root, exc))
 
     # ------------------------------------------------------------------
-    # manifest (advisory bookkeeping; the directory is the truth)
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.root, MANIFEST_NAME)
-
-    def read_manifest(self) -> Dict[str, Any]:
-        """The advisory manifest, normalised; a valid empty one on damage.
-
-        The manifest is bookkeeping only — the segments directory is the
-        truth — so an unreadable or malformed file is never an error.
-        """
-        try:
-            with open(self._manifest_path(), "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return {"version": STORE_VERSION, "segments": []}
-        if isinstance(manifest, dict):
-            manifest.setdefault("version", STORE_VERSION)
-            manifest.setdefault("segments", [])
-            return manifest
-        return {"version": STORE_VERSION, "segments": []}
-
-    def _write_manifest(self, manifest: Dict[str, Any]) -> None:
-        """Atomic temp + rename + fsync: readers see the old manifest or
-        the new one, never a torn one.  Failures are survivable — open()
-        reconciles against the directory listing anyway."""
-        path = self._manifest_path()
-        temp = path + ".tmp.%d" % os.getpid()
-        try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, sort_keys=True, indent=1)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, path)
-            fsync_directory(path)
-        except OSError:
-            with self._lock:
-                self.stats.write_errors += 1
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-
-    def _reconcile_manifest(self) -> None:
-        """Fold crash gaps back in: segments on disk but missing from the
-        manifest (died between segment create and manifest write) are
-        added; manifest entries with no file (died mid-GC) are dropped."""
-        on_disk = [os.path.basename(p) for p in self._segment_paths()]
-        manifest = self.read_manifest()
-        if manifest.get("segments") != on_disk:
-            manifest["segments"] = on_disk
-            self._write_manifest(manifest)
-
-    # ------------------------------------------------------------------
     # advisory locking
     # ------------------------------------------------------------------
     def _flock(self, handle: Any, flags: int) -> bool:
@@ -568,7 +511,6 @@ class ResultStore:
         memo = _decoded_segments(self.segments_dir, paths)
         for path in paths:
             self._apply(_serve_segment(memo, path, app, digest))
-        self._reconcile_manifest()
         return self.stats
 
     def _apply(self, served: _Served) -> None:
@@ -669,12 +611,6 @@ class ResultStore:
             except OSError:
                 handle.close()
                 return None
-            manifest = self.read_manifest()
-            segments = list(manifest.get("segments", []))
-            if name not in segments:
-                segments.append(name)
-                manifest["segments"] = sorted(segments)
-                self._write_manifest(manifest)
             return handle
         finally:
             if lock is not None:
@@ -910,11 +846,6 @@ class ResultStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             fsync_directory(path)
-            manifest = self.read_manifest()
-            manifest["segments"] = sorted(
-                (set(manifest.get("segments", [])) - set(compacted))
-                | {name} | set(skipped))
-            self._write_manifest(manifest)
             for old in compacted:
                 try:
                     os.unlink(os.path.join(self.segments_dir, old))

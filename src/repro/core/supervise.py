@@ -24,14 +24,11 @@ failure, so this module owns its workers directly:
   loop would only burn another deadline;
 * a worker that **dies while running a profile** is reaped (exit signal
   captured) and respawned, and the profile is redelivered to a fresh
-  worker at most ``worker_redelivery`` times before it is quarantined as
-  a :data:`~repro.core.runner.WORKER_CRASH` infra outcome instead of
-  aborting the run;
-* ``worker_rlimit_cpu_s`` / ``worker_rlimit_mem_mb`` apply
-  ``resource.setrlimit`` caps inside each child.  RLIMIT_CPU accrues per
-  *process*, so with a CPU cap set, workers are **recycled** after every
-  completed profile — each profile gets a fresh budget;
-* ``crash_loop_threshold`` consecutive worker deaths (no completed
+  worker at most :data:`repro.core.parallel.REDELIVERY` times before it
+  is quarantined as a :data:`~repro.core.runner.WORKER_CRASH` infra
+  outcome instead of aborting the run;
+* ``worker_rlimit_mem_mb`` applies an RLIMIT_AS cap inside each child;
+* :data:`CRASH_LOOP_THRESHOLD` consecutive worker deaths (no completed
   profile in between) trip a **circuit breaker**: something is wrong
   with the environment, not one profile, so the supervisor stops
   dispatching, kills the in-flight workers, and salvages a partial
@@ -39,7 +36,7 @@ failure, so this module owns its workers directly:
 
 Worker lifecycle::
 
-    spawn ──> IDLE ──deliver──> BUSY ──result──> IDLE (or recycled)
+    spawn ──> IDLE ──deliver──> BUSY ──result──> IDLE
                 │                 │
                 │                 ├─ crash / rlimit kill ──> DEAD ─respawn─> IDLE
                 │                 ├─ deadline expiry  (SIGKILL) ──> DEAD ...
@@ -93,6 +90,9 @@ HEARTBEAT_INTERVAL_S = 0.5
 #: so plain CPU-bound work keeps beating; only a genuinely stopped
 #: process (SIGSTOP, stuck syscall) goes silent.
 HEARTBEAT_TIMEOUT_S = 30.0
+#: consecutive worker deaths (without a completed profile in between)
+#: that trip the crash-loop circuit breaker.
+CRASH_LOOP_THRESHOLD = 5
 #: parent poll tick: deadline/heartbeat checks happen at this resolution.
 _POLL_INTERVAL_S = 0.05
 #: exit status used by the injected worker_crash chaos hook.
@@ -100,10 +100,6 @@ INJECTED_CRASH_EXIT = 70
 
 #: worker states (the lifecycle diagram in the module docstring).
 IDLE, BUSY, DEAD = "idle", "busy", "dead"
-
-#: Set for the supervisor's lifetime, inherited by forked children:
-#: ``{"campaign": Campaign, "profiles": {test name: TestProfile}}``.
-_CHILD_STATE: Dict[str, Any] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +121,14 @@ def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
 # ---------------------------------------------------------------------------
 # child side
 # ---------------------------------------------------------------------------
-def _apply_rlimits(cpu_s: Optional[int], mem_mb: Optional[int]) -> None:
-    if resource is None:  # pragma: no cover - non-POSIX
-        return
-    if cpu_s:
-        # SIGXCPU at the soft limit (default action: terminate); the
-        # kernel escalates to SIGKILL at the hard limit if ignored.
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
-    if mem_mb:
-        cap = mem_mb * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
-def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
-                rlimit_mem: Optional[int], heartbeat_every: float) -> None:
-    """Forked worker: recv task names, run profiles, send result dicts."""
+def _child_main(conn: Any, inherited: List[Any], campaign: Any,
+                profiles: Mapping[str, Any], rlimit_mem: Optional[int],
+                heartbeat_every: float) -> None:
+    """Forked worker: recv task names, run ``profiles`` (by test name)
+    of ``campaign``, send result dicts.  Both arrive as fork-inherited
+    arguments, never through module state: a daemon running two
+    campaigns' pools at once must not hand one campaign's workers the
+    other's."""
     # Close fork-inherited copies of other pipes (and our own parent
     # end): a sibling's EOF must become visible to the parent the moment
     # that sibling dies, not when we do too.
@@ -148,9 +137,9 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             other.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    campaign = _CHILD_STATE["campaign"]
-    profiles = _CHILD_STATE["profiles"]
-    _apply_rlimits(rlimit_cpu, rlimit_mem)
+    if rlimit_mem and resource is not None:
+        cap = rlimit_mem * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     send_lock = threading.Lock()
     stop_beating = threading.Event()
@@ -171,7 +160,7 @@ def _child_main(conn: Any, inherited: List[Any], rlimit_cpu: Optional[int],
             msg = conn.recv()
         except (EOFError, OSError):
             os._exit(0)
-        if msg is None:  # orderly shutdown / recycle sentinel
+        if msg is None:  # orderly shutdown
             break
         name, delivery = msg["task"], msg["delivery"]
         if plan is not None and plan.worker_crash_decision(name, delivery):
@@ -237,7 +226,7 @@ class Supervisor:
         from repro.core.report import SupervisionStats
         config = campaign.config
         self.campaign = campaign
-        self.profiles = list(profiles)
+        self.profiles_by_name = {p.test.full_name: p for p in profiles}
         self.checkpoint = checkpoint
         self.tests_by_name = tests_by_name
         # Optional callback fired with (name, outcome) after each commit;
@@ -246,14 +235,8 @@ class Supervisor:
         self.outcome_sink = outcome_sink
         self.stats = SupervisionStats(enabled=True)
         self.deadline = config.profile_deadline_s
-        self.redelivery = max(config.worker_redelivery, 0)
-        self.breaker_threshold = max(config.crash_loop_threshold, 1)
-        self.rlimit_cpu = config.worker_rlimit_cpu_s
         self.rlimit_mem = config.worker_rlimit_mem_mb
-        #: RLIMIT_CPU accrues per process: recycle workers between
-        #: profiles so every profile starts with the full budget.
-        self.recycle_after_profile = self.rlimit_cpu is not None
-        self.slots = max(min(config.workers, len(self.profiles)), 1)
+        self.slots = max(min(config.workers, len(profiles)), 1)
 
         self.context = multiprocessing.get_context("fork")
         self.workers: List[_Worker] = []
@@ -266,10 +249,7 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, Any]:
-        _CHILD_STATE["campaign"] = self.campaign
-        _CHILD_STATE["profiles"] = {p.test.full_name: p
-                                    for p in self.profiles}
-        self.queue.extend((p.test.full_name, 1) for p in self.profiles)
+        self.queue.extend((name, 1) for name in self.profiles_by_name)
         try:
             for _ in range(self.slots):
                 self.workers.append(self._spawn())
@@ -283,7 +263,6 @@ class Supervisor:
                 self._enforce_timeouts()
         finally:
             self._shutdown()
-            _CHILD_STATE.clear()
         return self.outcomes
 
     # -- worker lifecycle ----------------------------------------------
@@ -295,7 +274,8 @@ class Supervisor:
         inherited.append(parent_conn)
         proc = self.context.Process(
             target=_child_main,
-            args=(child_conn, inherited, self.rlimit_cpu, self.rlimit_mem,
+            args=(child_conn, inherited, self.campaign,
+                  self.profiles_by_name, self.rlimit_mem,
                   HEARTBEAT_INTERVAL_S),
             name="repro-worker-%d" % worker.id, daemon=True)
         proc.start()
@@ -329,21 +309,6 @@ class Supervisor:
             pass
         worker.proc.join(timeout=5.0)
         self._retire(worker)
-
-    def _recycle(self, worker: _Worker) -> None:
-        """Retire a healthy worker (fresh rlimit budget) and replace it."""
-        self.stats.recycles += 1
-        try:
-            worker.conn.send(None)
-        except OSError:
-            pass
-        worker.proc.join(timeout=1.0)
-        if worker.proc.is_alive():  # pragma: no cover - stuck in shutdown
-            self._kill(worker)
-        else:
-            self._retire(worker)
-        if self.queue:
-            self.workers.append(self._spawn())
 
     # -- scheduling ----------------------------------------------------
     def _busy(self) -> bool:
@@ -400,8 +365,6 @@ class Supervisor:
         self.consecutive_crashes = 0
         worker.task = None
         worker.state = IDLE
-        if self.recycle_after_profile:
-            self._recycle(worker)
 
     # -- failure handling ----------------------------------------------
     def _worker_died(self, worker: _Worker) -> None:
@@ -431,7 +394,7 @@ class Supervisor:
             self._requeue_or_quarantine(
                 name, delivery,
                 "worker process died while running the profile (%s)" % reason)
-        if self.consecutive_crashes >= self.breaker_threshold:
+        if self.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
             self._trip_breaker(reason)
         else:
             self._respawn()
@@ -477,14 +440,14 @@ class Supervisor:
                     name, delivery,
                     "worker sent no heartbeat for %.1fs; killed as frozen"
                     % HEARTBEAT_TIMEOUT_S)
-                if self.consecutive_crashes >= self.breaker_threshold:
+                if self.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
                     self._trip_breaker("repeated heartbeat silence")
                 else:
                     self._respawn()
 
     def _requeue_or_quarantine(self, name: str, delivery: int,
                                reason: str) -> None:
-        if delivery <= self.redelivery:
+        if delivery <= parallel.REDELIVERY:
             self.stats.redeliveries += 1
             self.queue.append((name, delivery + 1))
         else:

@@ -18,12 +18,12 @@ Responsibilities, in the paper's order:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from dataclasses import dataclass
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Sequence,
+                    Set, Tuple)
 
 from repro.common.params import ParamDef, ParamRegistry
-from repro.core.confagent import NO_OVERRIDE, UNIT_TEST
+from repro.core.confagent import NO_OVERRIDE
 from repro.core.registry import UnitTest
 
 #: assignment strategies from §4

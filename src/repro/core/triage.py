@@ -19,7 +19,7 @@ recognised by their characteristic error signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.ipc import IPC_SHARED_PARAMS

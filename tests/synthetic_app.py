@@ -161,8 +161,8 @@ def hanging_test(name: str = "TestSynth.testRealTimeHang") -> UnitTest:
 
 
 def spinning_test(name: str = "TestSynth.testCpuSpin") -> UnitTest:
-    """Burns CPU forever on any heterogeneous execution — bait for
-    RLIMIT_CPU's SIGXCPU (or, failing that, the wall-clock deadline)."""
+    """Burns CPU forever on any heterogeneous execution — bait for the
+    wall-clock profile deadline (its heartbeat thread keeps beating)."""
     def body(ctx: TestContext) -> None:
         conf = SynthConfiguration()
         first = Service(conf)

@@ -89,6 +89,27 @@ class TestCampaignCommand:
         assert "reported" in capsys.readouterr().out
 
 
+#: the supervision and fleet knobs that became the constants
+#: parallel.REDELIVERY, supervise.CRASH_LOOP_THRESHOLD and
+#: distrib.HEARTBEAT_S / HEARTBEAT_TIMEOUT_S, were folded into
+#: --profile-deadline and --dist-join-grace, or were deleted with worker
+#: recycling (--worker-rlimit-cpu); each with the CampaignConfig field it
+#: used to set.
+RETIRED_KNOBS = [
+    (["--worker-redelivery", "4"], "worker_redelivery"),
+    (["--crash-loop-threshold", "7"], "crash_loop_threshold"),
+    (["--worker-rlimit-cpu", "9"], "worker_rlimit_cpu_s"),
+    (["--dist-heartbeat", "0.5"], "dist_heartbeat_s"),
+    (["--dist-heartbeat-timeout", "3"], "dist_heartbeat_timeout_s"),
+    (["--dist-lease-deadline", "8"], "dist_lease_deadline_s"),
+    (["--dist-fleet-grace", "2"], "dist_fleet_grace_s"),
+]
+
+#: argv prefix of each subcommand that once took a retired knob.
+KNOB_COMMANDS = {"campaign": ["campaign", "flink"], "evaluate": ["evaluate"],
+                 "worker": ["worker", "--connect", "127.0.0.1:1"]}
+
+
 class TestLocalBackendFlags:
     @pytest.mark.parametrize("argv", [
         ["campaign", "flink", "--parallel-backend", "thread"],
@@ -108,7 +129,9 @@ class TestLocalBackendFlags:
         ["worker", "--connect", "127.0.0.1:1", "--fault-net-seed", "1"],
         # work stealing's copy bound is the constant distrib.MAX_COPIES
         ["campaign", "flink", "--dist-max-copies", "1"],
-    ])
+    ] + [pytest.param(prefix + knob, id="%s %s" % (command, " ".join(knob)))
+         for command, prefix in KNOB_COMMANDS.items()
+         for knob, _ in RETIRED_KNOBS])
     def test_retired_backend_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -242,17 +265,18 @@ def _flags(command):
             if flag.startswith("--") and flag != "--help"}
 
 
+#: the value of a retired knob's row: neither its flag nor its field exists.
+RETIRED = object()
+
 #: (argv, CampaignConfig field, the non-default value argv must set) for
-#: every campaign/evaluate flag that sets a config field.
+#: every campaign/evaluate flag that sets a config field, then every
+#: retired knob.
 CAMPAIGN_FIELD_FLAGS = [
     (["--workers", "3"], "workers", 3),
     (["--store", "S"], "store_path", "S"),
     (["--dist-secret", "k"], "dist_secret", "k"),
     (["--profile-deadline", "2.5"], "profile_deadline_s", 2.5),
-    (["--worker-rlimit-cpu", "9"], "worker_rlimit_cpu_s", 9),
     (["--worker-rlimit-mem", "512"], "worker_rlimit_mem_mb", 512),
-    (["--worker-redelivery", "4"], "worker_redelivery", 4),
-    (["--crash-loop-threshold", "7"], "crash_loop_threshold", 7),
     (["--exec-cache"], "exec_cache", True),
     (["--incremental"], "incremental", True),
     (["--sample", "pairwise"], "sample", "pairwise"),
@@ -274,15 +298,11 @@ CAMPAIGN_FIELD_FLAGS = [
     (["--fault", "net_drop=0.1"], "net_fault_plan",
      NetFaultPlan(drop_prob=0.1)),
     (["--distributed", "127.0.0.1:0"], "distributed", "127.0.0.1:0"),
-    (["--dist-heartbeat", "0.5"], "dist_heartbeat_s", 0.5),
-    (["--dist-heartbeat-timeout", "3"], "dist_heartbeat_timeout_s", 3.0),
-    (["--dist-lease-deadline", "8"], "dist_lease_deadline_s", 8.0),
     (["--dist-join-grace", "1"], "dist_join_grace_s", 1.0),
-    (["--dist-fleet-grace", "2"], "dist_fleet_grace_s", 2.0),
     (["--trace-spans", "s.jsonl"], "observe", True),
     (["--trace-chrome", "c.json"], "observe", True),
     (["--metrics-out", "m.prom"], "observe", True),
-]
+] + [(argv, field, RETIRED) for argv, field in RETIRED_KNOBS]
 
 #: campaign/evaluate flags that steer the command, not the config.
 CAMPAIGN_COMMAND_FLAGS = {"--json", "--compare", "--markdown",
@@ -290,9 +310,7 @@ CAMPAIGN_COMMAND_FLAGS = {"--json", "--compare", "--markdown",
 
 #: the flags `worker` shares with campaign/evaluate (one definition).
 SHARED_FLAGS = {"--workers", "--store", "--dist-secret",
-                "--profile-deadline", "--worker-rlimit-cpu",
-                "--worker-rlimit-mem", "--worker-redelivery",
-                "--crash-loop-threshold"}
+                "--profile-deadline", "--worker-rlimit-mem"}
 
 SHARED_FIELD_FLAGS = [row for row in CAMPAIGN_FIELD_FLAGS
                       if row[0][0] in SHARED_FLAGS]
@@ -307,12 +325,17 @@ class TestFlagWiring:
 
     @pytest.mark.parametrize("command", ["campaign", "evaluate"])
     def test_every_campaign_flag_is_in_the_table(self, command):
-        tabled = {argv[0] for argv, _, _ in CAMPAIGN_FIELD_FLAGS}
+        tabled = {argv[0] for argv, _, value in CAMPAIGN_FIELD_FLAGS
+                  if value is not RETIRED}
         assert _flags(command) == tabled | CAMPAIGN_COMMAND_FLAGS
 
     @pytest.mark.parametrize("argv,field,value", CAMPAIGN_FIELD_FLAGS,
                              ids=_ids(CAMPAIGN_FIELD_FLAGS))
     def test_campaign_flag_sets_its_field(self, argv, field, value):
+        if value is RETIRED:
+            assert argv[0] not in _flags("campaign")
+            assert not hasattr(CampaignConfig(), field)
+            return
         assert getattr(CampaignConfig(), field) != value
         config = cli._config(_parse(["campaign", "flink"] + argv))
         assert getattr(config, field) == value

@@ -366,8 +366,10 @@ class TestCoordinatorProtocol:
                                             graceful=True)
         assert coordinator.stats.workers_lost == 0
 
-    def test_poison_quarantined_after_redelivery_exhausted(self):
-        campaign, coordinator, _ = make_coordinator(worker_redelivery=0)
+    def test_poison_quarantined_after_redelivery_exhausted(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
+        campaign, coordinator, _ = make_coordinator()
         conn, _ = join(coordinator)
         task = fetch(coordinator, conn)["tasks"][0]["task"]
         with coordinator.cond:
@@ -379,50 +381,54 @@ class TestCoordinatorProtocol:
         _, coordinator, _ = make_coordinator()
         conn, _ = join(coordinator)
         fetch(coordinator, conn)
-        conn.worker.last_seen -= coordinator.heartbeat_timeout + 1
+        conn.worker.last_seen -= distrib.HEARTBEAT_TIMEOUT_S + 1
         with coordinator.cond:
-            coordinator._police_locked(time.monotonic(), time.monotonic())
+            coordinator._police_locked(time.monotonic())
         assert coordinator.stats.heartbeat_expiries == 1
         assert coordinator.stats.redeliveries == 1
 
     def test_heartbeat_refreshes_liveness(self):
         _, coordinator, _ = make_coordinator()
         conn, _ = join(coordinator)
-        conn.worker.last_seen -= coordinator.heartbeat_timeout + 1
+        conn.worker.last_seen -= distrib.HEARTBEAT_TIMEOUT_S + 1
         with coordinator.lock:
             assert coordinator._handle_message(
                 conn, {"kind": "heartbeat"}) is None
         with coordinator.cond:
-            coordinator._police_locked(time.monotonic(), time.monotonic())
+            coordinator._police_locked(time.monotonic())
         assert coordinator.stats.heartbeat_expiries == 0
 
     def test_lease_deadline_redelivers(self):
-        _, coordinator, _ = make_coordinator(dist_lease_deadline_s=5.0)
+        # one wall-clock budget per profile: the pool's --profile-deadline
+        _, coordinator, _ = make_coordinator(profile_deadline_s=5.0)
         conn, _ = join(coordinator)
         task = fetch(coordinator, conn)["tasks"][0]["task"]
         coordinator.leases[task]["granted_at"] -= 10.0
         with coordinator.cond:
-            coordinator._police_locked(time.monotonic(), time.monotonic())
+            coordinator._police_locked(time.monotonic())
         assert coordinator.stats.lease_expiries == 1
         assert coordinator.stats.redeliveries == 1
 
     def test_join_grace_expiry_degrades(self):
         _, coordinator, _ = make_coordinator(dist_join_grace_s=0.1)
-        started = time.monotonic() - 1.0
         with coordinator.cond:
-            coordinator._police_locked(time.monotonic(), started)
+            coordinator._police_locked(time.monotonic() + 1.0)
         assert coordinator.halted
         assert coordinator.stats.degraded_to_local
 
     def test_fleet_loss_degrades_after_grace(self):
-        _, coordinator, _ = make_coordinator(dist_fleet_grace_s=0.1)
+        # the join grace is the one "no live worker" window: a live
+        # worker stops its clock, and the last loss restarts it
+        _, coordinator, _ = make_coordinator(dist_join_grace_s=0.1)
         conn, _ = join(coordinator)
         with coordinator.cond:
+            coordinator._police_locked(time.monotonic() + 1.0)
+            assert not coordinator.halted
             coordinator._worker_lost_locked(conn.worker, "gone")
             now = time.monotonic()
-            coordinator._police_locked(now, now)       # starts the clock
+            coordinator._police_locked(now)
             assert not coordinator.halted
-            coordinator._police_locked(now + 1.0, now)
+            coordinator._police_locked(now + 1.0)
         assert coordinator.halted
         assert coordinator.stats.degraded_to_local
 
@@ -721,7 +727,7 @@ class TestDistributedEndToEnd:
             worker_kwargs={0: {"net_fault_plan":
                                net.NetFaultPlan(partition_after=5),
                                "max_reconnects": 10}},
-            config_kwargs={"dist_fleet_grace_s": 30.0})
+            config_kwargs={"dist_join_grace_s": 30.0})
         assert full_dict(report) == serial_baseline
         assert stats.workers_joined >= 2  # at least one reconnect
         assert not stats.degraded_to_local
@@ -732,7 +738,7 @@ class TestDistributedEndToEnd:
             worker_kwargs={0: {"net_fault_plan":
                                net.NetFaultPlan(partition_after=8),
                                "max_reconnects": 0}},
-            config_kwargs={"dist_fleet_grace_s": 0.3, "observe": observe})
+            config_kwargs={"dist_join_grace_s": 1.0, "observe": observe})
         assert full_dict(report) == serial_baseline
         assert exit_codes[0] == EXIT_RECONNECTS_EXHAUSTED
         assert stats.degraded_to_local
@@ -876,8 +882,7 @@ class TestChaosSubprocessFleet:
 
         port = _free_port()
         address = "127.0.0.1:%d" % port
-        campaign = fresh(distributed=address, dist_join_grace_s=60.0,
-                         dist_fleet_grace_s=30.0)
+        campaign = fresh(distributed=address, dist_join_grace_s=60.0)
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         workers = [

@@ -91,7 +91,7 @@ def test_checker_catches_a_planted_unknown_call(tmp_path):
 
 def test_checker_catches_a_planted_untested_flag(tmp_path):
     flags, _ = check_docs.collect_cli_surface()
-    untested = "--crash-loop-threshold"
+    untested = "--worker-rlimit-mem"
     (tmp_path / "README.md").write_text(_README_SURFACE)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_flags.py").write_text(
@@ -100,6 +100,24 @@ def test_checker_catches_a_planted_untested_flag(tmp_path):
                 if p.startswith("tests/")]
     assert problems == ["tests/: CLI flag %s is named in no test"
                         % untested]
+
+
+def test_checker_catches_a_planted_unused_import(tmp_path):
+    (tmp_path / "README.md").write_text(_README_SURFACE)
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os\n"
+        "import sys  # noqa: F401 - imported for its side effect\n"
+        "from typing import List, Optional\n\n"
+        "try:\n    import resource\nexcept ImportError:\n"
+        "    resource = None\n\n"
+        "__all__ = [\"Optional\", \"first\"]\n\n\n"
+        "def first(items: \"List[str]\") -> str:\n"
+        "    return items[0] if resource else \"\"\n")
+    problems = [p for p in check_docs.check(str(tmp_path))
+                if p.startswith("src/")]
+    assert problems == ["src/pkg/mod.py:3: `os` is imported but never used"]
 
 
 def test_checker_requires_the_docs_index(tmp_path):

@@ -41,6 +41,9 @@ class TestStableSeed:
     def test_fault_seed_has_same_protection(self):
         assert fault_seed("a|b", "c") != fault_seed("a", "b|c")
 
+    def test_one_seed_function(self):
+        assert stable_seed is fault_seed
+
     def test_deterministic_across_calls(self):
         assert stable_seed("t", 3) == stable_seed("t", 3)
 

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.common.faults import FaultPlan
-from repro.core import supervise
+from repro.core import parallel, supervise
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
 from repro.core.report import app_report_to_dict, findings_projection
@@ -26,6 +26,7 @@ from synthetic_app import (SYNTH_REGISTRY, SynthConfiguration, Service,
                            hard_crash_test, safe_only_test, spinning_test,
                            two_service_test)
 from repro.core.registry import UnitTest
+from test_distrib import fetch, join, make_coordinator
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="supervision needs fork")
@@ -71,10 +72,11 @@ def sigstop_self_test(name="TestSynth.testFreeze"):
 # crash containment + quarantine
 # ---------------------------------------------------------------------------
 class TestCrashContainment:
-    def test_hard_crash_is_quarantined_not_fatal(self):
+    def test_hard_crash_is_quarantined_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 1)
         poison = hard_crash_test()
-        report = campaign([poison, two_service_test(), safe_only_test()],
-                          worker_redelivery=1).run()
+        report = campaign([poison, two_service_test(),
+                           safe_only_test()]).run()
         assert poison.full_name in report.quarantined_tests
         assert poison.full_name in report.degraded_tests
         error = report.degraded_errors[poison.full_name]
@@ -90,37 +92,39 @@ class TestCrashContainment:
         assert stats.quarantined == 1
         assert not stats.circuit_breaker_tripped
 
-    def test_sigkilled_worker_reports_the_signal(self):
+    def test_sigkilled_worker_reports_the_signal(self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
         poison = sigkill_self_test()
-        report = campaign([poison, safe_only_test()],
-                          worker_redelivery=0).run()
+        report = campaign([poison, safe_only_test()]).run()
         assert poison.full_name in report.quarantined_tests
         assert "SIGKILL" in report.degraded_errors[poison.full_name]
 
-    def test_unpoisoned_verdicts_identical_to_unsupervised_run(self):
+    def test_unpoisoned_verdicts_identical_to_unsupervised_run(
+            self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
         healthy = lambda: [two_service_test(), client_vs_service_test(),  # noqa: E731
                            safe_only_test()]
-        supervised = campaign([hard_crash_test()] + healthy(),
-                              worker_redelivery=0).run()
+        supervised = campaign([hard_crash_test()] + healthy()).run()
         sequential = campaign(healthy(), workers=1).run()
         assert verdicts_view(supervised) == verdicts_view(sequential)
 
-    def test_markdown_renders_supervision_and_quarantine(self):
+    def test_markdown_renders_supervision_and_quarantine(self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
         poison = hard_crash_test()
-        report = campaign([poison, safe_only_test()],
-                          worker_redelivery=0).run()
+        report = campaign([poison, safe_only_test()]).run()
         markdown = app_report_markdown(report)
         assert "## Worker supervision" in markdown
         assert "## Infrastructure failures" in markdown
         assert "worker crash (profile quarantined)" in markdown
         assert poison.full_name in markdown
 
-    def test_injected_worker_crash_recovers_by_redelivery(self):
+    def test_injected_worker_crash_recovers_by_redelivery(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 6)
+        monkeypatch.setattr(supervise, "CRASH_LOOP_THRESHOLD", 999)
         plan = FaultPlan(seed=7, worker_crash_prob=0.5)
         report = campaign([two_service_test(), client_vs_service_test(),
-                           safe_only_test()],
-                          fault_plan=plan, worker_redelivery=6,
-                          crash_loop_threshold=999).run()
+                           safe_only_test()], fault_plan=plan).run()
         stats = report.supervision
         assert stats.crashes > 0 and stats.redeliveries > 0
         assert stats.quarantined == 0
@@ -128,11 +132,12 @@ class TestCrashContainment:
         found = {v.param for v in report.verdicts if v.is_true_problem}
         assert found == {"synth.mode", "synth.level"}
 
-    def test_circuit_breaker_halts_with_salvaged_report(self):
+    def test_circuit_breaker_halts_with_salvaged_report(self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
+        monkeypatch.setattr(supervise, "CRASH_LOOP_THRESHOLD", 2)
         poisons = [hard_crash_test(name="TestSynth.testCrash%d" % i)
                    for i in range(3)]
-        report = campaign(poisons, worker_redelivery=0,
-                          crash_loop_threshold=2).run()
+        report = campaign(poisons).run()
         stats = report.supervision
         assert stats.circuit_breaker_tripped
         assert set(report.quarantined_tests) == {p.full_name for p in poisons}
@@ -140,19 +145,38 @@ class TestCrashContainment:
                    for name in report.quarantined_tests)
         assert not report.verdicts  # nothing completed, nothing reported
 
+    def test_pool_and_coordinator_share_the_redelivery_bound(
+            self, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 1)
+        poison = hard_crash_test()
+        report = campaign([poison, safe_only_test()]).run()
+        assert report.supervision.redeliveries == 1  # 2 at the default
+        assert ("after 2 deliveries"
+                in report.degraded_errors[poison.full_name])
+        # a remote fleet losing every lease twice: redelivered once, then
+        # quarantined (the default bound would redeliver them again)
+        _, coordinator, profiles = make_coordinator()
+        for name in ("w1", "w2"):
+            conn, _ = join(coordinator, name=name)
+            fetch(coordinator, conn, max_tasks=len(profiles))
+            with coordinator.cond:
+                coordinator._worker_lost_locked(conn.worker, "crashed")
+        assert coordinator.stats.redeliveries == len(profiles)
+        assert coordinator.stats.quarantined == len(profiles)
+
 
 # ---------------------------------------------------------------------------
 # incremental journaling + resume
 # ---------------------------------------------------------------------------
 class TestIncrementalJournaling:
-    def test_quarantined_profile_is_journaled_and_not_retried(self, tmp_path):
+    def test_quarantined_profile_is_journaled_and_not_retried(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
         path = str(tmp_path / "ck.jsonl")
         tests = lambda: [hard_crash_test(), safe_only_test()]  # noqa: E731
-        first = campaign(tests(), checkpoint_path=path,
-                         worker_redelivery=0).run()
+        first = campaign(tests(), checkpoint_path=path).run()
         assert first.supervision.quarantined == 1
-        resumed = campaign(tests(), checkpoint_path=path,
-                           worker_redelivery=0).run()
+        resumed = campaign(tests(), checkpoint_path=path).run()
         # fully restored: the supervisor never even started
         assert not resumed.supervision.enabled
         assert resumed.quarantined_tests == first.quarantined_tests
@@ -168,6 +192,42 @@ class TestIncrementalJournaling:
 def healthy_tests():
     return [two_service_test(), client_vs_service_test(), safe_only_test(),
             two_service_test(name="TestSynth.testExchangeAgain")]
+
+
+class TestConcurrentPools:
+    def test_two_campaigns_pools_keep_their_own_profiles(self, monkeypatch):
+        # `repro serve --serve-max-active 2` runs two campaigns' pools in
+        # one process; the late campaign forks its workers only after
+        # the early one has forked its own
+        corpora = {"early": lambda: healthy_tests()[:2],
+                   "late": lambda: [
+                       safe_only_test(name="TestSynth.testLateSafe"),
+                       two_service_test(name="TestSynth.testLate")]}
+        pooled = {name: campaign(tests()) for name, tests in corpora.items()}
+        early_forked = threading.Event()
+        spawn = supervise.Supervisor._spawn
+
+        def ordered_spawn(supervisor):
+            if supervisor.campaign is pooled["late"]:
+                early_forked.wait(timeout=30)
+            worker = spawn(supervisor)
+            if supervisor.campaign is pooled["early"]:
+                early_forked.set()
+            return worker
+
+        monkeypatch.setattr(supervise.Supervisor, "_spawn", ordered_spawn)
+        reports = {}
+        threads = [threading.Thread(target=lambda name=name: reports.update(
+                       {name: pooled[name].run()})) for name in pooled]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for name, tests in corpora.items():
+            assert not reports[name].degraded_tests
+            assert verdicts_view(reports[name]) == verdicts_view(
+                campaign(tests(), workers=1).run())
 
 
 class TestCancellation:
@@ -258,7 +318,7 @@ class TestDegradedTraceback:
 
 
 # ---------------------------------------------------------------------------
-# hung workers: deadlines, frozen processes, rlimits (slow -> chaos)
+# hung workers: deadlines, frozen processes (slow -> chaos)
 # ---------------------------------------------------------------------------
 @pytest.mark.chaos
 class TestHungWorkers:
@@ -277,19 +337,21 @@ class TestHungWorkers:
     def test_frozen_worker_is_killed_on_heartbeat_silence(self,
                                                           monkeypatch):
         monkeypatch.setattr(supervise, "HEARTBEAT_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(parallel, "REDELIVERY", 0)
         frozen = sigstop_self_test()
-        report = campaign([frozen, safe_only_test()],
-                          worker_redelivery=0).run()
+        report = campaign([frozen, safe_only_test()]).run()
         assert frozen.full_name in report.quarantined_tests
         assert "heartbeat" in report.degraded_errors[frozen.full_name]
         assert report.supervision.heartbeat_kills >= 1
 
-    def test_rlimit_cpu_kills_spinning_worker(self):
+    def test_deadline_kills_spinning_worker(self):
+        # a CPU-bound spin keeps its heartbeat thread beating, so only
+        # the wall-clock deadline can end it
         spin = spinning_test()
         report = campaign([spin, safe_only_test()],
-                          worker_rlimit_cpu_s=1, worker_redelivery=0).run()
+                          profile_deadline_s=1.0).run()
         assert spin.full_name in report.quarantined_tests
-        assert "SIGXCPU" in report.degraded_errors[spin.full_name]
-        # completed profiles trigger a recycle so every profile gets a
-        # fresh CPU budget
-        assert report.supervision.recycles >= 1
+        assert "deadline" in report.degraded_errors[spin.full_name]
+        assert report.supervision.deadline_kills == 1
+        assert report.supervision.heartbeat_kills == 0
+        assert report.supervision.redeliveries == 0

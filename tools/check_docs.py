@@ -26,7 +26,11 @@ flag the README never documents.  Concretely, it enforces:
    README.md or docs/*.md names real code: its last dotted part is a
    ``def``, a ``class`` or a module-level binding in a ``.py`` file under
    ``src/``, ``tests/``, ``benchmarks/`` or ``tools/``, modulo an
-   allowlist of outside names (the standard library's).
+   allowlist of outside names (the standard library's);
+10. every module-level import in a ``.py`` file under ``src/`` is used:
+    the module references the name it binds (a string annotation
+    counts) or lists it in ``__all__``.  An import kept for its side
+    effect says so with ``# noqa`` on its line.
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -40,10 +44,11 @@ test suite before it ever reaches CI.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import re
 import sys
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: flags that belong to other tools mentioned in the docs (pip, pytest).
 EXTERNAL_FLAGS = {
@@ -192,6 +197,74 @@ def code_definitions(root: str) -> Set[str]:
     return names
 
 
+def _module_level(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements that run at import time, inside ``if``/``try`` too."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(handler.body
+                            for handler in getattr(node, "handlers", ()))):
+                yield from _module_level(block)
+
+
+def _referenced_names(tree: ast.Module) -> Set[str]:
+    """Every name the module loads, string annotations' included."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) \
+            or getattr(node, "returns", None)
+        for text in (ast.walk(annotation) if annotation else ()):
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                try:
+                    parsed = ast.parse(text.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(sub.id for sub in ast.walk(parsed)
+                             if isinstance(sub, ast.Name))
+    return names
+
+
+def unused_imports(path: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of each module-level import ``path`` never uses."""
+    with open(path) as handle:
+        source = handle.read()
+    tree = ast.parse(source, path)
+    lines = source.splitlines()
+    imported: Dict[str, int] = {}
+    used = _referenced_names(tree)
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or "# noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def check_unused_imports(root: str) -> List[str]:
+    """Rule 10 over every ``.py`` file under ``src/``."""
+    problems: List[str] = []
+    for directory, _, names in sorted(os.walk(os.path.join(root, "src"))):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                problems.extend(
+                    "%s:%d: `%s` is imported but never used"
+                    % (os.path.relpath(path, root), line, unused)
+                    for line, unused in unused_imports(path))
+    return problems
+
+
 def check_flags_tested(root: str, known_flags: Set[str]) -> List[str]:
     """Flags that no file under ``tests/`` names."""
     named: Set[str] = set()
@@ -282,6 +355,7 @@ def check(root: str) -> List[str]:
 
     problems.extend(check_spec_table(root))
     problems.extend(check_flags_tested(root, known_flags))
+    problems.extend(check_unused_imports(root))
     return problems
 
 
