@@ -22,6 +22,7 @@ Three behaviours from the paper live here:
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.common.configuration import Configuration
@@ -42,23 +43,23 @@ IPC_SHARED_PARAMS = (
 #: Hadoop's default client ping cadence when no rpc timeout is set.
 DEFAULT_PING_INTERVAL_MS = 60000
 
-#: Process-wide switch for the paper's one-line Hadoop fix ("After we
-#: modified one line of code in Hadoop to disable the sharing, the false
-#: alarms disappeared").  Clusters consult this when constructing their
-#: IpcComponent.
-_IPC_SHARING_ENABLED = True
+#: Switch for the paper's one-line Hadoop fix ("After we modified one
+#: line of code in Hadoop to disable the sharing, the false alarms
+#: disappeared"), read when clusters build their IpcComponent.  Per
+#: context, like the ConfAgent, so each campaign thread keeps its own.
+_ipc_sharing: ContextVar[bool] = ContextVar("ipc_sharing", default=True)
 
 
 def set_ipc_sharing(enabled: bool) -> bool:
-    """Enable/disable IPC-component sharing; returns the previous value."""
-    global _IPC_SHARING_ENABLED
-    previous = _IPC_SHARING_ENABLED
-    _IPC_SHARING_ENABLED = enabled
+    """Enable/disable IPC-component sharing in this context; returns the
+    previous value."""
+    previous = _ipc_sharing.get()
+    _ipc_sharing.set(enabled)
     return previous
 
 
 def ipc_sharing_enabled() -> bool:
-    return _IPC_SHARING_ENABLED
+    return _ipc_sharing.get()
 
 
 # Shared constant dicts: _wire_opts is on the per-RPC hot path and the

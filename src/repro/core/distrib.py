@@ -26,10 +26,10 @@ crashes, or answers late must never corrupt findings:
 * **Bounded reconnect.**  Workers reconnect with exponential backoff and
   jitter, at most ``--reconnect-attempts`` consecutive failures.
 * **Redelivery with quarantine.**  A lease lost to a dead worker is
-  re-queued at most :data:`repro.core.parallel.REDELIVERY` times (the
-  supervised pool's own bound) before the profile is quarantined as a
-  :data:`~repro.core.runner.WORKER_CRASH` outcome — poison cannot starve
-  the fleet.
+  re-queued at most :data:`repro.core.parallel.REDELIVERY` times before
+  the profile is quarantined — poison cannot starve the fleet.  The
+  :class:`~repro.core.parallel.LeaseBook` holds this policy for the
+  supervised pool too; this module is its socket front.
 * **Work stealing.**  When the queue drains, an idle worker is granted a
   *copy* of the oldest outstanding lease (at most :data:`MAX_COPIES`
   holders): a straggler or silently-dead holder cannot stall campaign
@@ -58,14 +58,13 @@ import socket
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import transport as net
 from repro.common.faults import fault_seed
 from repro.core import parallel
 from repro.core.prerun import prerun_corpus
 from repro.core.registry import UnitTest
-from repro.core.runner import WORKER_CRASH
 
 #: read deadline for a control reply (welcome, lease, ack) before the
 #: worker declares the connection wedged and reconnects.
@@ -116,17 +115,14 @@ class _RemoteWorker:
 
     _sequence = 0
 
-    def __init__(self, name: str, slots: int) -> None:
+    def __init__(self, name: str) -> None:
         _RemoteWorker._sequence += 1
         #: unique per connection; a reconnect gets a fresh key, so a
         #: stale connection's lease cleanup can never hit the new one.
         self.key = _RemoteWorker._sequence
         self.name = name
-        self.slots = max(slots, 1)
         self.alive = True
         self.last_seen = time.monotonic()
-        #: test full names currently leased to this connection.
-        self.tasks: Set[str] = set()
 
 
 class _Conn:
@@ -144,10 +140,10 @@ class _Conn:
 class Coordinator:
     """Serves one campaign's pending profiles to remote workers.
 
-    All shared state (queue, leases, outcomes, fleet bookkeeping) is
-    guarded by one lock; message handling is funnelled through
-    :meth:`_handle_message`, which takes and returns plain dicts so the
-    protocol is unit-testable without sockets.
+    All shared state (the lease book, whose holders are connection
+    keys, and fleet bookkeeping) is guarded by one lock; message handling
+    is funnelled through :meth:`_handle_message`, which takes and returns
+    plain dicts so the protocol is unit-testable without sockets.
     """
 
     def __init__(self, campaign: Any, profiles: Sequence[Any],
@@ -157,12 +153,13 @@ class Coordinator:
         config = campaign.config
         self.campaign = campaign
         self.profiles = list(profiles)
-        self.checkpoint = checkpoint
-        self.tests_by_name = tests_by_name
         self.host, self.port = host, port
         self.stats = campaign.distribution
+        #: grant order = dispatch order.
+        self.book = parallel.LeaseBook(
+            campaign, self.profiles, checkpoint, tests_by_name, self.stats,
+            announce=("dist-quarantine", "coordinator"))
         self.digest = corpus_digest(campaign)
-        self.lease_deadline = config.profile_deadline_s
         self.join_grace = config.dist_join_grace_s
         self.net_plan = config.net_fault_plan
         #: shared secret for the HMAC challenge-response handshake
@@ -171,12 +168,6 @@ class Coordinator:
 
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        #: (test full name, delivery number), grant order = dispatch order.
-        self.queue: List[Tuple[str, int]] = [
-            (p.test.full_name, 1) for p in self.profiles]
-        #: test name -> {"delivery", "holders": {worker keys}, "granted_at"}.
-        self.leases: Dict[str, Dict[str, Any]] = {}
-        self.outcomes: Dict[str, Any] = {}
         self.workers: List[_RemoteWorker] = []
         from repro.core.report import FleetWorker
         self._fleet: Dict[str, FleetWorker] = {}
@@ -206,9 +197,7 @@ class Coordinator:
         accept_thread.start()
         try:
             with self.cond:
-                while True:
-                    if len(self.outcomes) == len(self.profiles):
-                        break
+                while not self.book.done():
                     self._police_locked(time.monotonic())
                     if self.halted:
                         break
@@ -218,9 +207,9 @@ class Coordinator:
         finally:
             self._teardown()
         remaining = [p for p in self.profiles
-                     if p.test.full_name not in self.outcomes]
+                     if p.test.full_name not in self.book.outcomes]
         self.stats.fleet = [self._fleet[name] for name in sorted(self._fleet)]
-        return dict(self.outcomes), remaining
+        return dict(self.book.outcomes), remaining
 
     def _listen(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -364,8 +353,7 @@ class Coordinator:
                               % (digest, self.digest)}
         if self.closed or self.halted:
             return {"kind": "reject", "reason": "coordinator is shutting down"}
-        worker = _RemoteWorker(str(message.get("worker") or "worker"),
-                               int(message.get("slots", 1)))
+        worker = _RemoteWorker(str(message.get("worker") or "worker"))
         conn.worker = worker
         self.workers.append(worker)
         self.stats.workers_joined += 1
@@ -395,82 +383,41 @@ class Coordinator:
             return {"kind": "done"}
         tasks = []
         while len(tasks) < max(max_tasks, 1):
-            lease = self._next_lease_locked(worker)
+            lease = self.book.grant(worker.key)
             if lease is None:
-                break
-            tasks.append(lease)
+                # Queue drained: steal a copy of the oldest outstanding
+                # lease so a straggler (or a silent death not yet
+                # detected) cannot stall the campaign.  First finisher
+                # wins; the rest get suppressed.
+                lease = self.book.copy(worker.key, MAX_COPIES)
+                if lease is None:
+                    break
+                self.stats.steals += 1
+            self.stats.leases_granted += 1
+            tasks.append({"task": lease[0], "delivery": lease[1]})
         if tasks:
             return {"kind": "lease", "tasks": tasks}
-        if len(self.outcomes) == len(self.profiles):
+        if self.book.done():
             return {"kind": "done"}
         return {"kind": "wait", "delay": WAIT_DELAY_S}
-
-    def _next_lease_locked(self, worker: _RemoteWorker
-                           ) -> Optional[Dict[str, Any]]:
-        while self.queue:
-            name, delivery = self.queue.pop(0)
-            if name in self.outcomes:
-                continue  # finished while a redelivery/copy sat queued
-            lease = self.leases.get(name)
-            if lease is None:
-                lease = self.leases[name] = {
-                    "delivery": delivery, "holders": set(),
-                    "granted_at": time.monotonic()}
-            else:
-                lease["delivery"] = max(lease["delivery"], delivery)
-            if worker.key in lease["holders"]:
-                continue  # never hand a worker its own lease again
-            lease["holders"].add(worker.key)
-            worker.tasks.add(name)
-            self.stats.leases_granted += 1
-            return {"task": name, "delivery": lease["delivery"]}
-        # Queue drained: steal a copy of the oldest outstanding lease so
-        # a straggler (or a silent death not yet detected) cannot stall
-        # the campaign.  First finisher wins; the rest get suppressed.
-        candidates = sorted(
-            (lease["granted_at"], name)
-            for name, lease in self.leases.items()
-            if name not in self.outcomes
-            and worker.key not in lease["holders"]
-            and len(lease["holders"]) < MAX_COPIES)
-        if not candidates:
-            return None
-        _, name = candidates[0]
-        lease = self.leases[name]
-        lease["holders"].add(worker.key)
-        worker.tasks.add(name)
-        self.stats.leases_granted += 1
-        self.stats.steals += 1
-        return {"task": name, "delivery": lease["delivery"]}
 
     def _result_locked(self, worker: _RemoteWorker,
                        message: Mapping[str, Any]) -> Dict[str, Any]:
         name = str(message["task"])
-        ack = {"kind": "ack", "task": name}
-        worker.tasks.discard(name)
-        lease = self.leases.get(name)
-        if lease is not None:
-            lease["holders"].discard(worker.key)
-        if name in self.outcomes:
-            # A resend after a lost ack, or a stolen copy finishing
-            # second: ack it (the worker must stop resending) but the
-            # committed outcome stands — no double counting, ever.
-            self.stats.duplicates_suppressed += 1
-            return ack
-        if name not in self.tests_by_name and not any(
-                p.test.full_name == name for p in self.profiles):
-            return ack  # not ours; ack to stop the resend loop
-        outcome = parallel.profile_outcome_from_dict(message["outcome"],
-                                                     self.tests_by_name)
         # The same commit path every backend uses: tracker replay,
         # immediate test-done journaling, live observability fold.
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        self.leases.pop(name, None)
-        self.stats.remote_profiles += 1
-        self._fleet[worker.name].profiles += 1
-        self.cond.notify_all()
-        return ack
+        if self.book.commit_record(name, message["outcome"]):
+            self.stats.remote_profiles += 1
+            self._fleet[worker.name].profiles += 1
+            self.cond.notify_all()
+        elif name in self.book.outcomes:
+            # A resend after a lost ack, or a stolen copy finishing
+            # second: the committed outcome stands — no double counting.
+            self.stats.duplicates_suppressed += 1
+        # Acked either way, so the worker stops resending.  A name never
+        # queued here is dropped: a coordinator restarted on its journal
+        # restored that profile and does not serve it.
+        return {"kind": "ack", "task": name}
 
     # ------------------------------------------------------------------
     # failure policy (heartbeats, lease deadlines, degradation)
@@ -482,20 +429,12 @@ class Coordinator:
                 self.stats.heartbeat_expiries += 1
                 self._worker_lost_locked(
                     worker, "no heartbeat for %.1fs" % HEARTBEAT_TIMEOUT_S)
-        if self.lease_deadline is not None:
-            for name, lease in list(self.leases.items()):
-                if now - lease["granted_at"] <= self.lease_deadline:
-                    continue
-                # The holders may be alive-but-stuck; their late result
-                # is still accepted (idempotently) if it ever arrives.
-                self.stats.lease_expiries += 1
-                for worker in self.workers:
-                    worker.tasks.discard(name)
-                del self.leases[name]
-                self._requeue_or_quarantine_locked(
-                    name, lease["delivery"],
-                    "lease exceeded the %.1fs profile deadline"
-                    % self.lease_deadline)
+        for name in self.book.overdue(now):
+            # The holders may be alive-but-stuck; their late result is
+            # still accepted (idempotently) if it ever arrives.
+            self.stats.lease_expiries += 1
+            self.book.revoke(name, "lease exceeded the %.1fs profile "
+                                   "deadline" % self.book.deadline)
         if (self._idle_since is not None
                 and now - self._idle_since > self.join_grace):
             self._degrade_locked(
@@ -512,51 +451,20 @@ class Coordinator:
         self.workers.remove(worker)
         if not self.workers:
             self._idle_since = time.monotonic()
+        held = self.book.held_by(worker.key)
         if not graceful:
             self.stats.workers_lost += 1
-            self._fleet[worker.name].leases_lost += len(worker.tasks)
+            self._fleet[worker.name].leases_lost += len(held)
             obs = self.campaign.observation
             if obs is not None:
                 # Failure-only event, like the supervisor's worker-death:
                 # healthy-run span trees stay backend-identical.
                 obs.event("dist-worker-lost", kind="coordinator",
                           worker=worker.name, reason=reason,
-                          leases=len(worker.tasks))
-        for name in sorted(worker.tasks):
-            lease = self.leases.get(name)
-            if lease is None:
-                continue
-            lease["holders"].discard(worker.key)
-            if lease["holders"] or name in self.outcomes:
-                continue  # a stolen copy is still running it
-            del self.leases[name]
-            self._requeue_or_quarantine_locked(
-                name, lease["delivery"],
-                "worker %r lost while holding the lease (%s)"
-                % (worker.name, reason))
-        worker.tasks.clear()
-        self.cond.notify_all()
-
-    def _requeue_or_quarantine_locked(self, name: str, delivery: int,
-                                      reason: str) -> None:
-        if delivery <= parallel.REDELIVERY:
-            self.stats.redeliveries += 1
-            self.queue.append((name, delivery + 1))
-            return
-        # Same poison escalation as the supervised pool: record a
-        # WORKER_CRASH outcome (journaled — a resume does not retry it).
-        from repro.core.orchestrator import ProfileOutcome
-        outcome = ProfileOutcome(
-            error="%s; profile quarantined after %d deliveries"
-                  % (reason, delivery),
-            error_kind=WORKER_CRASH)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        self.stats.quarantined += 1
-        obs = self.campaign.observation
-        if obs is not None:
-            obs.event("dist-quarantine", kind="coordinator", test=name,
-                      reason=reason)
+                          leases=len(held))
+        for name in held:
+            self.book.revoke(name, "worker %r lost while holding the lease "
+                                   "(%s)" % (worker.name, reason), worker.key)
         self.cond.notify_all()
 
     def _degrade_locked(self, reason: str) -> None:
@@ -712,7 +620,6 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     plan=net_fault_plan)
                 worker_nonce = os.urandom(16).hex()
                 transport_.send({"kind": "hello", "worker": worker_name,
-                                 "slots": max(base.workers, 1),
                                  "nonce": worker_nonce,
                                  "digest": (corpus_digest(campaign)
                                             if campaign is not None else None)})

@@ -18,12 +18,9 @@ existing orchestrator — every job is an ordinary
   between profiles while keeping the journal resumable.
 
 Scheduling is FIFO with a bounded number of concurrently running jobs
-(``--serve-max-active``).  Two safety constraints may let a younger job
-overtake a blocked head-of-line job: (1) jobs with the *same spec
-digest* never run concurrently (they would share one checkpoint
-journal), and (2) jobs whose ``disable_ipc_sharing`` setting differs
-from the currently running set wait (the IPC-sharing switch is process
-global).
+(``--serve-max-active``).  One safety constraint may let a younger job
+overtake a blocked head-of-line job: jobs with the *same spec digest*
+never run concurrently (they would share one checkpoint journal).
 
 On-disk layout under the daemon's ``--serve-state DIR``::
 
@@ -430,14 +427,10 @@ class JobQueue:
         if len(self._active) >= self.max_active:
             return None
         active_digests = {j.digest for j in self._active.values()}
-        ipc_modes = {j.spec["disable_ipc_sharing"]
-                     for j in self._active.values()}
         for job_id in self._pending:
             job = self.jobs[job_id]
             if job.digest in active_digests:
                 continue  # would share a checkpoint journal
-            if ipc_modes and job.spec["disable_ipc_sharing"] not in ipc_modes:
-                continue  # IPC-sharing switch is process-global
             return job
         return None
 

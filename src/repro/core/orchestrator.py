@@ -437,11 +437,16 @@ class Campaign:
         # through parallel.commit_outcome.  Outcomes are assembled keyed
         # by test and folded back in the original profile order so a
         # resumed campaign reproduces the interrupted one bit for bit.
+        # A serial campaign runs each pending profile at its catalog
+        # position: its blacklist reads see exactly the profiles before.
+        serial = self.config.distributed is None and not (
+            self.config.workers > 1 and parallel.fork_available())
         outcome_by_test: Dict[str, ProfileOutcome] = {}
         pending: List[TestProfile] = []
         if self._progress is not None:
             self._progress.total = len(usable)
         for profile in usable:
+            self._check_cancelled()
             name = profile.test.full_name
             outcome = None
             if checkpoint is not None and checkpoint.has_test(name):
@@ -451,6 +456,9 @@ class Campaign:
                     and self._plan.decision(name) == PLAN_REUSE:
                 outcome = self._fold_planned_profile(profile, checkpoint,
                                                      tests_by_name)
+            if outcome is None and serial:
+                outcome = self._run_locally([profile], checkpoint,
+                                            tests_by_name)[name]
             if outcome is None:
                 pending.append(profile)
             else:

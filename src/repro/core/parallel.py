@@ -29,21 +29,24 @@ path shares:
   supervised pool and the distributed coordinator hand profiles out
   from: longest first by measured pre-run weight.  Serial runs keep
   catalog order.
-* **The redelivery bound.**  :data:`REDELIVERY` caps how often both of
-  them hand out a profile again after losing its worker.
+* **The lease book.**  :class:`LeaseBook` is the failure policy both of
+  them share, with the :data:`REDELIVERY` bound on lost leases.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import time
+from collections import deque
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.checkpoint import result_from_dict, result_to_dict
 from repro.core.plan import profile_testable_params
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
+from repro.core.runner import WORKER_CRASH
 
 #: times a profile whose worker died (a forked pool worker, or a remote
 #: worker holding its lease) is delivered again before it is quarantined
@@ -153,3 +156,139 @@ def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
     # Live observability fold (metrics merge + progress tick); span
     # adoption happens later in deterministic profile order.
     campaign._profile_committed(outcome)
+
+
+# ---------------------------------------------------------------------------
+# the lease book: the supervised pool's and the coordinator's policy
+# ---------------------------------------------------------------------------
+@dataclass
+class Lease:
+    """A profile out for a run; two holders while a stolen copy runs."""
+
+    delivery: int
+    granted_at: float
+    holders: Set[Any]
+
+
+class LeaseBook:
+    """The failure policy the supervised pool and the distributed
+    coordinator share; each adds only its link and its liveness checks.
+
+    ``profiles`` queue in the order given, as delivery 1.  The first
+    commit of a queued name wins (:func:`commit_outcome`, then ``sink``).
+    A lease revoked from its last holder is queued again as the next
+    delivery, or once it has had :data:`REDELIVERY` redeliveries it is
+    committed as a WORKER_CRASH quarantine, counted in ``stats`` and
+    announced as the ``announce`` (name, kind) span event.  It is
+    journaled like any finished test, so a resume does not retry poison.
+    """
+
+    def __init__(self, campaign: Any, profiles: Sequence[Any],
+                 checkpoint: Optional[Any],
+                 tests_by_name: Mapping[str, UnitTest], stats: Any,
+                 announce: Tuple[str, str],
+                 sink: Optional[Any] = None) -> None:
+        self.campaign = campaign
+        self.checkpoint = checkpoint
+        self.tests_by_name = tests_by_name
+        self.stats = stats
+        self.announce = announce
+        self.sink = sink
+        #: ``--profile-deadline`` (None: no lease is ever overdue).
+        self.deadline = campaign.config.profile_deadline_s
+        #: (test full name, delivery number), next grant first.
+        self.queue = deque((p.test.full_name, 1) for p in profiles)
+        self.names = frozenset(name for name, _ in self.queue)
+        self.leases: Dict[str, Lease] = {}
+        self.outcomes: Dict[str, Any] = {}
+
+    def done(self) -> bool:
+        return len(self.outcomes) == len(self.names)
+
+    def grant(self, holder: Any) -> Optional[Tuple[str, int]]:
+        """Lease the next queued profile: ``(name, delivery)`` or None."""
+        while self.queue:
+            name, delivery = self.queue.popleft()
+            if name not in self.outcomes:  # else a copy won meanwhile
+                self.leases[name] = Lease(delivery, time.monotonic(),
+                                          {holder})
+                return name, delivery
+        return None
+
+    def release(self, name: str) -> None:
+        """Undo a grant that never reached its holder."""
+        self.queue.appendleft((name, self.leases.pop(name).delivery))
+
+    def copy(self, holder: Any, max_copies: int
+             ) -> Optional[Tuple[str, int]]:
+        """Work stealing: also lease the oldest lease ``holder`` does not
+        hold yet that has fewer than ``max_copies`` holders."""
+        oldest = min(((lease.granted_at, name)
+                      for name, lease in self.leases.items()
+                      if holder not in lease.holders
+                      and len(lease.holders) < max_copies), default=None)
+        if oldest is None:
+            return None
+        lease = self.leases[oldest[1]]
+        lease.holders.add(holder)
+        return oldest[1], lease.delivery
+
+    def held_by(self, holder: Any) -> List[str]:
+        return sorted(name for name, lease in self.leases.items()
+                      if holder in lease.holders)
+
+    def overdue(self, now: float) -> List[str]:
+        """Leases out longer than the deadline, in grant order."""
+        return [name for name, lease in self.leases.items()
+                if self.deadline is not None
+                and now - lease.granted_at > self.deadline]
+
+    def commit(self, name: str, outcome: Any) -> bool:
+        """True when this is the first commit of a queued name."""
+        if name not in self.names or name in self.outcomes:
+            return False
+        commit_outcome(self.campaign, self.checkpoint, name, outcome)
+        self.outcomes[name] = outcome
+        self.leases.pop(name, None)
+        if self.sink is not None:
+            self.sink(name, outcome)
+        return True
+
+    def commit_record(self, name: str, record: Mapping[str, Any]) -> bool:
+        """:meth:`commit` a worker's record, decoded only if it wins."""
+        if name not in self.names or name in self.outcomes:
+            return False
+        return self.commit(name, profile_outcome_from_dict(
+            record, self.tests_by_name))
+
+    def revoke(self, name: str, reason: str, holder: Any = None) -> None:
+        """Take ``name``'s lease from ``holder`` (from all when None)."""
+        lease = self.leases.get(name)
+        if lease is None:
+            return
+        lease.holders.discard(holder)
+        if holder is not None and lease.holders:
+            return  # a stolen copy is still running it
+        del self.leases[name]
+        if lease.delivery <= REDELIVERY:
+            self.stats.redeliveries += 1
+            self.queue.append((name, lease.delivery + 1))
+        else:
+            self.quarantine(name, "%s; profile quarantined after %d "
+                                  "deliveries" % (reason, lease.delivery))
+
+    def quarantine(self, name: str, reason: str) -> None:
+        from repro.core.orchestrator import ProfileOutcome
+        if self.commit(name, ProfileOutcome(error=reason,
+                                            error_kind=WORKER_CRASH)):
+            self.stats.quarantined += 1
+            obs = self.campaign.observation
+            if obs is not None:
+                event, kind = self.announce
+                obs.event(event, kind=kind, test=name, reason=reason)
+
+    def drain(self) -> List[str]:
+        """Empty the queue; the names it held that are still open."""
+        names = [name for name, _ in self.queue if name not in self.outcomes]
+        self.queue.clear()
+        return names

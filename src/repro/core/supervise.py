@@ -25,8 +25,7 @@ failure, so this module owns its workers directly:
 * a worker that **dies while running a profile** is reaped (exit signal
   captured) and respawned, and the profile is redelivered to a fresh
   worker at most :data:`repro.core.parallel.REDELIVERY` times before it
-  is quarantined as a :data:`~repro.core.runner.WORKER_CRASH` infra
-  outcome instead of aborting the run;
+  is quarantined as a WORKER_CRASH infra outcome instead of aborting;
 * ``worker_rlimit_mem_mb`` applies an RLIMIT_AS cap inside each child;
 * :data:`CRASH_LOOP_THRESHOLD` consecutive worker deaths (no completed
   profile in between) trip a **circuit breaker**: something is wrong
@@ -43,8 +42,11 @@ Worker lifecycle::
                 │                 └─ heartbeat silence (SIGKILL) ──> DEAD ...
                 └─ crash while idle ──> DEAD
 
-Quarantined profiles are journaled like any finished test: a resume
-does not retry poison — delete the journal line to force a re-run.
+The queue, the leases, first-commit-wins, redelivery and quarantine are
+the :class:`~repro.core.parallel.LeaseBook` the distributed coordinator
+runs on too; this module owns the processes.  Quarantined profiles are
+journaled like any finished test: a resume does not retry poison —
+delete the journal line to force a re-run.
 
 The parent checks ``CampaignConfig.cancel_event`` on every tick: once
 it is set, nothing more is dispatched, the workers are shut down (busy
@@ -70,13 +72,11 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
 from multiprocessing import connection
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core import parallel
 from repro.core.registry import UnitTest
-from repro.core.runner import WORKER_CRASH
 
 try:
     import resource
@@ -209,10 +209,8 @@ class _Worker:
         self.state = DEAD
         self.conn: Any = None
         self.proc: Any = None
-        #: test full name in flight (None when idle) + its delivery number.
+        #: test full name in flight (None when idle), leased to ``id``.
         self.task: Optional[str] = None
-        self.delivery = 0
-        self.started_at = 0.0
         self.last_seen = 0.0
 
 
@@ -227,29 +225,23 @@ class Supervisor:
         config = campaign.config
         self.campaign = campaign
         self.profiles_by_name = {p.test.full_name: p for p in profiles}
-        self.checkpoint = checkpoint
-        self.tests_by_name = tests_by_name
-        # Optional callback fired with (name, outcome) after each commit;
-        # the distributed worker uses it to ship results upstream while
-        # the pool keeps running.
-        self.outcome_sink = outcome_sink
         self.stats = SupervisionStats(enabled=True)
-        self.deadline = config.profile_deadline_s
+        # ``outcome_sink(name, outcome)`` fires after each commit; the
+        # distributed worker uses it to ship results upstream while the
+        # pool keeps running.
+        self.book = parallel.LeaseBook(
+            campaign, profiles, checkpoint, tests_by_name, self.stats,
+            announce=("quarantine", "supervisor"), sink=outcome_sink)
         self.rlimit_mem = config.worker_rlimit_mem_mb
         self.slots = max(min(config.workers, len(profiles)), 1)
 
         self.context = multiprocessing.get_context("fork")
         self.workers: List[_Worker] = []
-        self.queue: deque = deque()  # (test full name, delivery number)
-        self.outcomes: Dict[str, Any] = {}
-        self.deliveries: Dict[str, int] = {}
         self.consecutive_crashes = 0
-        self.halted = False
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, Any]:
-        self.queue.extend((name, 1) for name in self.profiles_by_name)
         try:
             for _ in range(self.slots):
                 self.workers.append(self._spawn())
@@ -257,13 +249,13 @@ class Supervisor:
                 # Only the parent's copy of the cancel event is ever set.
                 self.campaign._check_cancelled()
                 self._dispatch()
-                if not self._busy() and (not self.queue or self.halted):
+                if self.book.done():
                     break
                 self._poll()
                 self._enforce_timeouts()
         finally:
             self._shutdown()
-        return self.outcomes
+        return self.book.outcomes
 
     # -- worker lifecycle ----------------------------------------------
     def _spawn(self) -> _Worker:
@@ -287,7 +279,7 @@ class Supervisor:
         return worker
 
     def _respawn(self) -> None:
-        if self.halted or not (self.queue or self._busy()):
+        if self.book.done():  # the breaker, too, leaves nothing open
             return
         self.stats.respawns += 1
         self.workers.append(self._spawn())
@@ -311,27 +303,23 @@ class Supervisor:
         self._retire(worker)
 
     # -- scheduling ----------------------------------------------------
-    def _busy(self) -> bool:
-        return any(w.state == BUSY for w in self.workers)
-
     def _dispatch(self) -> None:
-        if self.halted:
-            return
         for worker in list(self.workers):
-            if not self.queue:
-                break
             if worker.state != IDLE:
                 continue
-            name, delivery = self.queue.popleft()
+            lease = self.book.grant(worker.id)
+            if lease is None:
+                break
+            name, delivery = lease
             try:
                 worker.conn.send({"task": name, "delivery": delivery})
             except OSError:
-                self.queue.appendleft((name, delivery))
+                self.book.release(name)
                 self._worker_died(worker)
                 continue
-            worker.task, worker.delivery = name, delivery
+            worker.task = name
             worker.state = BUSY
-            worker.started_at = worker.last_seen = time.monotonic()
+            worker.last_seen = time.monotonic()
 
     def _poll(self) -> None:
         conns = {w.conn: w for w in self.workers if w.state != DEAD}
@@ -355,13 +343,7 @@ class Supervisor:
         worker.last_seen = time.monotonic()
         if msg.get("kind") != "result":
             return  # heartbeat
-        name = msg["task"]
-        outcome = parallel.profile_outcome_from_dict(msg["outcome"],
-                                                     self.tests_by_name)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        if self.outcome_sink is not None:
-            self.outcome_sink(name, outcome)
+        self.book.commit_record(msg["task"], msg["outcome"])
         self.consecutive_crashes = 0
         worker.task = None
         worker.state = IDLE
@@ -389,11 +371,10 @@ class Supervisor:
             obs.event("worker-death", kind="supervisor", exit=reason,
                       task=worker.task)
         if worker.task is not None:
-            name, delivery = worker.task, worker.delivery
-            worker.task = None
-            self._requeue_or_quarantine(
-                name, delivery,
-                "worker process died while running the profile (%s)" % reason)
+            name, worker.task = worker.task, None
+            self.book.revoke(
+                name, "worker process died while running the profile (%s)"
+                % reason, worker.id)
         if self.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
             self._trip_breaker(reason)
         else:
@@ -401,11 +382,11 @@ class Supervisor:
 
     def _enforce_timeouts(self) -> None:
         now = time.monotonic()
+        overdue = self.book.overdue(now)
         for worker in list(self.workers):
             if worker.state != BUSY:
                 continue
-            over_deadline = (self.deadline is not None
-                             and now - worker.started_at > self.deadline)
+            over_deadline = worker.task in overdue
             silent = now - worker.last_seen > HEARTBEAT_TIMEOUT_S
             if not (over_deadline or silent):
                 continue
@@ -418,65 +399,34 @@ class Supervisor:
                 continue
             if worker.state != BUSY:
                 continue
-            name, delivery = worker.task, worker.delivery
-            worker.task = None
+            name, worker.task = worker.task, None
             self._kill(worker)
             if over_deadline:
                 # A deterministic runaway loop would just burn another
                 # full deadline on redelivery: quarantine immediately.
                 self.stats.deadline_kills += 1
-                self._quarantine(
+                self.book.quarantine(
                     name,
                     "profile exceeded the %.1fs wall-clock deadline "
                     "(--profile-deadline); worker SIGKILLed and reaped"
-                    % self.deadline)
+                    % self.book.deadline)
                 self._respawn()
             else:
                 # Heartbeat silence means *frozen*, which is plausibly
                 # environmental — redeliver within the usual bound.
                 self.stats.heartbeat_kills += 1
                 self.consecutive_crashes += 1
-                self._requeue_or_quarantine(
-                    name, delivery,
-                    "worker sent no heartbeat for %.1fs; killed as frozen"
-                    % HEARTBEAT_TIMEOUT_S)
+                self.book.revoke(
+                    name, "worker sent no heartbeat for %.1fs; killed as "
+                    "frozen" % HEARTBEAT_TIMEOUT_S, worker.id)
                 if self.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
                     self._trip_breaker("repeated heartbeat silence")
                 else:
                     self._respawn()
 
-    def _requeue_or_quarantine(self, name: str, delivery: int,
-                               reason: str) -> None:
-        if delivery <= parallel.REDELIVERY:
-            self.stats.redeliveries += 1
-            self.queue.append((name, delivery + 1))
-        else:
-            self._quarantine(
-                name, "%s; profile quarantined after %d deliveries"
-                % (reason, delivery))
-
-    def _quarantine(self, name: str, reason: str) -> None:
-        """Record a WORKER_CRASH infra outcome instead of aborting.
-
-        Journaled like any finished test: a resume does not retry
-        poison — delete the journal record to force a re-run.
-        """
-        from repro.core.orchestrator import ProfileOutcome
-        outcome = ProfileOutcome(error=reason, error_kind=WORKER_CRASH)
-        parallel.commit_outcome(self.campaign, self.checkpoint, name, outcome)
-        self.outcomes[name] = outcome
-        if self.outcome_sink is not None:
-            self.outcome_sink(name, outcome)
-        self.stats.quarantined += 1
-        obs = self.campaign.observation
-        if obs is not None:
-            obs.event("quarantine", kind="supervisor", test=name,
-                      reason=reason)
-
     def _trip_breaker(self, reason: str) -> None:
-        if self.halted:
+        if self.stats.circuit_breaker_tripped:
             return
-        self.halted = True
         self.stats.circuit_breaker_tripped = True
         halt = ("campaign halted by the supervisor's crash-loop circuit "
                 "breaker (%d consecutive worker deaths; last: %s)"
@@ -484,13 +434,11 @@ class Supervisor:
         for worker in list(self.workers):
             if worker.state != BUSY:
                 continue
-            name = worker.task
-            worker.task = None
+            name, worker.task = worker.task, None
             self._kill(worker)
-            self._quarantine(name, halt)
-        while self.queue:
-            name, _ = self.queue.popleft()
-            self._quarantine(name, halt)
+            self.book.quarantine(name, halt)
+        for name in self.book.drain():
+            self.book.quarantine(name, halt)
 
     # -- teardown ------------------------------------------------------
     def _shutdown(self) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.orchestrator import CampaignConfig, run_full_campaign
-from repro.core.registry import CORPUS, load_all_suites
+from repro.core.registry import load_all_suites
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.common.configuration import Configuration, ref_to_clone
 from repro.common.errors import TestFailure

@@ -7,8 +7,6 @@ than misattributed.  These tests pin that degradation behaviour.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.common.configuration import Configuration, ref_to_clone
 from repro.common.params import INT, ParamRegistry
 from repro.core.confagent import UNCERTAIN, UNIT_TEST, ConfAgent, current_agent

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.baseline import (BaselineDiff, compare_to_baseline,
-                                 load_baseline, save_baseline)
+from repro.core.baseline import (compare_to_baseline, load_baseline,
+                                 save_baseline)
 from repro.core.orchestrator import Campaign, CampaignConfig
 from synthetic_app import SYNTH_REGISTRY, client_vs_service_test, two_service_test
 

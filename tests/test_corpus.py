@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.core.prerun import prerun_test
-from repro.core.registry import CORPUS, TestContext
+from repro.core.registry import TestContext
 
 
 def all_tests(corpus):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.common.configuration import Configuration, ref_to_clone
 from repro.common.params import BOOL, ENUM, INT, ParamRegistry
 from repro.core.confagent import current_agent

@@ -305,12 +305,39 @@ class TestCoordinatorProtocol:
         task = lease["tasks"][0]["task"]
         assert deliver(coordinator, conn, task) == {"kind": "ack",
                                                     "task": task}
-        assert task in coordinator.outcomes
+        assert task in coordinator.book.outcomes
         assert coordinator.stats.remote_profiles == 1
         # the resend of a lost ack is acked again but never recommitted
         assert deliver(coordinator, conn, task)["kind"] == "ack"
         assert coordinator.stats.duplicates_suppressed == 1
         assert coordinator.stats.remote_profiles == 1
+
+    def test_result_for_a_profile_never_queued_is_dropped(self, tmp_path):
+        # A coordinator restarted on its journal restored the last
+        # profile and serves the other four; a worker that never got the
+        # ack for the restored one resends its result.
+        path = str(tmp_path / "ck.jsonl")
+        campaign = synthetic_campaign(config=decoupled_config(
+            distributed="0", checkpoint_path=path))
+        profiles = [p for p in prerun_corpus(campaign.tests) if p.usable]
+        assert len(profiles) == 5
+        coordinator = Coordinator(
+            campaign, profiles[:-1], campaign._open_checkpoint(),
+            {t.full_name: t for t in campaign.tests})
+        conn, _ = join(coordinator)
+        restored = profiles[-1].test.full_name
+        assert deliver(coordinator, conn, restored) == {"kind": "ack",
+                                                        "task": restored}
+        assert coordinator.stats.remote_profiles == 0
+        with open(path) as handle:
+            assert restored not in handle.read()
+        # the four it serves still decide when it is done
+        lease = fetch(coordinator, conn, max_tasks=len(profiles))
+        assert len(lease["tasks"]) == 4
+        for task in lease["tasks"]:
+            deliver(coordinator, conn, task["task"])
+        assert coordinator.stats.remote_profiles == 4
+        assert fetch(coordinator, conn)["kind"] == "done"
 
     def test_queue_drained_then_wait(self):
         _, coordinator, profiles = make_coordinator()
@@ -350,11 +377,12 @@ class TestCoordinatorProtocol:
             coordinator._worker_lost_locked(conn.worker, "test kill")
         assert coordinator.stats.workers_lost == 1
         assert coordinator.stats.redeliveries == 1
-        assert (task, 2) in coordinator.queue
+        assert (task, 2) in coordinator.book.queue
         # the redelivered lease (queued behind the untouched profiles)
         # is granted to the next worker that drains the queue
         fresh, _ = join(coordinator, name="w2")
-        lease = fetch(coordinator, fresh, max_tasks=len(coordinator.queue))
+        lease = fetch(coordinator, fresh,
+                      max_tasks=len(coordinator.book.queue))
         granted = {t["task"]: t["delivery"] for t in lease["tasks"]}
         assert granted[task] == 2
 
@@ -375,7 +403,7 @@ class TestCoordinatorProtocol:
         with coordinator.cond:
             coordinator._worker_lost_locked(conn.worker, "crashed")
         assert coordinator.stats.quarantined == 1
-        assert coordinator.outcomes[task].error_kind == WORKER_CRASH
+        assert coordinator.book.outcomes[task].error_kind == WORKER_CRASH
 
     def test_heartbeat_expiry_declares_the_worker_dead(self):
         _, coordinator, _ = make_coordinator()
@@ -403,7 +431,7 @@ class TestCoordinatorProtocol:
         _, coordinator, _ = make_coordinator(profile_deadline_s=5.0)
         conn, _ = join(coordinator)
         task = fetch(coordinator, conn)["tasks"][0]["task"]
-        coordinator.leases[task]["granted_at"] -= 10.0
+        coordinator.book.leases[task].granted_at -= 10.0
         with coordinator.cond:
             coordinator._police_locked(time.monotonic())
         assert coordinator.stats.lease_expiries == 1

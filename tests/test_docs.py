@@ -115,9 +115,15 @@ def test_checker_catches_a_planted_unused_import(tmp_path):
         "__all__ = [\"Optional\", \"first\"]\n\n\n"
         "def first(items: \"List[str]\") -> str:\n"
         "    return items[0] if resource else \"\"\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "import pytest\n\nfrom pkg.mod import first\n\n\n"
+        "def test_first():\n    assert first([\"a\"]) == \"a\"\n")
     problems = [p for p in check_docs.check(str(tmp_path))
-                if p.startswith("src/")]
-    assert problems == ["src/pkg/mod.py:3: `os` is imported but never used"]
+                if "imported but never used" in p]
+    assert problems == [
+        "src/pkg/mod.py:3: `os` is imported but never used",
+        "tests/test_mod.py:1: `pytest` is imported but never used"]
 
 
 def test_checker_requires_the_docs_index(tmp_path):

@@ -10,7 +10,6 @@ import-checked here.
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -32,8 +32,7 @@ from repro.common.simulation import (SimTimeLimitExceeded, Simulator,
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.registry import TestContext, UnitTest
 from repro.core.report import app_report_to_dict
-from repro.core.runner import (CONFIRMED_UNSAFE, INFRA_ERROR, TestRunner,
-                               stable_seed)
+from repro.core.runner import INFRA_ERROR, TestRunner
 from repro.core.testgen import HeteroAssignment, ParamAssignment, TestInstance
 
 # ---------------------------------------------------------------------------

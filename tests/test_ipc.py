@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import threading
 
 import pytest
 
@@ -234,6 +235,76 @@ class TestSharedIpcComponent:
             assert not ipc_sharing_enabled()
         finally:
             set_ipc_sharing(previous)
+
+    def test_a_setting_stays_in_its_own_thread(self):
+        held, checked = threading.Event(), threading.Event()
+        seen = []
+
+        def other():
+            previous = set_ipc_sharing(False)
+            try:
+                seen.append(ipc_sharing_enabled())
+                held.set()
+                checked.wait(timeout=30)
+            finally:
+                set_ipc_sharing(previous)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert held.wait(timeout=30)
+            assert ipc_sharing_enabled()
+        finally:
+            checked.set()
+            thread.join(timeout=30)
+        assert seen == [False]
+
+    def test_two_campaigns_in_two_threads_keep_their_own_setting(self):
+        # As `repro serve` runs jobs: the fixed campaign's later profiles
+        # run while the shared one is mid-run in another thread.
+        from repro.apps import catalog
+        from repro.core.orchestrator import Campaign, CampaignConfig
+        from repro.core.report import app_report_to_dict, findings_projection
+        spec = catalog.spec_for("hadooptools")
+
+        def findings(disable, hook=None):
+            report = Campaign("hadooptools", spec.registry,
+                              dependency_rules=spec.dependency_rules,
+                              config=CampaignConfig(
+                                  disable_ipc_sharing=disable,
+                                  progress_hook=hook)).run()
+            return findings_projection(app_report_to_dict(report))
+
+        solo = {disable: findings(disable) for disable in (False, True)}
+        assert solo[False] != solo[True]
+        fixed_paused, shared_paused = threading.Event(), threading.Event()
+        fixed_done = threading.Event()
+        together = {}
+
+        def pause_fixed(snapshot):
+            fixed_paused.set()
+            shared_paused.wait(timeout=30)
+
+        def pause_shared(snapshot):
+            shared_paused.set()
+            fixed_done.wait(timeout=30)
+
+        def run_fixed():
+            try:
+                together[True] = findings(True, pause_fixed)
+            finally:
+                fixed_done.set()
+
+        fixed = threading.Thread(target=run_fixed)
+        shared = threading.Thread(target=lambda: together.update(
+            {False: findings(False, pause_shared)}))
+        fixed.start()
+        assert fixed_paused.wait(timeout=60)
+        shared.start()
+        for thread in (fixed, shared):
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert together == solo
 
     def test_consistent_values_pass_cross_check(self, conf_class):
         ipc = IpcComponent(conf_class, shared=True)

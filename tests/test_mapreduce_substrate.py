@@ -8,7 +8,7 @@ import pytest
 
 from repro.apps.mapreduce import JobConf, JobRunner, MiniMRCluster
 from repro.common import errors
-from repro.core.confagent import UNIT_TEST, ConfAgent
+from repro.core.confagent import ConfAgent
 from repro.core.testgen import HeteroAssignment, ParamAssignment
 
 LINES = ["a b c d", "b c d e", "c d e f"]

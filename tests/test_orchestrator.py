@@ -6,9 +6,8 @@ import pytest
 
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.report import render_stage_counts, render_table
-from repro.core.triage import TRUE_PROBLEM
 from synthetic_app import (SYNTH_REGISTRY, broken_baseline_test,
-                           client_vs_service_test, make_corpus, no_node_test,
+                           client_vs_service_test, no_node_test,
                            safe_only_test, two_service_test,
                            uncertain_conf_test)
 

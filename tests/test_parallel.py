@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from repro.core import parallel
-from repro.core.orchestrator import (HARNESS_ERROR, Campaign, CampaignConfig,
+from repro.core.orchestrator import (HARNESS_ERROR, CampaignConfig,
                                      ProfileOutcome)
 from repro.core.pooling import PoolStats
 from repro.core.report import app_report_to_dict

@@ -417,6 +417,34 @@ class TestIncrementalCampaign:
         assert results["process"] == results["serial"]
 
 
+class TestCatalogPositionFold:
+    def test_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
+        # hdfs couples profiles through the frequent-failure blacklist,
+        # so each profile the edit reruns must see the confirmations of
+        # exactly the profiles before it in catalog order, not those of
+        # every profile the plan reuses.
+        from repro.apps import catalog
+        spec = catalog.spec_for("hdfs")
+        edited = ParamRegistry(spec.registry.app)
+        for param in spec.registry:
+            if param.name == "fs.trash.interval":
+                param = dataclasses.replace(param,
+                                            tags=param.tags + ("edited",))
+            edited.register(param)
+
+        def run(registry, **kw):
+            return Campaign("hdfs", registry,
+                            dependency_rules=spec.dependency_rules,
+                            config=CampaignConfig(**kw)).run()
+
+        store = str(tmp_path / "store")
+        run(spec.registry, store_path=store)
+        rerun = run(edited, store_path=store, incremental=True)
+        summary = plan_dict(rerun)
+        assert summary["rerun"] and summary["reused"]
+        assert findings(rerun) == findings(run(edited))
+
+
 class TestInterruptionAndResume:
     def corpus(self):
         return [exchange_test(), level_view_test(), lean_safe_test()]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.pooling import FrequentFailureTracker, PooledTester
 from repro.core.runner import CONFIRMED_UNSAFE, TestRunner
 from repro.core.testgen import CROSS, ROUND_ROBIN, TestGenerator

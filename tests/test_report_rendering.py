@@ -11,7 +11,7 @@ from repro.core.report import (CampaignReport, StageCounts,
                                app_report_to_dict, campaign_report_to_dict,
                                render_summary, render_table,
                                render_unsafe_params, verdict_to_dict)
-from repro.core.triage import FALSE_POSITIVE, TRUE_PROBLEM, ParamVerdict
+from repro.core.triage import TRUE_PROBLEM, ParamVerdict
 from synthetic_app import SYNTH_REGISTRY, client_vs_service_test, two_service_test
 
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.runner import (BASELINE_FAIL, CONFIRMED_UNSAFE,
                                FLAKY_DISMISSED, PASS, TestRunner, stable_seed)
 from repro.core.testgen import (CROSS, HeteroAssignment, TestGenerator,
                                 TestInstance)
 from synthetic_app import (SYNTH_REGISTRY, broken_baseline_test,
-                           safe_only_test, two_service_test)
+                           two_service_test)
 
 
 def make_instance(test, param_name, pair=None, strategy=CROSS,

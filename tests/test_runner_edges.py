@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.confagent import UNIT_TEST
 from repro.core.runner import (BASELINE_FAIL, CONFIRMED_UNSAFE,
                                FLAKY_DISMISSED, PASS, TestRunner)
 from repro.core.testgen import (CROSS, HeteroAssignment, HomoAssignment,
                                 ParamAssignment, TestInstance)
-from synthetic_app import SYNTH_REGISTRY, two_service_test
+from synthetic_app import two_service_test
 
 
 class TestThreeSidedAssignments:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.confagent import NO_OVERRIDE, UNIT_TEST
-from repro.core.registry import UnitTest
 from repro.core.testgen import (ALL_STRATEGIES, CROSS, CROSS_SWAPPED,
                                 DependencyRule, HeteroAssignment,
                                 HomoAssignment, ParamAssignment, ROUND_ROBIN,

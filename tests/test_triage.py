@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.runner import CONFIRMED_UNSAFE, InstanceResult
 from repro.core.testgen import CROSS, HeteroAssignment, ParamAssignment, TestInstance
 from repro.core.triage import (FALSE_POSITIVE, FP_PRIVATE_ONLY, FP_SHARED_IPC,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common import wire
 from repro.common.errors import ChecksumError, DecodeError, SaslError, SslError
-from repro.common.wire import (CHECKSUM_TYPES, SASL_LEVELS, SUPPORTED_CODECS,
+from repro.common.wire import (SASL_LEVELS, SUPPORTED_CODECS,
                                compute_checksums, decode_payload,
                                encode_payload, negotiate_sasl,
                                roundtrip_payload, transfer, verify_checksums)

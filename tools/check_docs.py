@@ -27,10 +27,11 @@ flag the README never documents.  Concretely, it enforces:
    ``def``, a ``class`` or a module-level binding in a ``.py`` file under
    ``src/``, ``tests/``, ``benchmarks/`` or ``tools/``, modulo an
    allowlist of outside names (the standard library's);
-10. every module-level import in a ``.py`` file under ``src/`` is used:
-    the module references the name it binds (a string annotation
-    counts) or lists it in ``__all__``.  An import kept for its side
-    effect says so with ``# noqa`` on its line.
+10. every module-level import in a ``.py`` file under ``src/``,
+    ``tests/``, ``benchmarks/`` or ``tools/`` is used: the module
+    references the name it binds (a string annotation counts) or lists it
+    in ``__all__``.  An import kept for its side effect says so with
+    ``# noqa`` on its line.
 
 Run it from the repository root (or pass the root as argv[1])::
 
@@ -63,7 +64,8 @@ EXTERNAL_CALLS = {
     "Process.is_alive",
 }
 
-#: directories whose ``.py`` files define the names rule 9 accepts.
+#: directories whose ``.py`` files define the names rule 9 accepts and
+#: rule 10 checks the imports of.
 CODE_DIRS = ("src", "tests", "benchmarks", "tools")
 
 #: ``--flag`` or ``--family-*`` tokens.  The trailing ``[a-z0-9]`` stops
@@ -252,16 +254,18 @@ def unused_imports(path: str) -> List[Tuple[int, str]]:
 
 
 def check_unused_imports(root: str) -> List[str]:
-    """Rule 10 over every ``.py`` file under ``src/``."""
+    """Rule 10 over every ``.py`` file under :data:`CODE_DIRS`."""
     problems: List[str] = []
-    for directory, _, names in sorted(os.walk(os.path.join(root, "src"))):
-        for name in sorted(names):
-            if name.endswith(".py"):
-                path = os.path.join(directory, name)
-                problems.extend(
-                    "%s:%d: `%s` is imported but never used"
-                    % (os.path.relpath(path, root), line, unused)
-                    for line, unused in unused_imports(path))
+    for code_dir in CODE_DIRS:
+        for directory, _, names in sorted(os.walk(os.path.join(root,
+                                                               code_dir))):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    problems.extend(
+                        "%s:%d: `%s` is imported but never used"
+                        % (os.path.relpath(path, root), line, unused)
+                        for line, unused in unused_imports(path))
     return problems
 
 
