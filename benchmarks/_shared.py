@@ -9,7 +9,9 @@ them per commit).  A bench with a committed ratio baseline under
 ``benchmarks/baselines/`` also calls :func:`check_against_baseline` to
 fail on a >10% regression.  Only ``BENCH_sampling.json`` has one today:
 its recall and execution-savings ratios hold on any host, where
-absolute wall-clock numbers would not.
+absolute wall-clock numbers would not.  ``BENCH_layers.json`` holds
+exact operation counts instead, compared for equality by
+``bench_layers.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Supervised pool vs the serial loop.
 
 ``--workers N > 1`` runs every profile on the supervised pool
-(``repro/core/supervise.py``): forked workers on pipes, heartbeats,
-deadline bookkeeping, and parent-side polling.  The only other way to
+(``repro/core/supervise.py``): forked lease clients on socket pairs,
+held fetches, heartbeats, deadline bookkeeping, and parent-side
+polling.  The only other way to
 run a campaign on one host is the serial loop, so that is the baseline.
 Measured on the HDFS campaign with profiles decoupled
 (``blacklist_threshold`` high so no cross-profile state couples

@@ -191,9 +191,11 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     set the config fields :func:`_shared_config_fields` returns."""
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers (default 1); >1 runs "
-                             "profiles (on a worker: leased profiles) on "
-                             "the supervised pool of forked processes "
-                             "(serially where fork is unavailable)")
+                             "profiles on the supervised pool of forked "
+                             "processes, and `worker --workers N` forks N "
+                             "lease clients, each its own fleet member "
+                             "(serially / one client where fork is "
+                             "unavailable)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="durable cross-campaign result store: implies "
                              "--exec-cache accounting, persists outcomes and "
@@ -209,20 +211,11 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                              "side refuses a peer that does not "
                              "authenticate, and the secret never appears "
                              "on the wire or in the checkpoint journal")
-    pool = parser.add_argument_group(
-        "supervised pool", "crash containment for --workers > 1")
-    pool.add_argument("--profile-deadline", type=float, default=None,
-                      metavar="SECONDS",
-                      help="real-time wall-clock budget per unit-test "
-                           "profile wherever it runs: a supervised "
-                           "worker past it is SIGKILLed and the profile "
-                           "quarantined, and a --distributed coordinator "
-                           "requeues a lease older than it (default: "
-                           "none)")
-    pool.add_argument("--worker-rlimit-mem", type=int, default=None,
-                      metavar="MB",
-                      help="RLIMIT_AS (address space, MB) for each "
-                           "supervised worker")
+    parser.add_argument("--worker-rlimit-mem", type=int, default=None,
+                        metavar="MB",
+                        help="RLIMIT_AS (address space, MB) for each "
+                             "supervised pool worker, or each `repro "
+                             "worker` client")
 
 
 def _shared_config_fields(args: argparse.Namespace) -> Dict[str, Any]:
@@ -230,7 +223,6 @@ def _shared_config_fields(args: argparse.Namespace) -> Dict[str, Any]:
     return {"workers": args.workers,
             "store_path": args.store,
             "dist_secret": args.dist_secret,
-            "profile_deadline_s": args.profile_deadline,
             "worker_rlimit_mem_mb": args.worker_rlimit_mem}
 
 
@@ -321,6 +313,14 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                         help="also write the report as a markdown document")
     resilience = parser.add_argument_group(
         "resilience", "checkpointing, crash containment, fault injection")
+    resilience.add_argument("--profile-deadline", type=float, default=None,
+                            metavar="SECONDS",
+                            help="real-time wall-clock budget per unit-test "
+                                 "profile wherever it runs: a supervised "
+                                 "worker past it is SIGKILLed and the "
+                                 "profile quarantined, and a --distributed "
+                                 "coordinator requeues a lease older than "
+                                 "it (default: none)")
     resilience.add_argument("--checkpoint", metavar="PATH",
                             help="journal finished work to this JSONL file "
                                  "and resume from it on restart (already-"
@@ -382,6 +382,7 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
     fault_plan, disk_fault_plan, net_fault_plan = fault_plans(
         args.chaos, args.fault_seed, dict(args.faults or ()))
     config = CampaignConfig(**_shared_config_fields(args),
+                            profile_deadline_s=args.profile_deadline,
                             max_pool_size=args.pool_size,
                             blacklist_threshold=args.blacklist_threshold,
                             disable_ipc_sharing=args.disable_ipc_sharing,

@@ -98,11 +98,12 @@ class FaultPlan:
     #: runner's infra-retry path.
     infra_error_prob: float = 0.0
     #: probability that a supervised worker *process* hard-dies
-    #: (``os._exit``) just before running a profile — the harness-level
-    #: chaos that makes the supervisor itself testable.  Consulted only
-    #: by the process supervisor (repro.core.supervise); a serial run
-    #: never kills its own process.  Not part of the ``moderate`` preset
-    #: for the same reason.
+    #: (``os._exit``) just before running a leased profile — the
+    #: harness-level chaos that makes the supervisor itself testable.
+    #: Pool workers hand this plan to the lease client
+    #: (repro.core.distrib.serve_leases); a remote ``repro worker``
+    #: client passes none, and a serial run never kills its own process.
+    #: Not part of the ``moderate`` preset for the same reason.
     worker_crash_prob: float = 0.0
 
     @property
@@ -127,7 +128,7 @@ class FaultPlan:
         delivery of a profile may be doomed while its redelivery draws a
         fresh decision, so bounded redelivery genuinely recovers injected
         crashes.  The *caller* performs the kill (``os._exit``); keeping
-        the policy here and the mechanism in the supervisor means this
+        the policy here and the mechanism in the lease client means this
         hook can be unit-tested without dying.
         """
         if not self.worker_crash_prob:

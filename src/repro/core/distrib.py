@@ -1,13 +1,16 @@
-"""Distributed campaign execution: coordinator + remote-worker protocol.
+"""Distributed campaign execution: coordinator + the lease client.
 
 The paper ran its campaigns across ~100 CloudLab machines; this module
 grows the harness past one host.  A **coordinator** (the campaign
 parent) serves unit-test profiles over the length-prefixed JSON TCP
 protocol in :mod:`repro.common.transport`, and any number of **workers**
-(``repro worker --connect HOST:PORT``) pull leases, run the profiles
-with the existing supervised pool, and stream outcomes back as the
-profile record (:func:`repro.core.parallel.profile_outcome_to_dict`)
-plus the profile's observation.
+(``repro worker --connect HOST:PORT``) run :func:`serve_leases`: fetch
+one lease, run the profile, ship the outcome — the profile record
+(:func:`repro.core.parallel.profile_outcome_to_dict`) plus the profile's
+observation — and wait for the ack.  The supervised pool's forked
+workers run the same loop over a ``socketpair()``
+(:mod:`repro.core.supervise`).  ``repro worker --workers N`` forks N
+such clients, each its own fleet member.
 
 Robustness is the design driver — a worker that disconnects, hangs,
 crashes, or answers late must never corrupt findings:
@@ -52,9 +55,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import multiprocessing
 import os
 import random
 import socket
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -65,6 +70,11 @@ from repro.common.faults import fault_seed
 from repro.core import parallel
 from repro.core.prerun import prerun_corpus
 from repro.core.registry import UnitTest
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX
+    resource = None  # type: ignore[assignment]
 
 #: read deadline for a control reply (welcome, lease, ack) before the
 #: worker declares the connection wedged and reconnects.
@@ -77,7 +87,8 @@ HEARTBEAT_S = 1.0
 #: leases redelivered.
 HEARTBEAT_TIMEOUT_S = 10.0
 #: delay a worker is told to idle before re-fetching when the queue is
-#: momentarily empty but the campaign is not finished.
+#: momentarily empty but the campaign is not finished (the supervised
+#: pool holds the fetch instead).
 WAIT_DELAY_S = 0.2
 #: how long a finished coordinator keeps answering ``fetch`` with
 #: ``done`` so workers exit cleanly instead of hitting a closed port.
@@ -87,6 +98,8 @@ LINGER_S = 1.5
 EXIT_OK = 0
 EXIT_RECONNECTS_EXHAUSTED = 1
 EXIT_REJECTED = 2
+#: exit status of a pool worker the injected worker_crash fault ends.
+INJECTED_CRASH_EXIT = 70
 
 
 def _auth_mac(secret: str, role: str, nonce: str) -> str:
@@ -333,8 +346,7 @@ class Coordinator:
         if conn.worker is None:
             return {"kind": "reject", "reason": "hello first"}
         if kind == "fetch":
-            return self._fetch_locked(conn.worker,
-                                      int(message.get("max", 1)))
+            return self._fetch_locked(conn.worker)
         if kind == "result":
             return self._result_locked(conn.worker, message)
         return {"kind": "reject", "reason": "unknown message %r" % kind}
@@ -375,28 +387,24 @@ class Coordinator:
             "heartbeat_timeout_s": HEARTBEAT_TIMEOUT_S,
         }
 
-    def _fetch_locked(self, worker: _RemoteWorker,
-                      max_tasks: int) -> Dict[str, Any]:
+    def _fetch_locked(self, worker: _RemoteWorker) -> Dict[str, Any]:
         if not worker.alive:
             return {"kind": "reject", "reason": "connection declared lost"}
         if self.halted or self.closed:
             return {"kind": "done"}
-        tasks = []
-        while len(tasks) < max(max_tasks, 1):
-            lease = self.book.grant(worker.key)
-            if lease is None:
-                # Queue drained: steal a copy of the oldest outstanding
-                # lease so a straggler (or a silent death not yet
-                # detected) cannot stall the campaign.  First finisher
-                # wins; the rest get suppressed.
-                lease = self.book.copy(worker.key, MAX_COPIES)
-                if lease is None:
-                    break
+        lease = self.book.grant(worker.key)
+        if lease is None:
+            # Queue drained: steal a copy of the oldest outstanding lease
+            # so a straggler (or a silent death not yet detected) cannot
+            # stall the campaign.  First finisher wins; the rest get
+            # suppressed.
+            lease = self.book.copy(worker.key, MAX_COPIES)
+            if lease is not None:
                 self.stats.steals += 1
+        if lease is not None:
             self.stats.leases_granted += 1
-            tasks.append({"task": lease[0], "delivery": lease[1]})
-        if tasks:
-            return {"kind": "lease", "tasks": tasks}
+            return {"kind": "lease",
+                    "tasks": [{"task": lease[0], "delivery": lease[1]}]}
         if self.book.done():
             return {"kind": "done"}
         return {"kind": "wait", "delay": WAIT_DELAY_S}
@@ -504,7 +512,7 @@ def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# worker side: the one lease client
 # ---------------------------------------------------------------------------
 def catalog_campaign_factory(app: str, config: Any) -> Any:
     """Default factory: build the worker's campaign from the app catalog
@@ -516,28 +524,35 @@ def catalog_campaign_factory(app: str, config: Any) -> Any:
                     dependency_rules=spec.dependency_rules, config=config)
 
 
-class _OutcomeShipper:
+def limit_memory(mb: Optional[int]) -> None:
+    """``--worker-rlimit-mem``: cap this process's address space."""
+    if mb and resource is not None:
+        cap = mb * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+class OutcomeShipper:
     """Ships outcomes with acks; stashes what the wire loses for resend.
 
     At-least-once delivery lives here: every outcome enters ``unacked``
     before the send, and leaves only on a matching ack.  A transport
     failure (or a dropped/partitioned ack) marks the shipper broken; the
-    batch finishes locally and the reconnect loop resends everything
-    still unacked — the coordinator's duplicate suppression makes the
-    resend safe.
+    reconnect loop resends everything still unacked — the coordinator's
+    duplicate suppression makes the resend safe.  ``control_timeout``
+    bounds the wait for a reply (None: wait until the link fails, as a
+    pool worker does for its parent's held fetch).
     """
 
-    def __init__(self, control_timeout: float) -> None:
-        self.transport: Optional[net.FrameTransport] = None
+    def __init__(self, transport_: Optional[net.FrameTransport],
+                 control_timeout: Optional[float]) -> None:
+        self.transport = transport_
         self.control_timeout = control_timeout
-        self.deliveries: Dict[str, int] = {}
         self.unacked: Dict[str, Dict[str, Any]] = {}
         self.broken = False
 
     def ship(self, name: str, outcome: Any) -> None:
         """Send one profile outcome and wait for its ack (stash first)."""
         message = {"kind": "result", "task": name,
-                   "delivery": self.deliveries.get(name, 1),
                    "outcome": dict(parallel.profile_outcome_to_dict(outcome),
                                    observation=outcome.observation)}
         self.unacked[name] = message
@@ -568,18 +583,108 @@ class _OutcomeShipper:
             self._send_one(name, self.unacked[name])
 
 
+def serve_leases(shipper: OutcomeShipper, campaign: Any,
+                 profiles_by_name: Mapping[str, Any], heartbeat_s: float,
+                 crash_plan: Optional[Any] = None,
+                 exit_on_loss: bool = False) -> None:
+    """The lease client, run by a ``repro worker`` against a coordinator
+    and by every forked pool worker against its supervisor.
+
+    Resend what is unacked, then fetch one lease, run its profile, ship
+    the outcome and wait for the ack, until the server says done.  A
+    side thread heartbeats every ``heartbeat_s``.  A lost link raises
+    TransportError, which a remote client answers by reconnecting; with
+    ``exit_on_loss`` a beat that finds the link gone ends the process,
+    so a pool worker stuck in a profile does not outlive its parent.
+    ``crash_plan`` is the pool's injected worker_crash fault; a remote
+    client passes none.
+    """
+    transport_ = shipper.transport
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(heartbeat_s):
+            try:
+                transport_.send({"kind": "heartbeat"})
+            except net.TransportError:
+                if exit_on_loss:
+                    os._exit(0)
+                return  # the request loop meets the same failure
+
+    threading.Thread(target=beat, name="lease-heartbeat",
+                     daemon=True).start()
+    try:
+        shipper.resend_unacked()
+        while not shipper.broken:
+            transport_.send({"kind": "fetch"})
+            reply = transport_.recv(timeout=shipper.control_timeout)
+            kind = reply.get("kind")
+            if kind == "done":
+                return
+            if kind == "wait":
+                time.sleep(min(float(reply.get("delay", WAIT_DELAY_S)), 5.0))
+                continue
+            if kind == "reject":
+                raise net.TransportError("coordinator rejected the fetch: %s"
+                                         % reply.get("reason"))
+            if kind != "lease":
+                raise net.TransportError("expected a lease, got %r" % kind)
+            for task in reply.get("tasks", ()):
+                name = str(task["task"])
+                if crash_plan is not None and crash_plan.worker_crash_decision(
+                        name, int(task.get("delivery", 1))):
+                    os._exit(INJECTED_CRASH_EXIT)
+                profile = profiles_by_name.get(name)
+                if profile is None:
+                    # Digest-matched corpora cannot disagree on usability,
+                    # but a confused lease must still produce *an* outcome
+                    # or the coordinator waits forever.
+                    from repro.core.orchestrator import (HARNESS_ERROR,
+                                                         ProfileOutcome)
+                    outcome = ProfileOutcome(
+                        error="worker has no usable profile %r" % name,
+                        error_kind=HARNESS_ERROR)
+                else:
+                    outcome = campaign._run_profile_contained(profile)
+                shipper.ship(name, outcome)
+        raise net.TransportError("lost the link while shipping results")
+    finally:
+        stop.set()
+
+
 def run_worker(connect: str, worker_config: Optional[Any] = None,
                campaign_factory: Any = catalog_campaign_factory,
                name: str = "", net_fault_plan: Optional[net.NetFaultPlan] = None,
                max_reconnects: int = 8, backoff_base_s: float = 0.2,
                backoff_cap_s: float = 5.0,
                log: Any = None) -> int:
-    """The ``repro worker --connect`` process: pull leases, run profiles
-    on the local (supervised) pool, stream outcomes back.  Returns a
-    process exit code."""
+    """The ``repro worker --connect`` process: one lease client in this
+    process, or at ``workers > 1`` (where fork is available) that many
+    forked clients, each its own fleet member (``NAME/i``, else
+    ``host#pid``).  Returns a process exit code, the worst client's."""
     from repro.core.orchestrator import CampaignConfig
     host, port = net.parse_address(connect)
     base = worker_config if worker_config is not None else CampaignConfig()
+    if base.workers > 1 and parallel.fork_available():
+        def client(index: int) -> None:
+            sys.exit(run_worker(
+                connect, replace(base, workers=1), campaign_factory,
+                name and "%s/%d" % (name, index), net_fault_plan,
+                max_reconnects, backoff_base_s, backoff_cap_s, log))
+
+        context = multiprocessing.get_context("fork")
+        clients = [context.Process(target=client, args=(index,),
+                                   name="repro-client-%d" % index,
+                                   daemon=True)
+                   for index in range(base.workers)]
+        for process in clients:
+            process.start()
+        for process in clients:
+            process.join()
+        # a client killed by signal N counts as exit status 128 + N
+        return max(code if code >= 0 else 128 - code
+                   for code in (process.exitcode for process in clients))
+    limit_memory(base.worker_rlimit_mem_mb)
     worker_name = name or "%s#%d" % (socket.gethostname(), os.getpid())
     if log is None:
         def say(text: str) -> None:
@@ -593,8 +698,7 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
     campaign = None
     campaign_app = None
     profiles_by_name: Dict[str, Any] = {}
-    tests_by_name: Dict[str, UnitTest] = {}
-    shipper: Optional[_OutcomeShipper] = None
+    shipper = OutcomeShipper(None, CONTROL_TIMEOUT_S)
     previous_sharing = None
     failures = 0
     attempt = 0
@@ -611,7 +715,6 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                             backoff_base_s * (2 ** (failures - 1)))
                 time.sleep(delay * (0.5 + random.random() * 0.5))
             attempt += 1
-            stop_beating = threading.Event()
             transport_ = None
             try:
                 transport_ = net.connect(
@@ -659,7 +762,7 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                                              % welcome.get("kind"))
                 if campaign is None or campaign_app != welcome["app"]:
                     # the coordinator's settings over this worker's own
-                    # execution shape (slots, supervision, store, secret)
+                    # store and secret
                     config = replace(base.with_settings(welcome["settings"]),
                                      run_cost_s=welcome["run_cost_s"],
                                      observe=bool(welcome.get("observe")))
@@ -673,118 +776,33 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     from repro.common.ipc import set_ipc_sharing
                     previous_sharing = set_ipc_sharing(
                         not config.disable_ipc_sharing)
-                    # once, before the pool forks, as _run_inner does
-                    campaign._open_store()
+                    campaign._open_store()  # once, as _run_inner does
                     profiles = prerun_corpus(campaign.tests)
                     profiles_by_name = {p.test.full_name: p
                                         for p in profiles if p.usable}
-                    tests_by_name = {t.full_name: t for t in campaign.tests}
-                    shipper = _OutcomeShipper(
-                        max(welcome.get("heartbeat_timeout_s",
-                                        CONTROL_TIMEOUT_S), 1.0))
+                    shipper.control_timeout = max(
+                        welcome.get("heartbeat_timeout_s",
+                                    CONTROL_TIMEOUT_S), 1.0)
                 shipper.transport = transport_
                 shipper.broken = False
                 failures = 0
-
-                heartbeat_every = max(welcome.get("heartbeat_s",
-                                                  HEARTBEAT_S), 0.01)
-                _start_heartbeat(transport_, stop_beating, heartbeat_every)
-                shipper.resend_unacked()
-                if shipper.broken:
-                    raise net.TransportError("resend of unacked results "
-                                             "failed")
-                verdict = _serve_leases(campaign, transport_, shipper,
-                                        profiles_by_name, tests_by_name,
-                                        base)
-                if verdict == "done":
-                    try:
-                        transport_.send({"kind": "bye"})
-                    except net.TransportError:
-                        pass
-                    say("worker %s: campaign complete" % worker_name)
-                    return EXIT_OK
-                raise net.TransportError("connection must be rebuilt")
+                serve_leases(shipper, campaign, profiles_by_name,
+                             max(welcome.get("heartbeat_s", HEARTBEAT_S),
+                                 0.01))
+                try:
+                    transport_.send({"kind": "bye"})
+                except net.TransportError:
+                    pass
+                say("worker %s: campaign complete" % worker_name)
+                return EXIT_OK
             except net.TransportError as exc:
                 failures += 1
                 say("worker %s: %s (reconnect %d/%d)"
                     % (worker_name, exc, failures, max_reconnects))
             finally:
-                stop_beating.set()
                 if transport_ is not None:
                     transport_.close()
     finally:
         if previous_sharing is not None:
             from repro.common.ipc import set_ipc_sharing
             set_ipc_sharing(previous_sharing)
-
-
-def _start_heartbeat(transport_: net.FrameTransport, stop: threading.Event,
-                     every: float) -> None:
-    """One-way heartbeats from a side thread (send is thread-safe); a
-    transport failure just stops the thread — the request loop hits the
-    same failure and owns the reconnect."""
-    def _beat() -> None:
-        while not stop.wait(every):
-            try:
-                transport_.send({"kind": "heartbeat"})
-            except net.TransportError:
-                return
-
-    threading.Thread(target=_beat, name="dist-heartbeat",
-                     daemon=True).start()
-
-
-def _serve_leases(campaign: Any, transport_: net.FrameTransport,
-                  shipper: _OutcomeShipper,
-                  profiles_by_name: Mapping[str, Any],
-                  tests_by_name: Mapping[str, UnitTest],
-                  base: Any) -> str:
-    """Fetch/run/ship until the coordinator says done.  Returns "done" on
-    a clean finish; raises TransportError when the link must be rebuilt."""
-    while True:
-        transport_.send({"kind": "fetch",
-                         "max": max(campaign.config.workers, 1)})
-        reply = transport_.recv(timeout=shipper.control_timeout)
-        kind = reply.get("kind")
-        if kind == "done":
-            return "done"
-        if kind == "wait":
-            time.sleep(min(float(reply.get("delay", WAIT_DELAY_S)), 5.0))
-            continue
-        if kind == "reject":
-            raise net.TransportError("coordinator rejected the fetch: %s"
-                                     % reply.get("reason"))
-        if kind != "lease":
-            raise net.TransportError("expected a lease, got %r" % kind)
-        batch = [(str(t["task"]), int(t.get("delivery", 1)))
-                 for t in reply.get("tasks", ())]
-        shipper.deliveries.update(dict(batch))
-        _run_batch(campaign, batch, shipper, profiles_by_name, tests_by_name)
-        if shipper.broken:
-            raise net.TransportError("lost the link while shipping results")
-
-
-def _run_batch(campaign: Any, batch: Sequence[Tuple[str, int]],
-               shipper: _OutcomeShipper,
-               profiles_by_name: Mapping[str, Any],
-               tests_by_name: Mapping[str, UnitTest]) -> None:
-    """Run one lease batch on the local pool, shipping each outcome as it
-    commits.  At ``--workers > 1`` the whole supervised-pool failure
-    story (crash containment, redelivery, deadlines, rlimits, its own
-    quarantine) applies to each remote batch."""
-    from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-    runnable = []
-    for task, _ in batch:
-        profile = profiles_by_name.get(task)
-        if profile is None:
-            # Digest-matched corpora cannot disagree on usability, but a
-            # confused lease must still produce *an* outcome or the
-            # coordinator waits forever.
-            shipper.ship(task, ProfileOutcome(
-                error="worker has no usable profile %r" % task,
-                error_kind=HARNESS_ERROR))
-            continue
-        runnable.append(profile)
-    if runnable:
-        campaign._run_locally(runnable, None, tests_by_name,
-                              outcome_sink=shipper.ship)

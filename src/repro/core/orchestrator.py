@@ -767,8 +767,7 @@ class Campaign:
 
     def _run_locally(self, profiles: Sequence[TestProfile],
                      checkpoint: Optional[CampaignCheckpoint],
-                     tests_by_name: Mapping[str, UnitTest],
-                     outcome_sink: Optional[Any] = None
+                     tests_by_name: Mapping[str, UnitTest]
                      ) -> Dict[str, ProfileOutcome]:
         """Run ``profiles`` on this host; outcomes keyed by test name.
 
@@ -777,7 +776,7 @@ class Campaign:
         :func:`repro.core.parallel.dispatch_order`; anything else runs
         serially, in the order given.  Every outcome commits through
         :func:`repro.core.parallel.commit_outcome` the moment it
-        finishes, then goes to ``outcome_sink(name, outcome)`` if set.
+        finishes.
         """
         if self.config.workers > 1 and parallel.fork_available():
             # Dispatch order is a pure makespan concern: outcomes are
@@ -787,15 +786,13 @@ class Campaign:
             profiles = parallel.dispatch_order(self, profiles)
             from repro.core.supervise import run_profiles_parallel
             return run_profiles_parallel(self, profiles, checkpoint,
-                                         tests_by_name, outcome_sink)
+                                         tests_by_name)
         outcomes: Dict[str, ProfileOutcome] = {}
         for profile in profiles:
             self._check_cancelled()
             name = profile.test.full_name
             outcome = self._run_profile_contained(profile)
             parallel.commit_outcome(self, checkpoint, name, outcome)
-            if outcome_sink is not None:
-                outcome_sink(name, outcome)
             outcomes[name] = outcome
         return outcomes
 

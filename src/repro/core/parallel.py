@@ -3,8 +3,8 @@
 Campaigns run their unit-test profiles on this host one of two ways:
 serially in the campaign process, or — at ``workers > 1`` where ``fork``
 is available — on the supervised pool of forked workers in
-:mod:`repro.core.supervise` (the remote fleet of
-:mod:`repro.core.distrib` reuses that pool on every worker host).  The
+:mod:`repro.core.supervise`, which are lease clients of the same
+protocol the remote fleet of :mod:`repro.core.distrib` speaks.  The
 simulation is pure Python, so only processes give real parallelism;
 platforms without ``fork`` run serially.  This module holds what every
 path shares:
@@ -175,7 +175,7 @@ class LeaseBook:
     coordinator share; each adds only its link and its liveness checks.
 
     ``profiles`` queue in the order given, as delivery 1.  The first
-    commit of a queued name wins (:func:`commit_outcome`, then ``sink``).
+    commit of a queued name wins (:func:`commit_outcome`).
     A lease revoked from its last holder is queued again as the next
     delivery, or once it has had :data:`REDELIVERY` redeliveries it is
     committed as a WORKER_CRASH quarantine, counted in ``stats`` and
@@ -186,14 +186,12 @@ class LeaseBook:
     def __init__(self, campaign: Any, profiles: Sequence[Any],
                  checkpoint: Optional[Any],
                  tests_by_name: Mapping[str, UnitTest], stats: Any,
-                 announce: Tuple[str, str],
-                 sink: Optional[Any] = None) -> None:
+                 announce: Tuple[str, str]) -> None:
         self.campaign = campaign
         self.checkpoint = checkpoint
         self.tests_by_name = tests_by_name
         self.stats = stats
         self.announce = announce
-        self.sink = sink
         #: ``--profile-deadline`` (None: no lease is ever overdue).
         self.deadline = campaign.config.profile_deadline_s
         #: (test full name, delivery number), next grant first.
@@ -250,8 +248,6 @@ class LeaseBook:
         commit_outcome(self.campaign, self.checkpoint, name, outcome)
         self.outcomes[name] = outcome
         self.leases.pop(name, None)
-        if self.sink is not None:
-            self.sink(name, outcome)
         return True
 
     def commit_record(self, name: str, record: Mapping[str, Any]) -> bool:

@@ -9,15 +9,20 @@ child blocks it forever, because the simulated-time watchdog cannot see
 executions (§5, §7.2) needs the harness itself to tolerate worker
 failure, so this module owns its workers directly:
 
-* each worker is a **forked child on an explicit duplex pipe**; the
-  parent sends ``{"task", "delivery"}`` messages and consumes results
-  **as they complete**, journaling every ``test-done`` checkpoint record
-  immediately — a crash (parent or child) loses at most the in-flight
-  profiles;
-* a side thread in every child sends **heartbeats**; plain CPU-bound
-  work keeps beating (the GIL preempts), so silence means the process is
+* each worker is a **forked lease client** on one end of a
+  ``socket.socketpair()``: it runs :func:`repro.core.distrib.serve_leases`,
+  the loop a ``repro worker`` runs against a coordinator — fetch one
+  lease, run the profile, ship the outcome, wait for the ack.  The
+  parent holds each fetch until a lease is free and journals every
+  ``test-done`` checkpoint record **as results arrive** — a crash
+  (parent or child) loses at most the in-flight profiles;
+* the client's side thread **heartbeats** every
+  :data:`repro.core.distrib.HEARTBEAT_S`; plain CPU-bound work keeps
+  beating (the GIL preempts), so silence past
+  :data:`repro.core.distrib.HEARTBEAT_TIMEOUT_S` means the process is
   genuinely frozen (SIGSTOP, stuck syscall) and it is killed and its
-  profile redelivered;
+  profile redelivered.  A beat that finds the parent gone ends the
+  worker, so none outlives a killed campaign;
 * the parent enforces a per-profile **wall-clock deadline**
   (``--profile-deadline``): on expiry the worker is SIGKILLed, reaped,
   and the profile quarantined — redelivering a deterministic infinite
@@ -35,11 +40,11 @@ failure, so this module owns its workers directly:
 
 Worker lifecycle::
 
-    spawn ──> IDLE ──deliver──> BUSY ──result──> IDLE
-                │                 │
-                │                 ├─ crash / rlimit kill ──> DEAD ─respawn─> IDLE
-                │                 ├─ deadline expiry  (SIGKILL) ──> DEAD ...
-                │                 └─ heartbeat silence (SIGKILL) ──> DEAD ...
+    spawn ──> IDLE ──fetch, lease──> BUSY ──result, ack──> IDLE
+                │                      │
+                │                      ├─ crash / rlimit kill ──> DEAD ─respawn─> IDLE
+                │                      ├─ deadline expiry  (SIGKILL) ──> DEAD ...
+                │                      └─ heartbeat silence (SIGKILL) ──> DEAD ...
                 └─ crash while idle ──> DEAD
 
 The queue, the leases, first-commit-wins, redelivery and quarantine are
@@ -69,34 +74,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
+import socket
 import time
-import traceback
 from multiprocessing import connection
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.core import parallel
+from repro.common import transport as net
+from repro.core import distrib, parallel
 from repro.core.registry import UnitTest
 
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX
-    resource = None  # type: ignore[assignment]
-
-#: cadence of the child-side heartbeat thread.
-HEARTBEAT_INTERVAL_S = 0.5
-#: seconds of heartbeat silence from a BUSY worker before the supervisor
-#: declares it frozen and kills it.  Heartbeats come from a side thread,
-#: so plain CPU-bound work keeps beating; only a genuinely stopped
-#: process (SIGSTOP, stuck syscall) goes silent.
-HEARTBEAT_TIMEOUT_S = 30.0
 #: consecutive worker deaths (without a completed profile in between)
 #: that trip the crash-loop circuit breaker.
 CRASH_LOOP_THRESHOLD = 5
 #: parent poll tick: deadline/heartbeat checks happen at this resolution.
 _POLL_INTERVAL_S = 0.05
-#: exit status used by the injected worker_crash chaos hook.
-INJECTED_CRASH_EXIT = 70
 
 #: worker states (the lifecycle diagram in the module docstring).
 IDLE, BUSY, DEAD = "idle", "busy", "dead"
@@ -107,13 +98,11 @@ IDLE, BUSY, DEAD = "idle", "busy", "dead"
 # ---------------------------------------------------------------------------
 def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
                           checkpoint: Optional[Any],
-                          tests_by_name: Mapping[str, UnitTest],
-                          outcome_sink: Optional[Any] = None
+                          tests_by_name: Mapping[str, UnitTest]
                           ) -> Dict[str, Any]:
     """Fan ``profiles`` over ``campaign.config.workers`` supervised
     workers; outcomes come back keyed by test name."""
-    supervisor = Supervisor(campaign, profiles, checkpoint, tests_by_name,
-                            outcome_sink=outcome_sink)
+    supervisor = Supervisor(campaign, profiles, checkpoint, tests_by_name)
     campaign.supervision = supervisor.stats
     return supervisor.run()
 
@@ -121,67 +110,28 @@ def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
 # ---------------------------------------------------------------------------
 # child side
 # ---------------------------------------------------------------------------
-def _child_main(conn: Any, inherited: List[Any], campaign: Any,
-                profiles: Mapping[str, Any], rlimit_mem: Optional[int],
-                heartbeat_every: float) -> None:
-    """Forked worker: recv task names, run ``profiles`` (by test name)
-    of ``campaign``, send result dicts.  Both arrive as fork-inherited
-    arguments, never through module state: a daemon running two
-    campaigns' pools at once must not hand one campaign's workers the
-    other's."""
-    # Close fork-inherited copies of other pipes (and our own parent
-    # end): a sibling's EOF must become visible to the parent the moment
-    # that sibling dies, not when we do too.
+def _child_main(sock: socket.socket, inherited: List[socket.socket],
+                campaign: Any, profiles: Mapping[str, Any],
+                rlimit_mem: Optional[int]) -> None:
+    """Forked worker: the lease client over ``sock``, running
+    ``profiles`` (by test name) of ``campaign``.  Both arrive as
+    fork-inherited arguments, never through module state: a daemon
+    running two campaigns' pools at once must not hand one campaign's
+    workers the other's."""
+    # Close fork-inherited copies of the parent's ends, our own and our
+    # elder siblings': only the parent may hold them, so that its death
+    # is every worker's EOF.  close(), never shutdown(): the parent still
+    # uses those sockets.
     for other in inherited:
-        try:
-            other.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    if rlimit_mem and resource is not None:
-        cap = rlimit_mem * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    send_lock = threading.Lock()
-    stop_beating = threading.Event()
-
-    def _beat() -> None:
-        while not stop_beating.wait(heartbeat_every):
-            try:
-                with send_lock:
-                    conn.send({"kind": "heartbeat"})
-            except OSError:  # parent is gone; no reason to live
-                os._exit(0)
-
-    threading.Thread(target=_beat, name="heartbeat", daemon=True).start()
-
-    plan = campaign.config.fault_plan
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            os._exit(0)
-        if msg is None:  # orderly shutdown
-            break
-        name, delivery = msg["task"], msg["delivery"]
-        if plan is not None and plan.worker_crash_decision(name, delivery):
-            os._exit(INJECTED_CRASH_EXIT)
-        try:
-            outcome = campaign._run_profile_contained(profiles[name])
-        except BaseException:  # noqa: BLE001 - the wire carries the stack
-            from repro.core.orchestrator import HARNESS_ERROR, ProfileOutcome
-            outcome = ProfileOutcome(error=traceback.format_exc(),
-                                     error_kind=HARNESS_ERROR)
-        record = dict(parallel.profile_outcome_to_dict(outcome),
-                      observation=outcome.observation)
-        try:
-            with send_lock:
-                conn.send({"kind": "result", "task": name,
-                           "delivery": delivery, "outcome": record})
-        except OSError:
-            os._exit(0)
-    stop_beating.set()
-    conn.close()
-    os._exit(0)
+        other.close()
+    try:
+        distrib.limit_memory(rlimit_mem)
+        distrib.serve_leases(
+            distrib.OutcomeShipper(net.FrameTransport(sock), None),
+            campaign, profiles, distrib.HEARTBEAT_S,
+            crash_plan=campaign.config.fault_plan, exit_on_loss=True)
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +146,23 @@ def _describe_exit(code: Optional[int]) -> str:
         except ValueError:  # pragma: no cover - exotic signal number
             name = "signal %d" % -code
         return "killed by %s" % name
-    if code == INJECTED_CRASH_EXIT:
+    if code == distrib.INJECTED_CRASH_EXIT:
         return "exit status %d (injected worker_crash fault)" % code
     return "exit status %d" % code
 
 
 class _Worker:
-    """One supervised child process and its pipe."""
+    """One supervised child process and its link."""
 
     def __init__(self, worker_id: int) -> None:
         self.id = worker_id
         self.state = DEAD
-        self.conn: Any = None
+        self.link: Any = None
         self.proc: Any = None
         #: test full name in flight (None when idle), leased to ``id``.
         self.task: Optional[str] = None
+        #: an IDLE worker's fetch waits here for a free lease.
+        self.fetching = False
         self.last_seen = 0.0
 
 
@@ -219,19 +171,15 @@ class Supervisor:
 
     def __init__(self, campaign: Any, profiles: Sequence[Any],
                  checkpoint: Optional[Any],
-                 tests_by_name: Mapping[str, UnitTest],
-                 outcome_sink: Optional[Any] = None) -> None:
+                 tests_by_name: Mapping[str, UnitTest]) -> None:
         from repro.core.report import SupervisionStats
         config = campaign.config
         self.campaign = campaign
         self.profiles_by_name = {p.test.full_name: p for p in profiles}
         self.stats = SupervisionStats(enabled=True)
-        # ``outcome_sink(name, outcome)`` fires after each commit; the
-        # distributed worker uses it to ship results upstream while the
-        # pool keeps running.
         self.book = parallel.LeaseBook(
             campaign, profiles, checkpoint, tests_by_name, self.stats,
-            announce=("quarantine", "supervisor"), sink=outcome_sink)
+            announce=("quarantine", "supervisor"))
         self.rlimit_mem = config.worker_rlimit_mem_mb
         self.slots = max(min(config.workers, len(profiles)), 1)
 
@@ -261,18 +209,17 @@ class Supervisor:
     def _spawn(self) -> _Worker:
         worker = _Worker(self._next_worker_id)
         self._next_worker_id += 1
-        parent_conn, child_conn = self.context.Pipe(duplex=True)
-        inherited = [w.conn for w in self.workers if w.state != DEAD]
-        inherited.append(parent_conn)
+        parent_end, child_end = socket.socketpair()
+        inherited = [w.link.sock for w in self.workers if w.state != DEAD]
+        inherited.append(parent_end)
         proc = self.context.Process(
             target=_child_main,
-            args=(child_conn, inherited, self.campaign,
-                  self.profiles_by_name, self.rlimit_mem,
-                  HEARTBEAT_INTERVAL_S),
+            args=(child_end, inherited, self.campaign,
+                  self.profiles_by_name, self.rlimit_mem),
             name="repro-worker-%d" % worker.id, daemon=True)
         proc.start()
-        child_conn.close()  # the child's end lives only in the child now
-        worker.conn, worker.proc = parent_conn, proc
+        child_end.close()  # the child's end lives only in the child now
+        worker.link, worker.proc = net.FrameTransport(parent_end), proc
         worker.state = IDLE
         worker.last_seen = time.monotonic()
         self.stats.workers_spawned += 1
@@ -286,10 +233,7 @@ class Supervisor:
 
     def _retire(self, worker: _Worker) -> None:
         worker.state = DEAD
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        worker.link.close()
         if worker in self.workers:
             self.workers.remove(worker)
 
@@ -302,63 +246,76 @@ class Supervisor:
         worker.proc.join(timeout=5.0)
         self._retire(worker)
 
-    # -- scheduling ----------------------------------------------------
+    # -- the lease protocol --------------------------------------------
     def _dispatch(self) -> None:
+        """Answer held fetches with leases, in worker order."""
         for worker in list(self.workers):
-            if worker.state != IDLE:
+            if worker.state != IDLE or not worker.fetching:
                 continue
             lease = self.book.grant(worker.id)
             if lease is None:
                 break
             name, delivery = lease
             try:
-                worker.conn.send({"task": name, "delivery": delivery})
-            except OSError:
+                worker.link.send({"kind": "lease", "tasks": [
+                    {"task": name, "delivery": delivery}]})
+            except net.TransportError:
                 self.book.release(name)
                 self._worker_died(worker)
                 continue
             worker.task = name
+            worker.fetching = False
             worker.state = BUSY
             worker.last_seen = time.monotonic()
 
     def _poll(self) -> None:
-        conns = {w.conn: w for w in self.workers if w.state != DEAD}
-        if not conns:
+        links = {w.link.sock: w for w in self.workers if w.state != DEAD}
+        if not links:
             return
-        ready = connection.wait(list(conns), timeout=_POLL_INTERVAL_S)
-        for conn in ready:
-            worker = conns[conn]
-            try:
-                while worker.state != DEAD and conn.poll():
-                    self._handle(worker, conn.recv())
-            except (EOFError, OSError):
+        for sock in connection.wait(list(links), timeout=_POLL_INTERVAL_S):
+            worker = links[sock]
+            if not self._read(worker):
                 self._worker_died(worker)
-        # Forked siblings hold copies of each other's pipe ends, so EOF
-        # alone cannot be trusted to announce a death — ask the kernel.
+        # A worker can die without a word on its link (a crash between
+        # frames) — ask the kernel.
         for worker in list(self.workers):
             if worker.state != DEAD and not worker.proc.is_alive():
                 self._worker_died(worker)
 
+    def _read(self, worker: _Worker) -> bool:
+        """Handle every frame waiting on ``worker``'s link; False once the
+        link is lost."""
+        try:
+            while worker.state != DEAD \
+                    and connection.wait([worker.link.sock], 0):
+                self._handle(worker,
+                             worker.link.recv(timeout=_POLL_INTERVAL_S))
+        except net.TransportTimeout:
+            pass  # a frame still arriving: its rest is read next tick
+        except net.TransportError:
+            return False
+        return True
+
     def _handle(self, worker: _Worker, msg: Mapping[str, Any]) -> None:
         worker.last_seen = time.monotonic()
-        if msg.get("kind") != "result":
-            return  # heartbeat
-        self.book.commit_record(msg["task"], msg["outcome"])
-        self.consecutive_crashes = 0
-        worker.task = None
-        worker.state = IDLE
+        kind = msg.get("kind")
+        if kind == "fetch":
+            worker.fetching = True
+        elif kind == "result":
+            name = str(msg["task"])
+            self.book.commit_record(name, msg["outcome"])
+            self.consecutive_crashes = 0
+            worker.task = None
+            worker.state = IDLE
+            worker.link.send({"kind": "ack", "task": name})
 
     # -- failure handling ----------------------------------------------
     def _worker_died(self, worker: _Worker) -> None:
         if worker.state == DEAD:
             return
-        # Last-gasp drain: a result already in the pipe completes the
+        # Last-gasp drain: a result already on the link completes the
         # task even though its worker is gone.
-        try:
-            while worker.task is not None and worker.conn.poll():
-                self._handle(worker, worker.conn.recv())
-        except (EOFError, OSError):
-            pass
+        self._read(worker)
         worker.proc.join(timeout=5.0)
         reason = _describe_exit(worker.proc.exitcode)
         self._retire(worker)
@@ -387,14 +344,11 @@ class Supervisor:
             if worker.state != BUSY:
                 continue
             over_deadline = worker.task in overdue
-            silent = now - worker.last_seen > HEARTBEAT_TIMEOUT_S
+            silent = now - worker.last_seen > distrib.HEARTBEAT_TIMEOUT_S
             if not (over_deadline or silent):
                 continue
             # The result may have landed just under the wire.
-            try:
-                while worker.state == BUSY and worker.conn.poll():
-                    self._handle(worker, worker.conn.recv())
-            except (EOFError, OSError):
+            if not self._read(worker):
                 self._worker_died(worker)
                 continue
             if worker.state != BUSY:
@@ -418,7 +372,7 @@ class Supervisor:
                 self.consecutive_crashes += 1
                 self.book.revoke(
                     name, "worker sent no heartbeat for %.1fs; killed as "
-                    "frozen" % HEARTBEAT_TIMEOUT_S, worker.id)
+                    "frozen" % distrib.HEARTBEAT_TIMEOUT_S, worker.id)
                 if self.consecutive_crashes >= CRASH_LOOP_THRESHOLD:
                     self._trip_breaker("repeated heartbeat silence")
                 else:
@@ -446,8 +400,8 @@ class Supervisor:
             if worker.state == DEAD:
                 continue
             try:
-                worker.conn.send(None)
-            except OSError:
+                worker.link.send({"kind": "done"})
+            except net.TransportError:
                 pass
         for worker in list(self.workers):
             if worker.state == DEAD:

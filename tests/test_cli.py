@@ -129,6 +129,11 @@ class TestLocalBackendFlags:
         ["worker", "--connect", "127.0.0.1:1", "--fault-net-seed", "1"],
         # work stealing's copy bound is the constant distrib.MAX_COPIES
         ["campaign", "flink", "--dist-max-copies", "1"],
+        # a worker runs no pool: the coordinator's deadline polices
+        # every remote lease
+        pytest.param(["worker", "--connect", "127.0.0.1:1",
+                      "--profile-deadline", "2.5"],
+                     id="worker --profile-deadline 2.5"),
     ] + [pytest.param(prefix + knob, id="%s %s" % (command, " ".join(knob)))
          for command, prefix in KNOB_COMMANDS.items()
          for knob, _ in RETIRED_KNOBS])
@@ -310,7 +315,7 @@ CAMPAIGN_COMMAND_FLAGS = {"--json", "--compare", "--markdown",
 
 #: the flags `worker` shares with campaign/evaluate (one definition).
 SHARED_FLAGS = {"--workers", "--store", "--dist-secret",
-                "--profile-deadline", "--worker-rlimit-mem"}
+                "--worker-rlimit-mem"}
 
 SHARED_FIELD_FLAGS = [row for row in CAMPAIGN_FIELD_FLAGS
                       if row[0][0] in SHARED_FLAGS]

@@ -264,9 +264,14 @@ def join(coordinator, name="w1", slots=1, digest=None):
 
 
 def fetch(coordinator, conn, max_tasks=1):
+    """``max_tasks`` single fetches, their leases merged into one reply
+    (the first reply when none was a lease)."""
     with coordinator.lock:
-        return coordinator._handle_message(
-            conn, {"kind": "fetch", "max": max_tasks})
+        replies = [coordinator._handle_message(conn, {"kind": "fetch"})
+                   for _ in range(max_tasks)]
+    tasks = [task for reply in replies if reply["kind"] == "lease"
+             for task in reply["tasks"]]
+    return {"kind": "lease", "tasks": tasks} if tasks else replies[0]
 
 
 def deliver(coordinator, conn, task):
@@ -685,6 +690,17 @@ class TestDistributedEndToEnd:
         assert exit_codes == {0: EXIT_OK}
         assert [row.worker for row in stats.fleet] == [
             "%s#%d" % (socket.gethostname(), os.getpid())]
+
+    def test_worker_forks_one_fleet_member_per_slot(self, serial_baseline):
+        # `repro worker --workers 2` runs no pool of its own: it forks two
+        # lease clients, and the coordinator sees two fleet members
+        report, stats, exit_codes = run_distributed(
+            n_workers=1, worker_kwargs={0: {
+                "worker_config": CampaignConfig(workers=2), "name": "w0"}})
+        assert full_dict(report) == serial_baseline
+        assert exit_codes == {0: EXIT_OK}
+        assert stats.workers_joined == 2
+        assert [row.worker for row in stats.fleet] == ["w0/0", "w0/1"]
 
     @pytest.mark.parametrize("coordinator,worker", [
         ({"sample": "pairwise"}, {}),

@@ -366,6 +366,19 @@ def test_cancel_queued_job_is_immediate(tmp_path):
 # ---------------------------------------------------------------------------
 # registry resources
 # ---------------------------------------------------------------------------
+def test_apps_endpoint_lists_the_catalog(daemon, corpus):
+    from repro.apps import catalog
+    rows = daemon.get_json("/v1/apps")["apps"]
+    assert [row["app"] for row in rows] == list(catalog.APP_NAMES)
+    for row in rows:
+        registry = catalog.spec_for(row["app"]).registry
+        assert row["unit_tests"] == len(corpus.for_app(row["app"])) > 0
+        assert row["parameters"] == len(registry) > 0
+        status, raw = daemon.request("GET", row["registry"])
+        assert status == 200, (row["registry"], status)
+        assert len(json.loads(raw)["params"]) == row["parameters"]
+
+
 def test_registry_endpoint(daemon):
     record = daemon.get_json("/v1/registry/flink")
     assert record["app"] == "flink"

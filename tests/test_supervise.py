@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.common.faults import FaultPlan
-from repro.core import parallel, supervise
+from repro.core import distrib, parallel, supervise
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.orchestrator import Campaign, CampaignCancelled, CampaignConfig
 from repro.core.report import app_report_to_dict, findings_projection
@@ -336,7 +336,7 @@ class TestHungWorkers:
 
     def test_frozen_worker_is_killed_on_heartbeat_silence(self,
                                                           monkeypatch):
-        monkeypatch.setattr(supervise, "HEARTBEAT_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(distrib, "HEARTBEAT_TIMEOUT_S", 1.0)
         monkeypatch.setattr(parallel, "REDELIVERY", 0)
         frozen = sigstop_self_test()
         report = campaign([frozen, safe_only_test()]).run()
