@@ -5,9 +5,10 @@ This is the robustness headline measured end to end over real TCP:
 
 * two ``repro worker`` subprocesses join the coordinator, fetch leases,
   and ship outcomes back over the length-prefixed frame protocol;
-* one worker is SIGKILLed as soon as it has committed at least one
-  profile, so its outstanding lease must be detected (heartbeat
-  liveness), redelivered, and finished by the survivor;
+* worker 0 is SIGKILLed at the first lease it is granted after a
+  profile has committed, while it is that lease's only holder, so the
+  lease must be detected (lost link or heartbeat liveness), redelivered,
+  and finished by the survivor;
 * the report must come out **byte-identical** to the serial baseline —
   where a profile ran, how often it was redelivered, and which worker
   won a stolen copy can never change findings, because outcomes are
@@ -15,8 +16,9 @@ This is the robustness headline measured end to end over real TCP:
 
 Wall-clock numbers are archived (``BENCH_distributed.json``) for the
 per-commit trajectory; the hard gates are report equivalence and the
-fleet actually exercising the failure path (a worker joined, died, and
-the campaign still finished remotely).
+fleet actually exercising the failure path (a worker joined, died
+holding a lease that was redelivered, and the campaign still finished
+remotely).
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 
 import repro
 from _shared import write_bench_artifact
 from repro.apps import catalog
+from repro.core import distrib
 from repro.core.orchestrator import Campaign, CampaignConfig
 from repro.core.report import app_report_to_dict, render_table
 
@@ -81,24 +83,29 @@ def _run_fleet():
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         for i in range(FLEET_SIZE)]
 
-    def kill_first_busy_worker():
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if campaign.distribution.remote_profiles >= 1:
-                workers[0].send_signal(signal.SIGKILL)
-                return
-            time.sleep(0.005)
+    real_fetch = distrib.Coordinator._fetch_locked
+    killed = []
 
-    killer = threading.Thread(target=kill_first_busy_worker, daemon=True)
-    killer.start()
+    def fetch_then_kill(coordinator, worker):
+        reply = real_fetch(coordinator, worker)
+        if (worker.name == "w0" and not killed
+                and reply["kind"] == "lease"
+                and coordinator.stats.remote_profiles >= 1
+                and len(coordinator.book.leases[
+                    reply["tasks"][0]["task"]].holders) == 1):
+            killed.append(reply["tasks"][0]["task"])
+            workers[0].send_signal(signal.SIGKILL)
+        return reply
+
+    distrib.Coordinator._fetch_locked = fetch_then_kill
     started = time.time()
     try:
         report = campaign.run()
     finally:
+        distrib.Coordinator._fetch_locked = real_fetch
         for proc in workers:
             proc.kill()
             proc.wait(timeout=30)
-    killer.join(timeout=5)
     return report, time.time() - started
 
 
@@ -146,8 +153,10 @@ def test_distributed_fleet_survives_worker_kill(benchmark):
 
     write_bench_artifact("BENCH_distributed.json", rows)
 
-    # distribution may change where profiles run, never what they find
+    # distribution may change where profiles run, never what they find;
+    # the lease worker 0 died holding was delivered again
     assert rows["findings_identical"]
+    assert rows["redeliveries"] >= 1
     # the failure path must actually have been exercised
     assert rows["workers_joined"] >= 2
     assert rows["workers_lost"] >= 1

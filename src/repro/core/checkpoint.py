@@ -258,8 +258,8 @@ class CampaignCheckpoint:
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     data = b"\n" + data
                 # One write per record on an O_APPEND descriptor: records
-                # from concurrent processes (application lanes sharing a
-                # journal) never interleave.
+                # from concurrent writers sharing a journal never
+                # interleave.
                 while data:
                     data = data[os.write(fd, data):]
                 os.fsync(fd)

@@ -5,12 +5,13 @@ grows the harness past one host.  A **coordinator** (the campaign
 parent) serves unit-test profiles over the length-prefixed JSON TCP
 protocol in :mod:`repro.common.transport`, and any number of **workers**
 (``repro worker --connect HOST:PORT``) run :func:`serve_leases`: fetch
-one lease, run the profile, ship the outcome — the profile record
-(:func:`repro.core.parallel.profile_outcome_to_dict`) plus the profile's
-observation — and wait for the ack.  The supervised pool's forked
-workers run the same loop over a ``socketpair()``
-(:mod:`repro.core.supervise`).  ``repro worker --workers N`` forks N
-such clients, each its own fleet member.
+one lease, load the confirmations it carries into the campaign's
+blacklist tracker, run the profile, ship the outcome — the profile
+record (:func:`repro.core.parallel.profile_outcome_to_dict`) plus the
+profile's observation and store traffic — and wait for the ack.  The
+supervised pool's forked workers run the same loop over a
+``socketpair()`` (:mod:`repro.core.supervise`).  ``repro worker
+--workers N`` forks N such clients, each its own fleet member.
 
 Robustness is the design driver — a worker that disconnects, hangs,
 crashes, or answers late must never corrupt findings:
@@ -46,7 +47,7 @@ crashes, or answers late must never corrupt findings:
 Findings stay byte-identical to serial runs because the coordinator
 commits outcomes through the same :func:`repro.core.parallel.commit_outcome`
 path every backend uses, and the campaign folds them back in catalog
-order (:meth:`Campaign._run_inner`).  The lease queue is in
+order (:meth:`Campaign._finish`).  The lease queue is in
 :func:`repro.core.parallel.dispatch_order`, which — like every
 dispatch-order choice — affects wall-clock makespan only.
 """
@@ -170,8 +171,8 @@ class Coordinator:
         self.stats = campaign.distribution
         #: grant order = dispatch order.
         self.book = parallel.LeaseBook(
-            campaign, self.profiles, checkpoint, tests_by_name, self.stats,
-            announce=("dist-quarantine", "coordinator"))
+            [parallel.Job(campaign, self.profiles, checkpoint, tests_by_name)],
+            self.stats, announce=("dist-quarantine", "coordinator"))
         self.digest = corpus_digest(campaign)
         self.join_grace = config.dist_join_grace_s
         self.net_plan = config.net_fault_plan
@@ -392,19 +393,18 @@ class Coordinator:
             return {"kind": "reject", "reason": "connection declared lost"}
         if self.halted or self.closed:
             return {"kind": "done"}
-        lease = self.book.grant(worker.key)
-        if lease is None:
+        task = self.book.grant(worker.key)
+        if task is None:
             # Queue drained: steal a copy of the oldest outstanding lease
             # so a straggler (or a silent death not yet detected) cannot
             # stall the campaign.  First finisher wins; the rest get
             # suppressed.
-            lease = self.book.copy(worker.key, MAX_COPIES)
-            if lease is not None:
+            task = self.book.copy(worker.key, MAX_COPIES)
+            if task is not None:
                 self.stats.steals += 1
-        if lease is not None:
+        if task is not None:
             self.stats.leases_granted += 1
-            return {"kind": "lease",
-                    "tasks": [{"task": lease[0], "delivery": lease[1]}]}
+            return {"kind": "lease", "tasks": [task]}
         if self.book.done():
             return {"kind": "done"}
         return {"kind": "wait", "delay": WAIT_DELAY_S}
@@ -550,11 +550,14 @@ class OutcomeShipper:
         self.unacked: Dict[str, Dict[str, Any]] = {}
         self.broken = False
 
-    def ship(self, name: str, outcome: Any) -> None:
-        """Send one profile outcome and wait for its ack (stash first)."""
+    def ship(self, name: str, outcome: Any,
+             store: Optional[Mapping[str, int]] = None) -> None:
+        """Send one profile outcome, with the store traffic its run made,
+        and wait for its ack (stash first)."""
         message = {"kind": "result", "task": name,
                    "outcome": dict(parallel.profile_outcome_to_dict(outcome),
-                                   observation=outcome.observation)}
+                                   observation=outcome.observation,
+                                   store=store)}
         self.unacked[name] = message
         if not self.broken:
             self._send_one(name, message)
@@ -583,16 +586,18 @@ class OutcomeShipper:
             self._send_one(name, self.unacked[name])
 
 
-def serve_leases(shipper: OutcomeShipper, campaign: Any,
-                 profiles_by_name: Mapping[str, Any], heartbeat_s: float,
+def serve_leases(shipper: OutcomeShipper,
+                 units: Mapping[str, Tuple[Any, Any]], heartbeat_s: float,
                  crash_plan: Optional[Any] = None,
                  exit_on_loss: bool = False) -> None:
     """The lease client, run by a ``repro worker`` against a coordinator
     and by every forked pool worker against its supervisor.
 
-    Resend what is unacked, then fetch one lease, run its profile, ship
-    the outcome and wait for the ack, until the server says done.  A
-    side thread heartbeats every ``heartbeat_s``.  A lost link raises
+    Resend what is unacked, then fetch one lease, run its profile (the
+    ``(campaign, profile)`` of ``units`` under the lease's name) from
+    the lease's confirmations, ship the outcome and wait for the ack,
+    until the server says done.  A side thread heartbeats every
+    ``heartbeat_s``.  A lost link raises
     TransportError, which a remote client answers by reconnecting; with
     ``exit_on_loss`` a beat that finds the link gone ends the process,
     so a pool worker stuck in a profile does not outlive its parent.
@@ -634,19 +639,20 @@ def serve_leases(shipper: OutcomeShipper, campaign: Any,
                 if crash_plan is not None and crash_plan.worker_crash_decision(
                         name, int(task.get("delivery", 1))):
                     os._exit(INJECTED_CRASH_EXIT)
-                profile = profiles_by_name.get(name)
-                if profile is None:
+                unit = units.get(name)
+                if unit is None:
                     # Digest-matched corpora cannot disagree on usability,
                     # but a confused lease must still produce *an* outcome
                     # or the coordinator waits forever.
                     from repro.core.orchestrator import (HARNESS_ERROR,
                                                          ProfileOutcome)
-                    outcome = ProfileOutcome(
+                    shipper.ship(name, ProfileOutcome(
                         error="worker has no usable profile %r" % name,
-                        error_kind=HARNESS_ERROR)
-                else:
-                    outcome = campaign._run_profile_contained(profile)
-                shipper.ship(name, outcome)
+                        error_kind=HARNESS_ERROR))
+                    continue
+                campaign, profile = unit
+                shipper.ship(name, *campaign._run_lease(
+                    profile, task.get("confirmations", ())))
         raise net.TransportError("lost the link while shipping results")
     finally:
         stop.set()
@@ -697,7 +703,7 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
 
     campaign = None
     campaign_app = None
-    profiles_by_name: Dict[str, Any] = {}
+    units: Dict[str, Tuple[Any, Any]] = {}
     shipper = OutcomeShipper(None, CONTROL_TIMEOUT_S)
     previous_sharing = None
     failures = 0
@@ -776,17 +782,17 @@ def run_worker(connect: str, worker_config: Optional[Any] = None,
                     from repro.common.ipc import set_ipc_sharing
                     previous_sharing = set_ipc_sharing(
                         not config.disable_ipc_sharing)
-                    campaign._open_store()  # once, as _run_inner does
-                    profiles = prerun_corpus(campaign.tests)
-                    profiles_by_name = {p.test.full_name: p
-                                        for p in profiles if p.usable}
+                    campaign._open_store()  # once, as _prepare does
+                    units = {p.test.full_name: (campaign, p)
+                             for p in prerun_corpus(campaign.tests)
+                             if p.usable}
                     shipper.control_timeout = max(
                         welcome.get("heartbeat_timeout_s",
                                     CONTROL_TIMEOUT_S), 1.0)
                 shipper.transport = transport_
                 shipper.broken = False
                 failures = 0
-                serve_leases(shipper, campaign, profiles_by_name,
+                serve_leases(shipper, units,
                              max(welcome.get("heartbeat_s", HEARTBEAT_S),
                                  0.01))
                 try:

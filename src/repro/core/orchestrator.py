@@ -2,16 +2,19 @@
 
 :class:`Campaign` drives ZebraConf end-to-end for one application, and
 :func:`run_full_campaign` reproduces the paper's whole evaluation across
-all target applications.  Unit tests are independent, so profiles can
-fan out across worker processes, and whole applications across forked
-lanes (the paper used up to 100 machines; §4 "Test in parallel").
+all target applications.  Unit tests are independent, so profiles fan
+out across worker processes, every application's on one supervised
+pool in the full evaluation (the paper used up to 100 machines; §4
+"Test in parallel").
 """
 
 from __future__ import annotations
 
+import contextlib
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.common.faults import FaultPlan, plan_from_dict
 from repro.common.node import NODE_TYPES
@@ -317,6 +320,21 @@ class ProfileOutcome:
         return "degraded" if self.error else "completed"
 
 
+@dataclass
+class _Run:
+    """A campaign run from :meth:`Campaign._prepare` to
+    :meth:`Campaign._finish`, by when every usable profile has an
+    outcome (by test full name)."""
+
+    profiles: List[TestProfile]
+    usable: List[TestProfile]
+    checkpoint: Optional[CampaignCheckpoint]
+    tests_by_name: Dict[str, UnitTest]
+    outcomes: Dict[str, ProfileOutcome] = field(default_factory=dict)
+    #: usable profiles left to run, in catalog order.
+    pending: List[TestProfile] = field(default_factory=list)
+
+
 class Campaign:
     """ZebraConf campaign over one application's corpus and registry."""
 
@@ -337,10 +355,10 @@ class Campaign:
         #: _open_store when config.store_path; closed after each run).
         self._store: Optional[Any] = None
         #: per-run incremental plan (repro.core.plan.CampaignPlan; built
-        #: in _run_inner when config.incremental, else None).
+        #: in _prepare when config.incremental, else None).
         self._plan: Optional[CampaignPlan] = None
-        #: supervised-pool counters for the current run (reset in _run;
-        #: filled by repro.core.supervise when the supervisor is used).
+        #: supervised-pool counters for the current run (reset in
+        #: _prepare; repro.core.supervise hands in its pool's).
         self.supervision = SupervisionStats()
         #: distributed-coordinator counters for the current run (filled
         #: by repro.core.distrib when --distributed is on).
@@ -353,15 +371,20 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def run(self) -> AppReport:
-        from repro.common.ipc import set_ipc_sharing
-        previous_sharing = set_ipc_sharing(not self.config.disable_ipc_sharing)
-        try:
-            return self._run()
-        finally:
-            set_ipc_sharing(previous_sharing)
-            if self._store is not None:
-                self._store.close()
-                self._store = None
+        with self._running():
+            run = self._prepare(serial=self.config.distributed is None and not (
+                self.config.workers > 1 and parallel.fork_available()))
+            if self.config.distributed is not None and run.pending:
+                # Remote fleet first; whatever it cannot finish degrades
+                # to _run_locally.  _finish folds in catalog order, so
+                # where a profile ran cannot change findings.
+                from repro.core.distrib import run_profiles_distributed
+                run.outcomes.update(run_profiles_distributed(
+                    self, run.pending, run.checkpoint, run.tests_by_name))
+            elif run.pending:
+                run.outcomes.update(self._run_locally(
+                    run.pending, run.checkpoint, run.tests_by_name))
+            return self._finish(run)
 
     def _observing(self) -> bool:
         return (self.config.observe
@@ -374,26 +397,44 @@ class Campaign:
         if event is not None and event.is_set():
             raise CampaignCancelled(self.app)
 
-    def _run(self) -> AppReport:
-        if not self._observing():
-            self.observation = None
-            return self._run_inner()
-        self.observation = Observation(metrics=MetricsRegistry(
-            constant_labels={"app": self.app}))
-        if self.config.progress_stream is not None:
-            self._progress = ProgressReporter(self.config.progress_stream,
-                                              self.app)
+    @contextlib.contextmanager
+    def _running(self) -> Iterator[None]:
+        """One run's IPC-sharing switch, observation with its ``app``
+        span, progress line and store, from :meth:`_prepare` through
+        :meth:`_finish`."""
+        from repro.common.ipc import set_ipc_sharing
+        previous_sharing = set_ipc_sharing(not self.config.disable_ipc_sharing)
         try:
-            with self.observation.span(self.app, kind="app") as root:
-                self._app_span = root
-                return self._run_inner()
+            if not self._observing():
+                self.observation = None
+                yield
+                return
+            self.observation = Observation(metrics=MetricsRegistry(
+                constant_labels={"app": self.app}))
+            if self.config.progress_stream is not None:
+                self._progress = ProgressReporter(self.config.progress_stream,
+                                                  self.app)
+            try:
+                with self.observation.span(self.app, kind="app") as root:
+                    self._app_span = root
+                    yield
+            finally:
+                self._app_span = None
+                if self._progress is not None:
+                    self._progress.close(self._progress_snapshot())
+                    self._progress = None
         finally:
-            self._app_span = None
-            if self._progress is not None:
-                self._progress.close(self._progress_snapshot())
-                self._progress = None
+            set_ipc_sharing(previous_sharing)
+            if self._store is not None:
+                self._store.close()
+                self._store = None
 
-    def _run_inner(self) -> AppReport:
+    def _prepare(self, serial: bool) -> "_Run":
+        """The pre-run, the journal, the store, the plan, and the
+        journal-restored and plan-REUSE folds, each at its catalog
+        position.  A ``serial`` campaign runs each pending profile there
+        too, so its blacklist reads see exactly the profiles before it;
+        otherwise they are left in ``pending``."""
         self._check_cancelled()
         obs = self.observation
         if obs is not None:
@@ -416,7 +457,6 @@ class Campaign:
         else:
             profiles = prerun_corpus(self.tests)
         usable = [p for p in profiles if p.usable]
-        stage_counts = self._stage_counts(profiles, usable)
         if self.config.sample is not None \
                 and self.config.sample not in SAMPLE_MODES:
             raise ValueError("unknown sampling mode %r (expected one of %s)"
@@ -430,6 +470,9 @@ class Campaign:
         # resumes quadratic.
         tests_by_name = {t.full_name: t for t in self.tests}
         self._plan = self._build_plan(usable, checkpoint)
+        self.supervision = SupervisionStats()
+        self.distribution = DistributionStats()
+        run = _Run(profiles, usable, checkpoint, tests_by_name)
 
         # Partition tests into already-journaled (restored), plan-REUSE
         # (folded from the store with zero fresh executions) and
@@ -437,12 +480,6 @@ class Campaign:
         # through parallel.commit_outcome.  Outcomes are assembled keyed
         # by test and folded back in the original profile order so a
         # resumed campaign reproduces the interrupted one bit for bit.
-        # A serial campaign runs each pending profile at its catalog
-        # position: its blacklist reads see exactly the profiles before.
-        serial = self.config.distributed is None and not (
-            self.config.workers > 1 and parallel.fork_available())
-        outcome_by_test: Dict[str, ProfileOutcome] = {}
-        pending: List[TestProfile] = []
         if self._progress is not None:
             self._progress.total = len(usable)
         for profile in usable:
@@ -460,36 +497,26 @@ class Campaign:
                 outcome = self._run_locally([profile], checkpoint,
                                             tests_by_name)[name]
             if outcome is None:
-                pending.append(profile)
+                run.pending.append(profile)
             else:
-                outcome_by_test[name] = outcome
+                run.outcomes[name] = outcome
+        return run
 
-        self.supervision = SupervisionStats()
-        self.distribution = DistributionStats()
-        if self.config.distributed is not None and pending:
-            # Remote fleet first; whatever it cannot finish degrades to
-            # _run_locally inside run_profiles_distributed.  Outcomes
-            # are keyed by test and folded in catalog order below, so
-            # where a profile ran cannot change findings.
-            from repro.core.distrib import run_profiles_distributed
-            outcome_by_test.update(run_profiles_distributed(
-                self, pending, checkpoint, tests_by_name))
-        elif pending:
-            outcome_by_test.update(self._run_locally(pending, checkpoint,
-                                                     tests_by_name))
-        self._persist_profile_records(usable, outcome_by_test)
-
+    def _finish(self, run: "_Run") -> AppReport:
+        """Fold every profile in catalog order into the report, once each
+        of ``run.usable`` has an outcome."""
+        self._persist_profile_records(run.usable, run.outcomes)
         results: List[InstanceResult] = []
         pool_stats = PoolStats()
-        executions = len(profiles)  # pre-run executions count as runs too
+        executions = len(run.profiles)  # pre-run executions count as runs
         fault_counts: Dict[str, int] = {}
         retries = 0
         degraded: List[str] = []
         quarantined: List[str] = []
         degraded_errors: Dict[str, str] = {}
-        for profile in usable:
+        for profile in run.usable:
             name = profile.test.full_name
-            outcome = outcome_by_test[name]
+            outcome = run.outcomes[name]
             results.extend(outcome.results)
             _merge_stats(pool_stats, outcome.stats)
             executions += outcome.executions
@@ -502,23 +529,24 @@ class Campaign:
                 if outcome.error_kind == WORKER_CRASH:
                     quarantined.append(name)
 
+        stage_counts = self._stage_counts(run.profiles, run.usable)
         stage_counts.after_pooling = pool_stats.total_instances_run
         hypothesis_stats = _hypothesis_stats(results)
         results_by_param = _group_confirmed(results)
         verdicts = triage_report(results_by_param, self.registry,
                                  blacklisted=self.tracker.blacklisted)
-        cost_centers = self._cost_centers(usable, outcome_by_test)
-        audit_stats = self._run_audit(profiles)
+        cost_centers = self._cost_centers(run.usable, run.outcomes)
+        audit_stats = self._run_audit(run.profiles)
         if self.observation is not None:
             self._app_span.attrs["blacklisted"] = {
                 param: self.tracker.failure_count(param)
                 for param in sorted(self.tracker.blacklisted)}
-            self._assemble_spans(usable, outcome_by_test)
+            self._assemble_spans(run.usable, run.outcomes)
             self._finalize_runtime_metrics()
         report = AppReport(
             app=self.app,
             stage_counts=stage_counts,
-            prerun_summary=PreRunSummary.from_profiles(profiles),
+            prerun_summary=PreRunSummary.from_profiles(run.profiles),
             pool_stats=pool_stats,
             hypothesis_stats=hypothesis_stats,
             verdicts=verdicts,
@@ -795,6 +823,23 @@ class Campaign:
             parallel.commit_outcome(self, checkpoint, name, outcome)
             outcomes[name] = outcome
         return outcomes
+
+    def _run_lease(self, profile: TestProfile,
+                   confirmations: Iterable[Sequence[str]]
+                   ) -> Tuple[ProfileOutcome, Optional[Dict[str, int]]]:
+        """Run a leased profile from exactly the lease's (parameter, test)
+        ``confirmations``, whatever this process's tracker held; return
+        its outcome and the store traffic it made (None: no store)."""
+        self.tracker = FrequentFailureTracker(self.config.blacklist_threshold)
+        for param, test in confirmations:
+            self.tracker.record_unsafe(param, test)
+        before = None if self._store is None else self._store.traffic()
+        outcome = self._run_profile_contained(profile)
+        if before is None:
+            return outcome, None
+        return outcome, {name: count - before[name] for name, count
+                         in self._store.traffic().items()
+                         if count != before[name]}
 
     def _run_profile_contained(self, profile: TestProfile) -> ProfileOutcome:
         """Run one profile, containing harness crashes as a degraded
@@ -1153,12 +1198,48 @@ def application_campaigns(config: Optional[CampaignConfig] = None
 
 
 def run_full_campaign(config: Optional[CampaignConfig] = None) -> CampaignReport:
-    """Every application's campaign, in catalog order.  Applications run
-    side by side in forked lanes when :func:`repro.core.lanes.lane_count`
-    allows it; findings are identical either way."""
-    from repro.core.lanes import lane_count, run_in_lanes
+    """Every application's campaign, reported in catalog order: on one
+    supervised pool ``workers`` wide, or as wide as the usable CPUs at
+    ``workers == 1`` (:func:`run_campaigns_pooled`); one after another
+    in this process under ``distributed`` (a coordinator per campaign),
+    without ``fork`` or on one usable CPU.  Findings are the same
+    either way."""
     campaigns = application_campaigns(config)
-    lanes = lane_count(campaigns[0].config, len(campaigns))
-    if lanes > 1:
-        return CampaignReport(apps=run_in_lanes(campaigns, lanes))
-    return CampaignReport(apps=[campaign.run() for campaign in campaigns])
+    config = campaigns[0].config
+    width = config.workers if config.workers > 1 else parallel.usable_cpus()
+    if config.distributed is not None or not parallel.fork_available() \
+            or width < 2:
+        return CampaignReport(apps=[campaign.run() for campaign in campaigns])
+    return CampaignReport(apps=run_campaigns_pooled(campaigns, width))
+
+
+def run_campaigns_pooled(campaigns: Sequence[Campaign],
+                         width: int) -> List[AppReport]:
+    """Run ``campaigns`` on one supervised pool of ``width`` workers;
+    reports come back in the order given.
+
+    Each campaign is prepared here, in order, then every campaign's
+    pending profiles go to :func:`repro.core.supervise.run_pool` (at
+    most ``workers`` of one campaign at a time, each in catalog order,
+    the campaign with the most first), and each campaign is folded here,
+    its audit included.  At ``workers == 1`` every blacklist read is
+    the serial run's."""
+    with contextlib.ExitStack() as stack:
+        runs = []
+        for campaign in campaigns:
+            stack.enter_context(campaign._running())
+            runs.append(campaign._prepare(serial=False))
+        jobs = sorted((parallel.Job(campaign, run.pending, run.checkpoint,
+                                    run.tests_by_name)
+                       for campaign, run in zip(campaigns, runs)
+                       if run.pending),
+                      key=lambda job: -len(job.profiles))
+        if jobs:
+            from repro.core.supervise import run_pool
+            outcomes = run_pool(jobs, width)
+            for run in runs:
+                run.outcomes.update((p.test.full_name,
+                                     outcomes[p.test.full_name])
+                                    for p in run.pending)
+        return [campaign._finish(run)
+                for campaign, run in zip(campaigns, runs)]

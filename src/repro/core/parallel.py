@@ -1,8 +1,9 @@
 """Shared plumbing for running profiles across processes.
 
 Campaigns run their unit-test profiles on this host one of two ways:
-serially in the campaign process, or — at ``workers > 1`` where ``fork``
-is available — on the supervised pool of forked workers in
+serially in the campaign process, or — at ``workers > 1``, and in the
+full evaluation, where ``fork`` is available — on the supervised pool
+of forked workers in
 :mod:`repro.core.supervise`, which are lease clients of the same
 protocol the remote fleet of :mod:`repro.core.distrib` speaks.  The
 simulation is pure Python, so only processes give real parallelism;
@@ -22,15 +23,16 @@ path shares:
   ``test-done`` record is journaled (when a checkpoint is given) and the
   live observability fold runs, **as each profile completes**.  A
   mid-campaign crash therefore loses only the in-flight profiles.
-  Blacklist propagation *between* concurrently running profiles follows
-  completion order, so run-to-run byte-identity at ``workers > 1``
+  Profiles of one campaign that run side by side do not see each
+  other's confirmations, so run-to-run byte-identity at ``workers > 1``
   requires decoupled profiles.
 * **The dispatch order.**  :func:`dispatch_order` is the queue the
   supervised pool and the distributed coordinator hand profiles out
   from: longest first by measured pre-run weight.  Serial runs keep
   catalog order.
 * **The lease book.**  :class:`LeaseBook` is the failure policy both of
-  them share, with the :data:`REDELIVERY` bound on lost leases.
+  them share, with the :data:`REDELIVERY` bound on lost leases; each
+  lease carries the blacklist confirmations committed before it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -161,6 +163,17 @@ def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
 # ---------------------------------------------------------------------------
 # the lease book: the supervised pool's and the coordinator's policy
 # ---------------------------------------------------------------------------
+@dataclass(eq=False)
+class Job:
+    """One campaign's profiles for a lease book, in the order it grants
+    them, with where their commits go."""
+
+    campaign: Any
+    profiles: Sequence[Any]
+    checkpoint: Optional[Any]
+    tests_by_name: Mapping[str, UnitTest]
+
+
 @dataclass
 class Lease:
     """A profile out for a run; two holders while a stolen copy runs."""
@@ -174,51 +187,79 @@ class LeaseBook:
     """The failure policy the supervised pool and the distributed
     coordinator share; each adds only its link and its liveness checks.
 
-    ``profiles`` queue in the order given, as delivery 1.  The first
-    commit of a queued name wins (:func:`commit_outcome`).
-    A lease revoked from its last holder is queued again as the next
-    delivery, or once it has had :data:`REDELIVERY` redeliveries it is
-    committed as a WORKER_CRASH quarantine, counted in ``stats`` and
-    announced as the ``announce`` (name, kind) span event.  It is
-    journaled like any finished test, so a resume does not retry poison.
+    Every job's profiles queue in the order given, as delivery 1, keyed
+    by test full name (``app::test``, unique across apps).  With a
+    ``limit``, at most that many profiles of one campaign are out at
+    once: at 1 each campaign is a chain.  The first commit of a queued
+    name wins (:func:`commit_outcome`).  A lease revoked from its last
+    holder is queued again at the head, as the next delivery, or once it
+    has had :data:`REDELIVERY` redeliveries it is committed as a
+    WORKER_CRASH quarantine, counted in ``stats`` and announced as the
+    ``announce`` (name, kind) span event.  It is journaled like any
+    finished test, so a resume does not retry poison.
     """
 
-    def __init__(self, campaign: Any, profiles: Sequence[Any],
-                 checkpoint: Optional[Any],
-                 tests_by_name: Mapping[str, UnitTest], stats: Any,
-                 announce: Tuple[str, str]) -> None:
-        self.campaign = campaign
-        self.checkpoint = checkpoint
-        self.tests_by_name = tests_by_name
+    def __init__(self, jobs: Sequence[Job], stats: Any,
+                 announce: Tuple[str, str],
+                 limit: Optional[int] = None) -> None:
         self.stats = stats
         self.announce = announce
+        self.limit = limit
         #: ``--profile-deadline`` (None: no lease is ever overdue).
-        self.deadline = campaign.config.profile_deadline_s
+        self.deadline = jobs[0].campaign.config.profile_deadline_s
+        #: test full name -> (its job, its profile), in queue order.
+        self.units: Dict[str, Tuple[Job, Any]] = {
+            p.test.full_name: (job, p) for job in jobs for p in job.profiles}
+        #: test full name -> catalog position within its campaign.
+        self.position = {test.full_name: index for job in jobs
+                         for index, test in enumerate(job.campaign.tests)}
         #: (test full name, delivery number), next grant first.
-        self.queue = deque((p.test.full_name, 1) for p in profiles)
-        self.names = frozenset(name for name, _ in self.queue)
+        self.queue = deque((name, 1) for name in self.units)
         self.leases: Dict[str, Lease] = {}
         self.outcomes: Dict[str, Any] = {}
 
     def done(self) -> bool:
-        return len(self.outcomes) == len(self.names)
+        return len(self.outcomes) == len(self.units)
 
-    def grant(self, holder: Any) -> Optional[Tuple[str, int]]:
-        """Lease the next queued profile: ``(name, delivery)`` or None."""
-        while self.queue:
-            name, delivery = self.queue.popleft()
-            if name not in self.outcomes:  # else a copy won meanwhile
-                self.leases[name] = Lease(delivery, time.monotonic(),
-                                          {holder})
-                return name, delivery
+    def grant(self, holder: Any) -> Optional[Dict[str, Any]]:
+        """Lease the first queued profile whose campaign is under the
+        limit: its :meth:`task`, or None."""
+        out = Counter(self.units[name][0] for name in self.leases)
+        for entry in list(self.queue):
+            name, delivery = entry
+            if name in self.outcomes:  # a copy won meanwhile
+                self.queue.remove(entry)
+                continue
+            if self.limit is not None \
+                    and out[self.units[name][0]] >= self.limit:
+                continue
+            self.queue.remove(entry)
+            self.leases[name] = Lease(delivery, time.monotonic(), {holder})
+            return self.task(name)
         return None
+
+    def task(self, name: str) -> Dict[str, Any]:
+        """Lease ``name`` as its holder receives it: the delivery, and
+        the (parameter, test) confirmations that profiles before it in
+        its campaign's catalog order committed, for the parameters it
+        tests.  The holder's blacklist reads start from exactly these."""
+        job, profile = self.units[name]
+        here = self.position[name]
+        tracker = job.campaign.tracker
+        confirmations = [
+            [param, test]
+            for param in sorted(profile_testable_params(job.campaign, profile))
+            for test in tracker.confirmed_by(param)
+            if self.position.get(test, here) < here]
+        return {"task": name, "delivery": self.leases[name].delivery,
+                "confirmations": confirmations}
 
     def release(self, name: str) -> None:
         """Undo a grant that never reached its holder."""
         self.queue.appendleft((name, self.leases.pop(name).delivery))
 
     def copy(self, holder: Any, max_copies: int
-             ) -> Optional[Tuple[str, int]]:
+             ) -> Optional[Dict[str, Any]]:
         """Work stealing: also lease the oldest lease ``holder`` does not
         hold yet that has fewer than ``max_copies`` holders."""
         oldest = min(((lease.granted_at, name)
@@ -227,9 +268,8 @@ class LeaseBook:
                       and len(lease.holders) < max_copies), default=None)
         if oldest is None:
             return None
-        lease = self.leases[oldest[1]]
-        lease.holders.add(holder)
-        return oldest[1], lease.delivery
+        self.leases[oldest[1]].holders.add(holder)
+        return self.task(oldest[1])
 
     def held_by(self, holder: Any) -> List[str]:
         return sorted(name for name, lease in self.leases.items()
@@ -243,19 +283,26 @@ class LeaseBook:
 
     def commit(self, name: str, outcome: Any) -> bool:
         """True when this is the first commit of a queued name."""
-        if name not in self.names or name in self.outcomes:
+        if name not in self.units or name in self.outcomes:
             return False
-        commit_outcome(self.campaign, self.checkpoint, name, outcome)
+        job = self.units[name][0]
+        commit_outcome(job.campaign, job.checkpoint, name, outcome)
         self.outcomes[name] = outcome
         self.leases.pop(name, None)
         return True
 
     def commit_record(self, name: str, record: Mapping[str, Any]) -> bool:
-        """:meth:`commit` a worker's record, decoded only if it wins."""
-        if name not in self.names or name in self.outcomes:
+        """:meth:`commit` a worker's record, decoded only if it wins.  The
+        store traffic the worker's run made (``store``) is counted on the
+        campaign's store, as if the profile had run here."""
+        if name not in self.units or name in self.outcomes:
             return False
+        job = self.units[name][0]
+        store = job.campaign._store
+        if store is not None and record.get("store"):
+            store.add_traffic(record["store"])
         return self.commit(name, profile_outcome_from_dict(
-            record, self.tests_by_name))
+            record, job.tests_by_name))
 
     def revoke(self, name: str, reason: str, holder: Any = None) -> None:
         """Take ``name``'s lease from ``holder`` (from all when None)."""
@@ -268,7 +315,7 @@ class LeaseBook:
         del self.leases[name]
         if lease.delivery <= REDELIVERY:
             self.stats.redeliveries += 1
-            self.queue.append((name, lease.delivery + 1))
+            self.queue.appendleft((name, lease.delivery + 1))
         else:
             self.quarantine(name, "%s; profile quarantined after %d "
                                   "deliveries" % (reason, lease.delivery))
@@ -278,7 +325,7 @@ class LeaseBook:
         if self.commit(name, ProfileOutcome(error=reason,
                                             error_kind=WORKER_CRASH)):
             self.stats.quarantined += 1
-            obs = self.campaign.observation
+            obs = self.units[name][0].campaign.observation
             if obs is not None:
                 event, kind = self.announce
                 obs.event(event, kind=kind, test=name, reason=reason)

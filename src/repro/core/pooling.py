@@ -58,6 +58,11 @@ class FrequentFailureTracker:
         with self._lock:
             return len(self._failed_tests.get(param, set()))
 
+    def confirmed_by(self, param: str) -> List[str]:
+        """The unit tests that confirmed ``param`` unsafe, sorted."""
+        with self._lock:
+            return sorted(self._failed_tests.get(param, ()))
+
     def allowed(self, param: str) -> bool:
         with self._lock:
             return param not in self.blacklisted

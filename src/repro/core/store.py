@@ -25,10 +25,14 @@ an aspiration:
   that drift would fabricate findings.
 * **Concurrent writers.**  Each writer claims a fresh segment under a
   brief exclusive ``flock`` on ``LOCK``, then holds a lifetime ``flock``
-  on its own segment.  Forked children (supervised pool workers,
-  application lanes) detect the pid change and claim their own segment lazily — the
-  inherited parent handle is left untouched because flock is per
-  open-file-description.  GC skips any segment whose lock is still held.
+  on its own segment.  Forked children (supervised pool workers) detect
+  the pid change and claim their own segment lazily — the inherited
+  parent handle is left untouched because flock is per
+  open-file-description.  A worker ships the counters its profile moved
+  (:meth:`ResultStore.traffic`) home with the profile, and the parent
+  adds them (:meth:`ResultStore.add_traffic`), so a pooled campaign
+  reports the store traffic a serial one does.  GC skips any segment
+  whose lock is still held.
 * **Degradation over loss.**  A failed append (ENOSPC, I/O error — real
   or injected via :class:`repro.common.faults.DiskFaultPlan`) retires
   the writer and the store continues read-only; the campaign's findings
@@ -123,6 +127,10 @@ class StoreStats:
     appends: int = 0
     #: failed appends (the writer is retired after the first).
     write_errors: int = 0
+
+
+#: the StoreStats counters a profile's run moves (lookups and appends).
+TRAFFIC = ("hits", "misses", "appends", "write_errors")
 
 
 def _frame(payload: bytes) -> bytes:
@@ -702,6 +710,18 @@ class ResultStore:
         """Durably append the finished application report (newest wins)."""
         return self._append({"kind": "report", "app": self.app,
                              "digest": self.digest, "report": dict(report)})
+
+    def traffic(self) -> Dict[str, int]:
+        """The :data:`TRAFFIC` counters so far."""
+        with self._lock:
+            return {name: getattr(self.stats, name) for name in TRAFFIC}
+
+    def add_traffic(self, traffic: Mapping[str, Any]) -> None:
+        """Count :data:`TRAFFIC` another process made on this store."""
+        with self._lock:
+            for name in TRAFFIC:
+                setattr(self.stats, name, getattr(self.stats, name)
+                        + int(traffic.get(name, 0)))
 
     def close(self) -> None:
         """Release the writer segment (and its flock), if this pid owns it.

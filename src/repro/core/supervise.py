@@ -1,8 +1,11 @@
-"""Supervised worker pool: how a campaign runs profiles in parallel.
+"""Supervised worker pool: how campaigns run profiles in parallel.
 
 At ``workers > 1`` (where ``fork`` is available) a campaign runs its
 profiles here; otherwise it runs them serially (see
-``Campaign._run_locally``).  A plain executor dies with the first
+``Campaign._run_locally``).  The full evaluation runs every
+application's profiles on one pool (:func:`run_pool`, from
+``orchestrator.run_campaigns_pooled``), at most ``workers`` of one
+campaign at a time.  A plain executor dies with the first
 worker that segfaults, OOMs, or ``os._exit``s, and a CPU-bound hung
 child blocks it forever, because the simulated-time watchdog cannot see
 *real-time* hangs.  A campaign over thousands of flaky unit-test
@@ -12,8 +15,9 @@ failure, so this module owns its workers directly:
 * each worker is a **forked lease client** on one end of a
   ``socket.socketpair()``: it runs :func:`repro.core.distrib.serve_leases`,
   the loop a ``repro worker`` runs against a coordinator — fetch one
-  lease, run the profile, ship the outcome, wait for the ack.  The
-  parent holds each fetch until a lease is free and journals every
+  lease, run the profile from the blacklist confirmations it carries,
+  ship the outcome, wait for the ack.  The parent holds each fetch until
+  a lease is free and journals every
   ``test-done`` checkpoint record **as results arrive** — a crash
   (parent or child) loses at most the in-flight profiles;
 * the client's side thread **heartbeats** every
@@ -64,9 +68,13 @@ runner's ``retry``/``fault`` events included — into their own
 outcome; the campaign adopts them in catalog order, so the span trace
 matches a serial run's.
 
-Cross-profile blacklist propagation follows completion order, which is
-timing-dependent: run-to-run byte-identity at ``workers > 1`` requires
-decoupled profiles (a ``blacklist_threshold`` no run reaches).
+A lease carries the confirmations the profiles before it in catalog
+order have committed, so at one profile per campaign at a time (the
+full evaluation at ``workers 1``) every blacklist read is a serial
+run's.  With more of a campaign's profiles out at once, a profile does
+not see the confirmations of those still running: run-to-run
+byte-identity at ``workers > 1`` requires decoupled profiles (a
+``blacklist_threshold`` no run reaches).
 """
 
 from __future__ import annotations
@@ -94,16 +102,27 @@ IDLE, BUSY, DEAD = "idle", "busy", "dead"
 
 
 # ---------------------------------------------------------------------------
-# entry point (Campaign._run_locally at workers > 1 with fork)
+# entry points
 # ---------------------------------------------------------------------------
 def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
                           checkpoint: Optional[Any],
                           tests_by_name: Mapping[str, UnitTest]
                           ) -> Dict[str, Any]:
-    """Fan ``profiles`` over ``campaign.config.workers`` supervised
-    workers; outcomes come back keyed by test name."""
-    supervisor = Supervisor(campaign, profiles, checkpoint, tests_by_name)
-    campaign.supervision = supervisor.stats
+    """Fan one campaign's ``profiles`` over ``campaign.config.workers``
+    supervised workers (``Campaign._run_locally`` at ``workers > 1``);
+    outcomes come back keyed by test name."""
+    return run_pool([parallel.Job(campaign, profiles, checkpoint,
+                                  tests_by_name)], campaign.config.workers)
+
+
+def run_pool(jobs: Sequence[parallel.Job], width: int) -> Dict[str, Any]:
+    """Run every job's profiles on one pool of up to ``width`` workers,
+    at most ``workers`` of one campaign at a time; outcomes come back
+    keyed by test name.  Each campaign the pool serves reports its
+    counters."""
+    supervisor = Supervisor(jobs, width)
+    for job in jobs:
+        job.campaign.supervision = supervisor.stats
     return supervisor.run()
 
 
@@ -111,10 +130,10 @@ def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
 # child side
 # ---------------------------------------------------------------------------
 def _child_main(sock: socket.socket, inherited: List[socket.socket],
-                campaign: Any, profiles: Mapping[str, Any],
+                units: Mapping[str, Any], crash_plan: Optional[Any],
                 rlimit_mem: Optional[int]) -> None:
-    """Forked worker: the lease client over ``sock``, running
-    ``profiles`` (by test name) of ``campaign``.  Both arrive as
+    """Forked worker: the lease client over ``sock``, running the
+    ``(campaign, profile)`` units (by test name).  They arrive as
     fork-inherited arguments, never through module state: a daemon
     running two campaigns' pools at once must not hand one campaign's
     workers the other's."""
@@ -128,8 +147,8 @@ def _child_main(sock: socket.socket, inherited: List[socket.socket],
         distrib.limit_memory(rlimit_mem)
         distrib.serve_leases(
             distrib.OutcomeShipper(net.FrameTransport(sock), None),
-            campaign, profiles, distrib.HEARTBEAT_S,
-            crash_plan=campaign.config.fault_plan, exit_on_loss=True)
+            units, distrib.HEARTBEAT_S, crash_plan=crash_plan,
+            exit_on_loss=True)
     finally:
         os._exit(0)
 
@@ -167,21 +186,26 @@ class _Worker:
 
 
 class Supervisor:
-    """Runs one campaign's pending profiles over supervised workers."""
+    """Runs campaigns' pending profiles over supervised workers."""
 
-    def __init__(self, campaign: Any, profiles: Sequence[Any],
-                 checkpoint: Optional[Any],
-                 tests_by_name: Mapping[str, UnitTest]) -> None:
+    def __init__(self, jobs: Sequence[parallel.Job], width: int) -> None:
         from repro.core.report import SupervisionStats
-        config = campaign.config
-        self.campaign = campaign
-        self.profiles_by_name = {p.test.full_name: p for p in profiles}
+        #: the campaign whose config the pool runs under (the full
+        #: evaluation's campaigns share one config).
+        self.campaign = jobs[0].campaign
+        config = self.campaign.config
+        self.campaigns = [job.campaign for job in jobs]
         self.stats = SupervisionStats(enabled=True)
         self.book = parallel.LeaseBook(
-            campaign, profiles, checkpoint, tests_by_name, self.stats,
-            announce=("quarantine", "supervisor"))
+            jobs, self.stats, announce=("quarantine", "supervisor"),
+            limit=config.workers)
+        self.units = {name: (job.campaign, profile)
+                      for name, (job, profile) in self.book.units.items()}
+        self.crash_plan = config.fault_plan
         self.rlimit_mem = config.worker_rlimit_mem_mb
-        self.slots = max(min(config.workers, len(profiles)), 1)
+        # no more workers than profiles the limit lets out at once
+        self.slots = max(min(width, sum(min(config.workers, len(job.profiles))
+                                        for job in jobs)), 1)
 
         self.context = multiprocessing.get_context("fork")
         self.workers: List[_Worker] = []
@@ -214,8 +238,8 @@ class Supervisor:
         inherited.append(parent_end)
         proc = self.context.Process(
             target=_child_main,
-            args=(child_end, inherited, self.campaign,
-                  self.profiles_by_name, self.rlimit_mem),
+            args=(child_end, inherited, self.units, self.crash_plan,
+                  self.rlimit_mem),
             name="repro-worker-%d" % worker.id, daemon=True)
         proc.start()
         child_end.close()  # the child's end lives only in the child now
@@ -252,13 +276,12 @@ class Supervisor:
         for worker in list(self.workers):
             if worker.state != IDLE or not worker.fetching:
                 continue
-            lease = self.book.grant(worker.id)
-            if lease is None:
+            task = self.book.grant(worker.id)
+            if task is None:
                 break
-            name, delivery = lease
+            name = task["task"]
             try:
-                worker.link.send({"kind": "lease", "tasks": [
-                    {"task": name, "delivery": delivery}]})
+                worker.link.send({"kind": "lease", "tasks": [task]})
             except net.TransportError:
                 self.book.release(name)
                 self._worker_died(worker)
@@ -321,12 +344,15 @@ class Supervisor:
         self._retire(worker)
         self.stats.crashes += 1
         self.consecutive_crashes += 1
-        obs = self.campaign.observation
-        if obs is not None:
-            # Instant span on the campaign timeline; only emitted on a
-            # death, so healthy-run span trees stay backend-identical.
-            obs.event("worker-death", kind="supervisor", exit=reason,
-                      task=worker.task)
+        # Instant span on the timeline of the campaign whose profile died
+        # (of every campaign the pool serves, for an idle worker); only
+        # emitted on a death, so healthy-run span trees stay
+        # backend-identical.
+        for campaign in ([self.units[worker.task][0]] if worker.task
+                         else self.campaigns):
+            if campaign.observation is not None:
+                campaign.observation.event("worker-death", kind="supervisor",
+                                           exit=reason, task=worker.task)
         if worker.task is not None:
             name, worker.task = worker.task, None
             self.book.revoke(

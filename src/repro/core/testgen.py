@@ -228,10 +228,6 @@ class TestInstance:
     def params(self) -> Tuple[str, ...]:
         return self.assignment.params
 
-    def describe(self) -> str:
-        return "%s [%s/%s] %s" % (self.test.full_name, self.group,
-                                  self.strategy, ",".join(self.params))
-
 
 class TestGenerator:
     """Builds test instances for one application."""

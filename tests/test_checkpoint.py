@@ -224,8 +224,7 @@ class TestJournal:
 
     def test_concurrent_large_appends_never_interleave(self, tmp_path):
         """Four processes appending records larger than a write buffer
-        to one journal (application lanes share it): every record must
-        come back whole."""
+        to one journal: every record must come back whole."""
         path = str(tmp_path / "ck.jsonl")
         result = evaluated_result()
         padding = "x" * 20000

@@ -762,6 +762,22 @@ class TestDistributedEndToEnd:
         assert stats.workers_lost >= 1
         assert not stats.degraded_to_local
 
+    def test_coordinator_side_partition_is_counted(self, serial_baseline):
+        # the coordinator's own links sever after every 5 frames it
+        # sends: the worker reconnects and finishes, and the coordinator
+        # counts each injected fault in its report and its metrics
+        report, stats, exit_codes = run_distributed(
+            n_workers=1, worker_kwargs={0: {"max_reconnects": 10}},
+            config_kwargs={"net_fault_plan":
+                           net.NetFaultPlan(partition_after=5),
+                           "observe": True, "dist_join_grace_s": 30.0})
+        assert full_dict(report) == serial_baseline
+        assert exit_codes == {0: EXIT_OK}
+        assert stats.net_faults.get("partition", 0) >= 1
+        assert report.observation.metrics.total("zc_dist_net_faults_total") \
+            == sum(stats.net_faults.values())
+        assert not stats.degraded_to_local
+
     def test_flapping_partition_single_worker_reconnects(self,
                                                          serial_baseline):
         # every connection dies after 5 frames; the worker reconnects

@@ -2,8 +2,10 @@
 
 Most share one cached full campaign (the ``full_report`` session
 fixture, ~20s) and assert the evaluation's headline numbers and shapes.
-The lane tests at the end prove that running applications side by side
-(repro.core.lanes) reports exactly what the in-process loop reports.
+The tests at the end prove that running every application's profiles on
+one supervised pool (``orchestrator.run_campaigns_pooled``) reports
+exactly what the in-process loop reports, except the pool's own
+``supervision`` counters.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import pytest
 from repro import cli
 from repro.apps import catalog
 from repro.common.faults import DiskFaultPlan, FaultPlan
-from repro.core import lanes, parallel
+from repro.core import orchestrator, parallel
 from repro.core.checkpoint import CheckpointError
 from repro.core.orchestrator import (Campaign, CampaignConfig,
-                                     application_campaigns, run_full_campaign)
+                                     application_campaigns, run_full_campaign,
+                                     run_campaigns_pooled)
 from repro.core.report import (app_report_to_dict, findings_projection,
                                render_stage_counts, render_summary,
                                render_unsafe_params)
@@ -177,7 +180,7 @@ class TestMachineTimeAndRendering:
 
 
 # ---------------------------------------------------------------------------
-# application lanes: the same reports as the in-process loop
+# the pooled evaluation: the same reports as the in-process loop
 # ---------------------------------------------------------------------------
 #: a slice of the Table 3 parameters, so each mode below costs a third
 #: of a full evaluation: every app still pre-runs, pools, bisects and
@@ -188,10 +191,13 @@ FEW_PARAMS = frozenset(sorted(
 
 
 def _records(reports):
-    """Each app's ``app_report_to_dict`` as canonical JSON."""
+    """Each app's ``app_report_to_dict`` as canonical JSON, less what
+    depends on how the campaigns were scheduled."""
     records = []
     for report in reports:
         record = app_report_to_dict(report)
+        # the pool's counters, which the in-process loop does not have
+        record["supervision"] = None
         if record["store"] is not None:
             # Segments scanned at open count every app's segments in a
             # shared store, so they depend on which apps opened it first.
@@ -200,21 +206,22 @@ def _records(reports):
     return records
 
 
-def _in_lanes(config):
-    """Two lanes; fails if any campaign ran in this process instead (a
-    lane that died, say on an unpicklable report, would be re-run here
-    and hide behind an identical result)."""
-    parent, real_run = os.getpid(), Campaign.run
+def _pooled(config):
+    """Every app on one pool two workers wide; fails if a profile ran in
+    this process instead (a pool that ran nothing would hide behind an
+    identical result)."""
+    parent, real_run = os.getpid(), Campaign._run_profile_contained
 
-    def run(self):
-        assert os.getpid() != parent, "%s ran in-process" % self.app
-        return real_run(self)
+    def run(self, profile):
+        assert os.getpid() != parent, \
+            "%s ran in-process" % profile.test.full_name
+        return real_run(self, profile)
 
-    Campaign.run = run
+    Campaign._run_profile_contained = run
     try:
-        return lanes.run_in_lanes(application_campaigns(config), 2)
+        return run_campaigns_pooled(application_campaigns(config), 2)
     finally:
-        Campaign.run = real_run
+        Campaign._run_profile_contained = real_run
 
 
 def _in_process(config):
@@ -232,9 +239,12 @@ def _findings_digest(report):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# The tests named after lanes check what the per-application lanes the
+# pool replaced were checked for.
 def test_lanes_match_in_process_and_golden(in_process_records):
-    reports = _in_lanes(CampaignConfig())
+    reports = _pooled(CampaignConfig())
     assert [report.app for report in reports] == list(catalog.APP_NAMES)
+    assert all(report.supervision.workers_spawned == 2 for report in reports)
     assert _records(reports) == in_process_records
     with open(EVALUATE_GOLDEN) as handle:
         golden = json.load(handle)
@@ -253,13 +263,17 @@ def test_lanes_match_in_process(tmp_path, mode):
         }[mode]
         return CampaignConfig(only_params=FEW_PARAMS, **settings)
 
-    laned, serial = _in_lanes(config("lanes")), _in_process(config("serial"))
-    assert _records(laned) == _records(serial)
+    pooled, serial = _pooled(config("pooled")), _in_process(config("serial"))
+    assert _records(pooled) == _records(serial)
+    if mode == "checkpoint":
+        with open(tmp_path / "pooled") as pooled_journal, \
+                open(tmp_path / "serial") as serial_journal:
+            assert sorted(pooled_journal) == sorted(serial_journal)
     if mode == "observe":
-        assert [r.observation.metrics.render_prometheus() for r in laned] \
+        assert [r.observation.metrics.render_prometheus() for r in pooled] \
             == [r.observation.metrics.render_prometheus() for r in serial]
     if mode == "chaos":
-        assert any(report.fault_counts for report in laned)
+        assert any(report.fault_counts for report in pooled)
 
 
 def test_lanes_match_in_process_with_store_then_incremental(tmp_path):
@@ -267,89 +281,126 @@ def test_lanes_match_in_process_with_store_then_incremental(tmp_path):
         return CampaignConfig(store_path=str(tmp_path / side),
                               only_params=FEW_PARAMS, **extra)
 
-    assert _records(_in_lanes(config("lanes"))) \
+    assert _records(_pooled(config("pooled"))) \
         == _records(_in_process(config("serial")))
-    laned = _in_lanes(config("lanes", incremental=True))
-    assert _records(laned) == _records(_in_process(config("serial",
-                                                          incremental=True)))
-    plans = [report.plan.to_dict() for report in laned]
+    pooled = _pooled(config("pooled", incremental=True))
+    assert _records(pooled) == _records(_in_process(config("serial",
+                                                           incremental=True)))
+    plans = [report.plan.to_dict() for report in pooled]
     assert all(plan["reused"] == len(plan["profiles"]) for plan in plans)
 
 
 FALLBACKS = {
-    "workers": {"workers": 2},
-    "progress-stream": {"progress_stream": io.StringIO()},
-    "progress-hook": {"progress_hook": lambda snapshot: None},
-    "cancel-event": {"cancel_event": threading.Event()},
     "distributed": {"distributed": "127.0.0.1:0"},
-    "disk-faults": {"disk_fault_plan": DiskFaultPlan(seed=1,
-                                                     torn_write_prob=0.5)},
     "no-fork": {},
     "one-cpu": {},
-    "other-thread": {},
 }
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_each_fallback_condition_runs_in_process(monkeypatch, name):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    # only_params=() leaves nothing but the pre-run: cheap
-    config = CampaignConfig(only_params=frozenset(), **FALLBACKS[name])
-    assert lanes.lane_count(CampaignConfig(), 6) == 4
-    assert lanes.lane_count(CampaignConfig(disk_fault_plan=DiskFaultPlan()),
-                            6) == 4  # an all-zero plan is inactive
     if name == "no-fork":
         monkeypatch.setattr(parallel, "fork_available", lambda: False)
     elif name == "one-cpu":
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    elif name == "other-thread":
-        monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert lanes.lane_count(config, 6) == 1
-    if name == "distributed":
-        return  # running it would start a coordinator and wait for a fleet
 
-    def no_lanes(campaigns, count):
-        raise AssertionError("lanes used despite a fallback condition")
+    def no_pool(campaigns, width):
+        raise AssertionError("pooled despite a fallback condition")
 
-    monkeypatch.setattr(lanes, "run_in_lanes", no_lanes)
-    report = run_full_campaign(config)
+    # a distributed run would start a coordinator and wait for a fleet
+    ran = []
+    monkeypatch.setattr(orchestrator, "run_campaigns_pooled", no_pool)
+    monkeypatch.setattr(Campaign, "run",
+                        lambda self: ran.append(self.app) or self.app)
+    report = run_full_campaign(CampaignConfig(**FALLBACKS[name]))
+    assert report.apps == ran == list(catalog.APP_NAMES)
+
+
+POOLED_UNDER = {
+    "workers": lambda tmp_path: {"workers": 2},
+    "progress-stream": lambda tmp_path: {"progress_stream": io.StringIO()},
+    "progress-hook": lambda tmp_path: {"progress_hook":
+                                       lambda snapshot: None},
+    "cancel-event": lambda tmp_path: {"cancel_event": threading.Event()},
+    "disk-faults": lambda tmp_path: {
+        "store_path": str(tmp_path / "store"),
+        "disk_fault_plan": DiskFaultPlan(seed=1, torn_write_prob=0.5)},
+    "other-thread": lambda tmp_path: {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_UNDER))
+def test_evaluate_runs_on_the_pool_under(tmp_path, monkeypatch, name):
+    # what used to keep the evaluation in process: only_params=() leaves
+    # nothing but the pre-run, cheap
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    config = CampaignConfig(only_params=frozenset(),
+                            **POOLED_UNDER[name](tmp_path))
+    busy = threading.Event()
+    if name == "other-thread":
+        threading.Thread(target=busy.wait, daemon=True).start()
+    try:
+        report = run_full_campaign(config)
+    finally:
+        busy.set()
     assert [app.app for app in report.apps] == list(catalog.APP_NAMES)
+    # one pool, two workers wide, served every app
+    pool = report.apps[0].supervision
+    assert pool.workers_spawned == 2
+    assert all(app.supervision is pool for app in report.apps)
+    if name == "progress-stream":
+        text = config.progress_stream.getvalue()
+        assert all("[%s] profiles" % app in text for app in catalog.APP_NAMES)
 
 
-def test_killed_lane_is_rerun_in_process(monkeypatch, in_process_records):
-    parent, real_run = os.getpid(), Campaign.run
+def test_killed_worker_is_redelivered(tmp_path, monkeypatch,
+                                      in_process_records):
+    # the first worker to start a yarn profile dies; a fresh worker runs
+    # the profile again
+    marker, real_run = str(tmp_path / "killed"), \
+        Campaign._run_profile_contained
 
-    def run(self):
-        if self.app == "yarn" and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real_run(self)
+    def run(self, profile):
+        if self.app == "yarn":
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(self, profile)
 
-    monkeypatch.setattr(Campaign, "run", run)
-    reports = lanes.run_in_lanes(application_campaigns(CampaignConfig()), 2)
+    monkeypatch.setattr(Campaign, "_run_profile_contained", run)
+    reports = _pooled(CampaignConfig())
     assert _records(reports) == in_process_records
+    supervision = reports[0].supervision
+    assert (supervision.crashes, supervision.redeliveries) == (1, 1)
 
 
 def test_lane_error_is_reraised_for_first_failing_app(monkeypatch):
-    def run(self):
-        if self.app == "hbase":
-            time.sleep(0.5)  # so that yarn's error arrives first
+    # campaigns are prepared in catalog order, before the pool starts
+    real_open = Campaign._open_checkpoint
+    opened = []
+
+    def open_checkpoint(self):
+        opened.append(self.app)
         if self.app in ("hbase", "yarn"):
             raise CheckpointError("journal refused for %s" % self.app)
-        return self.app
+        return real_open(self)
 
-    monkeypatch.setattr(Campaign, "run", run)
+    monkeypatch.setattr(Campaign, "_open_checkpoint", open_checkpoint)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     # hbase is earlier in catalog order, so its error is the one the
     # serial loop would have raised
-    with pytest.raises(CheckpointError, match="refused for hbase$") as info:
-        _in_lanes(CampaignConfig())
-    assert "Traceback" in str(info.value.__cause__)
+    with pytest.raises(CheckpointError, match="refused for hbase$"):
+        run_full_campaign(CampaignConfig())
+    assert opened == ["flink", "hadooptools", "hbase"]
 
 
 def test_cli_refusal_from_a_lane_keeps_exit_code(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
     journal = tmp_path / "ck.jsonl"
     journal.write_text(json.dumps({"kind": "header", "app": "flink",
                                    "alpha": 0.5}) + "\n")
@@ -378,40 +429,78 @@ def _processes():
 
 @pytest.mark.skipif(not os.path.isdir("/proc") or not parallel.fork_available(),
                     reason="needs fork and /proc")
-def test_lanes_exit_promptly_when_their_parent_dies():
+def test_lanes_exit_promptly_when_their_parent_dies(tmp_path):
+    # both workers of the pool are stuck in a profile when their parent
+    # is SIGKILLed; their heartbeats must find the link lost
     campaigns = application_campaigns(CampaignConfig())
+    busy = str(tmp_path)
     parent = os.fork()
-    if parent == 0:  # pragma: no cover - the lanes' parent
+    if parent == 0:  # pragma: no cover - the pool's parent
         try:
-            Campaign.run = lambda self: time.sleep(120)  # lanes stay busy
-            lanes.run_in_lanes(campaigns, 2)
+            def stuck(self, profile):
+                open(os.path.join(busy, str(os.getpid())), "w").close()
+                time.sleep(120)
+
+            Campaign._run_profile_contained = stuck
+            run_campaigns_pooled(campaigns, 2)
         finally:
             os._exit(1)
     try:
-        deadline = time.monotonic() + 30
-        lane_pids = set()
-        while len(lane_pids) < 2 and time.monotonic() < deadline:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(busy)) < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
-            lane_pids = {pid for pid, ppid, _ in _processes()
-                         if ppid == parent}
-        assert len(lane_pids) == 2
+        worker_pids = {int(name) for name in os.listdir(busy)}
+        assert len(worker_pids) == 2
+        assert worker_pids == {pid for pid, ppid, _ in _processes()
+                               if ppid == parent}
     finally:
         os.kill(parent, signal.SIGKILL)
         os.waitpid(parent, 0)
 
     def alive():
-        return lane_pids & {pid for pid, _, _ in _processes()}
+        return worker_pids & {pid for pid, _, _ in _processes()}
 
     deadline = time.monotonic() + 3
     while alive() and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not alive()
+    left = alive()
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, "workers outlived their parent: %s" % left
+
+
+def _journaled_tests(path):
+    """The ``test-done`` records' test names, in journal order."""
+    done = []
+    with open(path) as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # the append the kill tore
+            if record["kind"] == "test-done":
+                done.append(record["test"])
+    return done
+
+
+def _without_supervision(path):
+    """An evaluate report minus each app's pool counters: a resume starts
+    no pool for an app the journal already holds."""
+    with open(path) as handle:
+        record = json.load(handle)
+    for app in record["apps"]:
+        app.pop("supervision")
+    return record
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc") or not parallel.fork_available(),
                     reason="needs fork and /proc")
 def test_sigkilled_evaluate_leaves_no_lanes_and_resumes_identically(
         tmp_path):
+    # Every forked worker is gone within 2 s of the parent's SIGKILL, and
+    # the resume reports what an uninterrupted run reports.  At
+    # --workers 1 each app's profiles run on the pool one at a time, in
+    # catalog order, so the findings do not depend on completion order.
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
 
@@ -425,29 +514,42 @@ def test_sigkilled_evaluate_leaves_no_lanes_and_resumes_identically(
     journal = tmp_path / "killed.jsonl"
     child = subprocess.Popen(evaluate(journal, tmp_path / "unused.json"),
                              env=env, stdout=subprocess.DEVNULL)
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline and child.poll() is None:
-        if journal.exists() and \
-                journal.read_text(errors="replace").count('"test-done"') >= 8:
-            break
-        time.sleep(0.05)
-    assert child.poll() is None, "evaluate finished before it was killed"
-    child.send_signal(signal.SIGKILL)
-    child.wait(timeout=30)
+    try:
+        deadline = time.monotonic() + 120
+        while not journal.exists() or journal.read_text(
+                errors="replace").count('"test-done"') < 8:
+            assert child.poll() is None, \
+                "evaluate finished before it was killed"
+            assert time.monotonic() < deadline, "journal stalled"
+            time.sleep(0.02)
+        # evaluate pools only on two or more usable CPUs
+        width = parallel.usable_cpus()
+        workers = [pid for pid, ppid, _ in _processes() if ppid == child.pid]
+        assert len(workers) == (width if width > 1 else 0), workers
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    killed = time.monotonic()
 
-    def leftovers():  # lanes share the killed parent's command line
+    def leftovers():  # workers share the killed parent's command line
         return [pid for pid, _, cmdline in _processes()
                 if str(journal) in cmdline]
 
-    deadline = time.monotonic() + 10
-    while leftovers() and time.monotonic() < deadline:
-        time.sleep(0.1)
-    assert leftovers() == []
+    while leftovers() and time.monotonic() - killed < 2.0:
+        time.sleep(0.01)
+    left = leftovers()
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, "workers outlived their parent: %s" % left
 
+    killed_at = len(_journaled_tests(journal))
     subprocess.run(evaluate(journal, tmp_path / "resumed.json"), env=env,
                    stdout=subprocess.DEVNULL, check=True, timeout=300)
     subprocess.run(evaluate(tmp_path / "whole.jsonl", tmp_path / "whole.json"),
                    env=env, stdout=subprocess.DEVNULL, check=True,
                    timeout=300)
-    assert (tmp_path / "resumed.json").read_bytes() \
-        == (tmp_path / "whole.json").read_bytes()
+    assert _without_supervision(tmp_path / "resumed.json") \
+        == _without_supervision(tmp_path / "whole.json")
+    done = _journaled_tests(journal)
+    assert killed_at < len(done), (killed_at, len(done))
+    assert len(done) == len(set(done)), "resume re-ran journaled profiles"

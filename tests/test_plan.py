@@ -35,7 +35,7 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.confagent import current_agent
 from repro.core.jobqueue import JobSpecError, canonical_spec
 from repro.core.orchestrator import (Campaign, CampaignCancelled,
-                                     CampaignConfig)
+                                     CampaignConfig, run_campaigns_pooled)
 from repro.core.plan import (PLAN_NEW, PLAN_RERUN, PLAN_REUSE,
                              SAMPLE_DISSIMILARITY, SAMPLE_PAIRWISE,
                              SAMPLE_RANDOM_K, profile_key, sample_cells)
@@ -418,11 +418,12 @@ class TestIncrementalCampaign:
 
 
 class TestCatalogPositionFold:
-    def test_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
-        # hdfs couples profiles through the frequent-failure blacklist,
-        # so each profile the edit reruns must see the confirmations of
-        # exactly the profiles before it in catalog order, not those of
-        # every profile the plan reuses.
+    """hdfs couples profiles through the frequent-failure blacklist, so
+    each profile an edit of ``fs.trash.interval`` reruns must see the
+    confirmations of exactly the profiles before it in catalog order,
+    not those of every profile the plan reuses."""
+
+    def edited_run(self, tmp_path, rerun):
         from repro.apps import catalog
         spec = catalog.spec_for("hdfs")
         edited = ParamRegistry(spec.registry.app)
@@ -432,17 +433,30 @@ class TestCatalogPositionFold:
                                             tags=param.tags + ("edited",))
             edited.register(param)
 
-        def run(registry, **kw):
+        def campaign(registry, **kw):
             return Campaign("hdfs", registry,
                             dependency_rules=spec.dependency_rules,
-                            config=CampaignConfig(**kw)).run()
+                            config=CampaignConfig(**kw))
 
         store = str(tmp_path / "store")
-        run(spec.registry, store_path=store)
-        rerun = run(edited, store_path=store, incremental=True)
-        summary = plan_dict(rerun)
+        campaign(spec.registry, store_path=store).run()
+        report = rerun(campaign(edited, store_path=store, incremental=True))
+        summary = plan_dict(report)
         assert summary["rerun"] and summary["reused"]
-        assert findings(rerun) == findings(run(edited))
+        assert findings(report) == findings(campaign(edited).run())
+        return report
+
+    def test_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
+        self.edited_run(tmp_path, Campaign.run)
+
+    @pytest.mark.skipif(not parallel.fork_available(), reason="needs fork")
+    def test_pooled_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
+        # the full evaluation's pool at --workers 1: the reused profiles
+        # are folded before it starts, so each lease must carry only the
+        # confirmations of the profiles before it
+        report = self.edited_run(
+            tmp_path, lambda campaign: run_campaigns_pooled([campaign], 2)[0])
+        assert report.supervision.workers_spawned == 1
 
 
 class TestInterruptionAndResume:
