@@ -192,12 +192,13 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers (default 1); >1 runs "
                              "profiles on the supervised pool of forked "
-                             "processes (`evaluate` pools every app, at "
-                             "most N profiles of one app at a time, as "
-                             "wide as the usable CPUs at 1), and `worker "
-                             "--workers N` forks N lease clients, each its "
-                             "own fleet member (serially / one client where "
-                             "fork is unavailable)")
+                             "processes (`evaluate` pools the apps with "
+                             "profiles to run, at most N profiles of one "
+                             "app at a time, as wide as the usable CPUs at "
+                             "1 when two or more apps have some), and "
+                             "`worker --workers N` forks N lease clients, "
+                             "each its own fleet member (in process / one "
+                             "client where fork is unavailable)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="durable cross-campaign result store: implies "
                              "--exec-cache accounting, persists outcomes and "

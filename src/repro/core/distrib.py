@@ -5,8 +5,8 @@ grows the harness past one host.  A **coordinator** (the campaign
 parent) serves unit-test profiles over the length-prefixed JSON TCP
 protocol in :mod:`repro.common.transport`, and any number of **workers**
 (``repro worker --connect HOST:PORT``) run :func:`serve_leases`: fetch
-one lease, load the confirmations it carries into the campaign's
-blacklist tracker, run the profile, ship the outcome — the profile
+one lease, run the profile on a blacklist tracker started from the
+confirmations it carries, ship the outcome — the profile
 record (:func:`repro.core.parallel.profile_outcome_to_dict`) plus the
 profile's observation and store traffic — and wait for the ack.  The
 supervised pool's forked workers run the same loop over a
@@ -40,16 +40,16 @@ crashes, or answers late must never corrupt findings:
   completion; the first copy to finish wins, the rest are suppressed.
 * **Graceful degradation.**  If no worker is live for
   ``dist_join_grace_s`` — from the start until the first one joins, and
-  from the last loss after that — the coordinator closes shop and the
-  campaign finishes the remaining profiles on the local pool: a lost
-  fleet degrades, it never aborts.
+  from the last loss after that — the coordinator closes shop and
+  :func:`repro.core.orchestrator.run_campaigns` runs the remaining
+  profiles on its local front, each from its lease's confirmations: a
+  lost fleet degrades, it never aborts.
 
 Findings stay byte-identical to serial runs because the coordinator
-commits outcomes through the same :func:`repro.core.parallel.commit_outcome`
-path every backend uses, and the campaign folds them back in catalog
-order (:meth:`Campaign._finish`).  The lease queue is in
-:func:`repro.core.parallel.dispatch_order`, which — like every
-dispatch-order choice — affects wall-clock makespan only.
+leases profiles in catalog order, each with the confirmations of the
+profiles before it, commits outcomes through the same
+:func:`repro.core.parallel.commit_outcome` path every front uses, and
+the campaign folds them back in catalog order (:meth:`Campaign._finish`).
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class Coordinator:
         self.profiles = list(profiles)
         self.host, self.port = host, port
         self.stats = campaign.distribution
-        #: grant order = dispatch order.
+        #: grants in the order given: catalog order.
         self.book = parallel.LeaseBook(
             [parallel.Job(campaign, self.profiles, checkpoint, tests_by_name)],
             self.stats, announce=("dist-quarantine", "coordinator"))
@@ -203,7 +203,7 @@ class Coordinator:
 
         Returns ``(outcomes by test name, remaining profiles)`` —
         ``remaining`` is non-empty exactly when the campaign must finish
-        the rest on the local pool.
+        the rest here.
         """
         self._listen()
         accept_thread = threading.Thread(target=self._accept_loop,
@@ -489,26 +489,19 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 # orchestrator entry point
 # ---------------------------------------------------------------------------
-def run_profiles_distributed(campaign: Any, profiles: Sequence[Any],
-                             checkpoint: Optional[Any],
-                             tests_by_name: Mapping[str, UnitTest]
-                             ) -> Dict[str, Any]:
-    """Run ``profiles`` over the remote fleet, locally finishing whatever
-    the fleet could not.  Outcomes come back keyed by test name."""
-    config = campaign.config
-    host, port = net.parse_address(config.distributed)
+def run_profiles_distributed(job: parallel.Job
+                             ) -> Tuple[Dict[str, Any], List[Any]]:
+    """Serve ``job``'s profiles to the remote fleet, in order: the
+    outcomes of those it finished, by test name, and the profiles it
+    left (none unless it degraded), which the caller runs here."""
+    campaign = job.campaign
+    host, port = net.parse_address(campaign.config.distributed)
     campaign.distribution.enabled = True
-    # Grant order is pure makespan: the fold stays catalog-ordered.
-    order = parallel.dispatch_order(campaign, profiles)
-    coordinator = Coordinator(campaign, order, checkpoint, tests_by_name,
-                              host=host, port=port)
-    outcomes, remaining = coordinator.serve()
-    if remaining:
-        # Graceful degradation: the local machine finishes the campaign.
-        campaign.distribution.local_profiles = len(remaining)
-        outcomes.update(campaign._run_locally(remaining, checkpoint,
-                                              tests_by_name))
-    return outcomes
+    outcomes, remaining = Coordinator(
+        campaign, job.profiles, job.checkpoint, job.tests_by_name,
+        host=host, port=port).serve()
+    campaign.distribution.local_profiles = len(remaining)
+    return outcomes, remaining
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 :class:`Campaign` drives ZebraConf end-to-end for one application, and
 :func:`run_full_campaign` reproduces the paper's whole evaluation across
-all target applications.  Unit tests are independent, so profiles fan
-out across worker processes, every application's on one supervised
-pool in the full evaluation (the paper used up to 100 machines; §4
-"Test in parallel").
+all target applications.  Both run through :func:`run_campaigns`, the
+one scheduler: it prepares each campaign, decides where the pending
+profiles run — the remote fleet, the supervised pool or this process —
+and folds each campaign in catalog order.  Unit tests are independent,
+so profiles may fan out across processes and hosts (the paper used up
+to 100 machines; §4 "Test in parallel"); every front grants them in
+catalog order, and each profile's blacklist reads start from the
+confirmations of the profiles before it, so where a profile ran does
+not change findings.
 """
 
 from __future__ import annotations
@@ -211,8 +216,8 @@ class CampaignConfig:
     #: service layer (repro.core.jobqueue) to stream NDJSON events.
     progress_hook: Optional[Any] = None
     #: threading.Event; when set the campaign raises CampaignCancelled
-    #: instead of starting the next profile.  The serial loop checks it
-    #: before each profile; the supervised pool checks it on every tick
+    #: instead of starting the next profile.  The in-process front checks
+    #: it before each profile; the supervised pool checks it on every tick
     #: and kills its in-flight workers (their profiles rerun on resume).
     #: A distributed coordinator only observes it once its fleet drains.
     #: Deliberately NOT part of checkpoint_settings(): cancellation is a
@@ -371,20 +376,7 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def run(self) -> AppReport:
-        with self._running():
-            run = self._prepare(serial=self.config.distributed is None and not (
-                self.config.workers > 1 and parallel.fork_available()))
-            if self.config.distributed is not None and run.pending:
-                # Remote fleet first; whatever it cannot finish degrades
-                # to _run_locally.  _finish folds in catalog order, so
-                # where a profile ran cannot change findings.
-                from repro.core.distrib import run_profiles_distributed
-                run.outcomes.update(run_profiles_distributed(
-                    self, run.pending, run.checkpoint, run.tests_by_name))
-            elif run.pending:
-                run.outcomes.update(self._run_locally(
-                    run.pending, run.checkpoint, run.tests_by_name))
-            return self._finish(run)
+        return run_campaigns([self])[0]
 
     def _observing(self) -> bool:
         return (self.config.observe
@@ -429,12 +421,11 @@ class Campaign:
                 self._store.close()
                 self._store = None
 
-    def _prepare(self, serial: bool) -> "_Run":
+    def _prepare(self) -> "_Run":
         """The pre-run, the journal, the store, the plan, and the
-        journal-restored and plan-REUSE folds, each at its catalog
-        position.  A ``serial`` campaign runs each pending profile there
-        too, so its blacklist reads see exactly the profiles before it;
-        otherwise they are left in ``pending``."""
+        journal-restored and plan-REUSE folds, in catalog order; every
+        other usable profile is left in ``pending`` for
+        :func:`run_campaigns` to run."""
         self._check_cancelled()
         obs = self.observation
         if obs is not None:
@@ -479,7 +470,9 @@ class Campaign:
         # still-pending (run for real).  Every finished profile commits
         # through parallel.commit_outcome.  Outcomes are assembled keyed
         # by test and folded back in the original profile order so a
-        # resumed campaign reproduces the interrupted one bit for bit.
+        # resumed campaign reproduces the interrupted one bit for bit,
+        # and a pending profile's lease carries only the confirmations
+        # of the profiles before it, however many folds commit first.
         if self._progress is not None:
             self._progress.total = len(usable)
         for profile in usable:
@@ -493,9 +486,6 @@ class Campaign:
                     and self._plan.decision(name) == PLAN_REUSE:
                 outcome = self._fold_planned_profile(profile, checkpoint,
                                                      tests_by_name)
-            if outcome is None and serial:
-                outcome = self._run_locally([profile], checkpoint,
-                                            tests_by_name)[name]
             if outcome is None:
                 run.pending.append(profile)
             else:
@@ -793,59 +783,31 @@ class Campaign:
             self._store.append_profile(key, name, record,
                                        confirmed=confirmed)
 
-    def _run_locally(self, profiles: Sequence[TestProfile],
-                     checkpoint: Optional[CampaignCheckpoint],
-                     tests_by_name: Mapping[str, UnitTest]
-                     ) -> Dict[str, ProfileOutcome]:
-        """Run ``profiles`` on this host; outcomes keyed by test name.
-
-        ``workers > 1`` with ``fork`` available runs the supervised pool
-        (repro.core.supervise) in
-        :func:`repro.core.parallel.dispatch_order`; anything else runs
-        serially, in the order given.  Every outcome commits through
-        :func:`repro.core.parallel.commit_outcome` the moment it
-        finishes.
-        """
-        if self.config.workers > 1 and parallel.fork_available():
-            # Dispatch order is a pure makespan concern: outcomes are
-            # keyed by test and folded back in catalog order, so
-            # reordering here cannot change findings or deterministic
-            # metrics.
-            profiles = parallel.dispatch_order(self, profiles)
-            from repro.core.supervise import run_profiles_parallel
-            return run_profiles_parallel(self, profiles, checkpoint,
-                                         tests_by_name)
-        outcomes: Dict[str, ProfileOutcome] = {}
-        for profile in profiles:
-            self._check_cancelled()
-            name = profile.test.full_name
-            outcome = self._run_profile_contained(profile)
-            parallel.commit_outcome(self, checkpoint, name, outcome)
-            outcomes[name] = outcome
-        return outcomes
-
     def _run_lease(self, profile: TestProfile,
                    confirmations: Iterable[Sequence[str]]
                    ) -> Tuple[ProfileOutcome, Optional[Dict[str, int]]]:
-        """Run a leased profile from exactly the lease's (parameter, test)
-        ``confirmations``, whatever this process's tracker held; return
-        its outcome and the store traffic it made (None: no store)."""
-        self.tracker = FrequentFailureTracker(self.config.blacklist_threshold)
+        """Run a leased profile on a private tracker started from exactly
+        the lease's (parameter, test) ``confirmations``, whatever the
+        campaign's tracker holds; return its outcome and the store
+        traffic it made (None: no store)."""
+        tracker = FrequentFailureTracker(self.config.blacklist_threshold)
         for param, test in confirmations:
-            self.tracker.record_unsafe(param, test)
+            tracker.record_unsafe(param, test)
         before = None if self._store is None else self._store.traffic()
-        outcome = self._run_profile_contained(profile)
+        outcome = self._run_profile_contained(profile, tracker)
         if before is None:
             return outcome, None
         return outcome, {name: count - before[name] for name, count
                          in self._store.traffic().items()
                          if count != before[name]}
 
-    def _run_profile_contained(self, profile: TestProfile) -> ProfileOutcome:
+    def _run_profile_contained(self, profile: TestProfile,
+                               tracker: FrequentFailureTracker
+                               ) -> ProfileOutcome:
         """Run one profile, containing harness crashes as a degraded
         outcome instead of letting them abort the campaign."""
         try:
-            return self._run_test_profile(profile)
+            return self._run_test_profile(profile, tracker)
         except Exception:  # noqa: BLE001 - graceful degradation
             return ProfileOutcome(error=traceback.format_exc(),
                                   error_kind=HARNESS_ERROR)
@@ -1040,26 +1002,29 @@ class Campaign:
         return tuple(centers[:limit])
 
     # ------------------------------------------------------------------
-    def _run_test_profile(self, profile: TestProfile) -> ProfileOutcome:
-        """All pooled testing for one unit test (parallelism granule).
+    def _run_test_profile(self, profile: TestProfile,
+                          tracker: FrequentFailureTracker) -> ProfileOutcome:
+        """All pooled testing for one unit test (parallelism granule),
+        its blacklist reads answered by ``tracker``.
 
         With observation on, the profile gets its *own* Observation —
-        single-threaded by construction whether it runs in the serial
-        loop or a forked worker — serialised onto the outcome so the
-        parent can merge it deterministically.
+        single-threaded by construction whether it runs in process or in
+        a forked worker — serialised onto the outcome so the parent can
+        merge it deterministically.
         """
         if not self._observing():
-            return self._profile_body(profile, None)
+            return self._profile_body(profile, tracker, None)
         obs = Observation(metrics=MetricsRegistry(
             constant_labels={"app": self.app}))
         with obs.span(profile.test.full_name, kind="profile") as span:
-            outcome = self._profile_body(profile, obs)
+            outcome = self._profile_body(profile, tracker, obs)
             if outcome.error_kind:
                 span.attrs["error_kind"] = outcome.error_kind
         outcome.observation = obs.to_wire()
         return outcome
 
     def _profile_body(self, profile: TestProfile,
+                      tracker: FrequentFailureTracker,
                       obs: Optional[Observation]) -> ProfileOutcome:
         runner = TestRunner(alpha=self.config.alpha,
                             max_trials=self.config.max_trials,
@@ -1071,7 +1036,7 @@ class Campaign:
                             cache=self._build_cache(),
                             collapse_exclude=profile.explicit_sets,
                             observe=obs)
-        tester = PooledTester(runner, tracker=self.tracker,
+        tester = PooledTester(runner, tracker=tracker,
                               max_pool_size=self.config.max_pool_size)
         results: List[InstanceResult] = []
         error = ""
@@ -1198,48 +1163,71 @@ def application_campaigns(config: Optional[CampaignConfig] = None
 
 
 def run_full_campaign(config: Optional[CampaignConfig] = None) -> CampaignReport:
-    """Every application's campaign, reported in catalog order: on one
-    supervised pool ``workers`` wide, or as wide as the usable CPUs at
-    ``workers == 1`` (:func:`run_campaigns_pooled`); one after another
-    in this process under ``distributed`` (a coordinator per campaign),
-    without ``fork`` or on one usable CPU.  Findings are the same
-    either way."""
-    campaigns = application_campaigns(config)
-    config = campaigns[0].config
-    width = config.workers if config.workers > 1 else parallel.usable_cpus()
-    if config.distributed is not None or not parallel.fork_available() \
-            or width < 2:
-        return CampaignReport(apps=[campaign.run() for campaign in campaigns])
-    return CampaignReport(apps=run_campaigns_pooled(campaigns, width))
+    """Every application's campaign, reported in catalog order."""
+    return CampaignReport(apps=run_campaigns(application_campaigns(config)))
 
 
-def run_campaigns_pooled(campaigns: Sequence[Campaign],
-                         width: int) -> List[AppReport]:
-    """Run ``campaigns`` on one supervised pool of ``width`` workers;
-    reports come back in the order given.
+def run_campaigns(campaigns: Sequence[Campaign]) -> List[AppReport]:
+    """Run ``campaigns``; reports come back in the order given.
 
-    Each campaign is prepared here, in order, then every campaign's
-    pending profiles go to :func:`repro.core.supervise.run_pool` (at
-    most ``workers`` of one campaign at a time, each in catalog order,
-    the campaign with the most first), and each campaign is folded here,
-    its audit included.  At ``workers == 1`` every blacklist read is
-    the serial run's."""
+    The one scheduler.  Each campaign is prepared here, in order (its
+    journal-restored and plan-REUSE profiles fold there).  Under
+    ``distributed`` each campaign's pending profiles are served to the
+    remote fleet in turn.  Whatever is left runs on one local front: the
+    supervised pool (:func:`repro.core.supervise.run_profiles_parallel`,
+    the campaign with the most pending profiles first) where ``fork``
+    exists and either ``workers > 1`` or, at ``workers == 1``, two or
+    more campaigns have pending profiles on two or more usable CPUs;
+    otherwise the in-process loop.  Every front grants in catalog order
+    from a :class:`~repro.core.parallel.LeaseBook`, each profile running
+    from its lease's confirmations.  Each campaign is then folded here,
+    its audit included.  The campaigns share the first one's scheduling
+    settings (``workers``, ``distributed``)."""
     with contextlib.ExitStack() as stack:
         runs = []
         for campaign in campaigns:
             stack.enter_context(campaign._running())
-            runs.append(campaign._prepare(serial=False))
-        jobs = sorted((parallel.Job(campaign, run.pending, run.checkpoint,
-                                    run.tests_by_name)
-                       for campaign, run in zip(campaigns, runs)
-                       if run.pending),
-                      key=lambda job: -len(job.profiles))
-        if jobs:
-            from repro.core.supervise import run_pool
-            outcomes = run_pool(jobs, width)
-            for run in runs:
-                run.outcomes.update((p.test.full_name,
-                                     outcomes[p.test.full_name])
-                                    for p in run.pending)
+            runs.append(campaign._prepare())
+        jobs = [parallel.Job(campaign, run.pending, run.checkpoint,
+                             run.tests_by_name)
+                for campaign, run in zip(campaigns, runs) if run.pending]
+        config = campaigns[0].config
+        outcomes: Dict[str, ProfileOutcome] = {}
+        if config.distributed is not None:
+            from repro.core.distrib import run_profiles_distributed
+            left = []
+            for job in jobs:
+                done, remaining = run_profiles_distributed(job)
+                outcomes.update(done)
+                if remaining:
+                    left.append(replace(job, profiles=remaining))
+            jobs = left
+        width = config.workers if config.workers > 1 \
+            else parallel.usable_cpus()
+        if jobs and parallel.fork_available() and (
+                config.workers > 1 or (len(jobs) > 1 and width > 1)):
+            from repro.core.supervise import run_profiles_parallel
+            outcomes.update(run_profiles_parallel(
+                sorted(jobs, key=lambda job: -len(job.profiles)), width))
+        elif jobs:
+            outcomes.update(_run_in_process(jobs))
+        for run in runs:
+            run.outcomes.update((p.test.full_name, outcomes[p.test.full_name])
+                                for p in run.pending)
         return [campaign._finish(run)
                 for campaign, run in zip(campaigns, runs)]
+
+
+def _run_in_process(jobs: Sequence[parallel.Job]
+                    ) -> Dict[str, ProfileOutcome]:
+    """The in-process front: each job's profiles one at a time, in
+    order, each run from its lease's confirmations as a pool worker
+    runs it and committed before the next is granted."""
+    book = parallel.LeaseBook(jobs)
+    while not book.done():
+        task = book.grant(None)
+        job, profile = book.units[task["task"]]
+        job.campaign._check_cancelled()
+        outcome, _ = job.campaign._run_lease(profile, task["confirmations"])
+        book.commit(task["task"], outcome)
+    return book.outcomes

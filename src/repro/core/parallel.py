@@ -1,14 +1,11 @@
 """Shared plumbing for running profiles across processes.
 
-Campaigns run their unit-test profiles on this host one of two ways:
-serially in the campaign process, or — at ``workers > 1``, and in the
-full evaluation, where ``fork`` is available — on the supervised pool
-of forked workers in
-:mod:`repro.core.supervise`, which are lease clients of the same
-protocol the remote fleet of :mod:`repro.core.distrib` speaks.  The
-simulation is pure Python, so only processes give real parallelism;
-platforms without ``fork`` run serially.  This module holds what every
-path shares:
+:func:`repro.core.orchestrator.run_campaigns` runs pending profiles on
+one of three fronts over one :class:`LeaseBook`: the remote fleet of
+:mod:`repro.core.distrib`, the supervised pool of forked workers in
+:mod:`repro.core.supervise`, or an in-process loop.  The simulation is
+pure Python, so only processes give real parallelism; platforms without
+``fork`` run in process.  This module holds what every front shares:
 
 * **The record.**  :func:`profile_outcome_to_dict` /
   :func:`profile_outcome_from_dict` are the one JSON-able form of a
@@ -19,20 +16,19 @@ path shares:
 * **The commit.**  :func:`commit_outcome` is the one way a finished
   profile enters the campaign, whether it ran here, came back from a
   worker, was restored from the journal or was reused from the store:
-  its confirmations replay into the real frequent-failure tracker, its
-  ``test-done`` record is journaled (when a checkpoint is given) and the
-  live observability fold runs, **as each profile completes**.  A
-  mid-campaign crash therefore loses only the in-flight profiles.
+  its confirmations replay into the campaign's frequent-failure
+  tracker, its ``test-done`` record is journaled (when a checkpoint is
+  given) and the live observability fold runs, **as each profile
+  completes**.  A mid-campaign crash therefore loses only the in-flight
+  profiles.
+* **The lease book.**  :class:`LeaseBook` is the queue every front
+  grants from, in catalog order, and the failure policy the pool and
+  the coordinator share, with the :data:`REDELIVERY` bound on lost
+  leases.  Each lease carries the blacklist confirmations committed
+  before it in catalog order, and the profile runs from exactly those.
   Profiles of one campaign that run side by side do not see each
   other's confirmations, so run-to-run byte-identity at ``workers > 1``
   requires decoupled profiles.
-* **The dispatch order.**  :func:`dispatch_order` is the queue the
-  supervised pool and the distributed coordinator hand profiles out
-  from: longest first by measured pre-run weight.  Serial runs keep
-  catalog order.
-* **The lease book.**  :class:`LeaseBook` is the failure policy both of
-  them share, with the :data:`REDELIVERY` bound on lost leases; each
-  lease carries the blacklist confirmations committed before it.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.checkpoint import result_from_dict, result_to_dict
-from repro.core.plan import profile_testable_params
 from repro.core.pooling import PoolStats
 from repro.core.registry import UnitTest
 from repro.core.runner import WORKER_CRASH
@@ -126,27 +121,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def dispatch_order(campaign: Any, profiles: Sequence[Any]) -> List[Any]:
-    """``profiles`` longest first, as a new list: the pre-run's measured
-    wall time times the number of parameters the campaign will test on
-    the profile, ties broken on test name.  Outcomes fold back in
-    catalog order, so the order moves wall clock only, never findings."""
-    def weight(profile: Any) -> float:
-        return profile.prerun_wall_s * len(
-            profile_testable_params(campaign, profile))
-    return sorted(profiles, key=lambda p: (-weight(p), p.test.full_name))
-
-
 def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
                    outcome: Any) -> None:
     """Fold one finished profile into the campaign, in the parent.
 
     Frequent-failure bookkeeping feeds both future blacklisting and the
-    final report's blacklist section.  A forked or remote worker's
-    tracker is a private copy, and a restored or reused profile never
-    ran here, so its confirmations are replayed; for a serial profile
-    the replay is a no-op, because the tracker counts distinct
-    (parameter, test) pairs.  The ``test-done`` journal record is
+    final report's blacklist section.  Every profile runs on a private
+    tracker started from its lease, and a restored or reused profile
+    never ran here, so its confirmations are replayed into the
+    campaign's tracker.  The ``test-done`` journal record is
     written immediately — the incremental-journaling invariant
     crash-resume relies on; a profile restored from the journal commits
     with no checkpoint.
@@ -161,12 +144,12 @@ def commit_outcome(campaign: Any, checkpoint: Optional[Any], name: str,
 
 
 # ---------------------------------------------------------------------------
-# the lease book: the supervised pool's and the coordinator's policy
+# the lease book: every front's queue, the pool's and the fleet's policy
 # ---------------------------------------------------------------------------
 @dataclass(eq=False)
 class Job:
-    """One campaign's profiles for a lease book, in the order it grants
-    them, with where their commits go."""
+    """One campaign's pending profiles for a lease book, in catalog
+    order, with where their commits go."""
 
     campaign: Any
     profiles: Sequence[Any]
@@ -184,8 +167,9 @@ class Lease:
 
 
 class LeaseBook:
-    """The failure policy the supervised pool and the distributed
-    coordinator share; each adds only its link and its liveness checks.
+    """The queue every front grants from, and the failure policy the
+    supervised pool and the distributed coordinator share; each adds
+    only its link and its liveness checks.
 
     Every job's profiles queue in the order given, as delivery 1, keyed
     by test full name (``app::test``, unique across apps).  With a
@@ -196,11 +180,12 @@ class LeaseBook:
     has had :data:`REDELIVERY` redeliveries it is committed as a
     WORKER_CRASH quarantine, counted in ``stats`` and announced as the
     ``announce`` (name, kind) span event.  It is journaled like any
-    finished test, so a resume does not retry poison.
+    finished test, so a resume does not retry poison.  The in-process
+    front never revokes, so it passes neither.
     """
 
-    def __init__(self, jobs: Sequence[Job], stats: Any,
-                 announce: Tuple[str, str],
+    def __init__(self, jobs: Sequence[Job], stats: Any = None,
+                 announce: Optional[Tuple[str, str]] = None,
                  limit: Optional[int] = None) -> None:
         self.stats = stats
         self.announce = announce
@@ -240,16 +225,13 @@ class LeaseBook:
 
     def task(self, name: str) -> Dict[str, Any]:
         """Lease ``name`` as its holder receives it: the delivery, and
-        the (parameter, test) confirmations that profiles before it in
-        its campaign's catalog order committed, for the parameters it
-        tests.  The holder's blacklist reads start from exactly these."""
-        job, profile = self.units[name]
+        every (parameter, test) confirmation that profiles before it in
+        its campaign's catalog order committed.  The holder's blacklist
+        reads start from exactly these."""
         here = self.position[name]
-        tracker = job.campaign.tracker
         confirmations = [
-            [param, test]
-            for param in sorted(profile_testable_params(job.campaign, profile))
-            for test in tracker.confirmed_by(param)
+            [param, test] for param, test
+            in self.units[name][0].campaign.tracker.confirmations()
             if self.position.get(test, here) < here]
         return {"task": name, "delivery": self.leases[name].delivery,
                 "confirmations": confirmations}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.execcache import execution_seed
 from repro.core.runner import CONFIRMED_UNSAFE, InstanceResult, TestRunner
@@ -58,10 +58,11 @@ class FrequentFailureTracker:
         with self._lock:
             return len(self._failed_tests.get(param, set()))
 
-    def confirmed_by(self, param: str) -> List[str]:
-        """The unit tests that confirmed ``param`` unsafe, sorted."""
+    def confirmations(self) -> List[Tuple[str, str]]:
+        """Every (parameter, unit test) confirmation recorded, sorted."""
         with self._lock:
-            return sorted(self._failed_tests.get(param, ()))
+            return sorted((param, test) for param, tests
+                          in self._failed_tests.items() for test in tests)
 
     def allowed(self, param: str) -> bool:
         with self._lock:

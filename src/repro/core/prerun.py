@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -61,12 +60,6 @@ class TestProfile:
     #: baseline failure message, if the test failed its pre-run.
     baseline_error: Optional[str] = None
     starts_nodes: bool = False
-    #: wall seconds the single pre-run execution took: the first
-    #: measurement in this process, since later pre-runs of the same
-    #: test reuse its profile.  Volatile (host dependent) — used only as
-    #: the weight in :func:`repro.core.parallel.dispatch_order`, never
-    #: in findings or reports.
-    prerun_wall_s: float = 0.0
 
     @property
     def usable(self) -> bool:
@@ -82,13 +75,11 @@ def prerun_test(test: UnitTest) -> TestProfile:
     profile = TestProfile(test=test)
     agent = ConfAgent(assignment=None, record_usage=True)
     ctx = TestContext(rng=random.Random(PRERUN_SEED))
-    started = time.perf_counter()
     with agent:
         try:
             test.fn(ctx)
         except Exception as exc:  # noqa: BLE001 - a failing test is data
             profile.baseline_error = "%s: %s" % (type(exc).__name__, exc)
-    profile.prerun_wall_s = time.perf_counter() - started
     profile.groups = agent.started_node_groups()
     profile.starts_nodes = bool(profile.groups)
     for owner, params in agent.usage.items():
@@ -128,8 +119,8 @@ def prerun_corpus(tests: List[UnitTest]) -> List[TestProfile]:
 
     The memo key is the whole input of :func:`prerun_test`: the test's
     function (never its name) and :func:`ipc_sharing_enabled`.  A repeat
-    therefore equals a fresh pre-run in every field but
-    ``prerun_wall_s``, and every call returns independent copies.
+    therefore equals a fresh pre-run, and every call returns independent
+    copies.
     """
     sharing = ipc_sharing_enabled()
     profiles = []

@@ -1,11 +1,12 @@
 """Supervised worker pool: how campaigns run profiles in parallel.
 
-At ``workers > 1`` (where ``fork`` is available) a campaign runs its
-profiles here; otherwise it runs them serially (see
-``Campaign._run_locally``).  The full evaluation runs every
-application's profiles on one pool (:func:`run_pool`, from
-``orchestrator.run_campaigns_pooled``), at most ``workers`` of one
-campaign at a time.  A plain executor dies with the first
+Where ``fork`` is available, :func:`repro.core.orchestrator.run_campaigns`
+runs pending profiles here at ``workers > 1``, and at ``workers 1``
+when two or more campaigns (the full evaluation's applications) have
+pending profiles and two or more CPUs are usable; otherwise they run in
+process.  :func:`run_profiles_parallel` runs every campaign's profiles
+on one pool, in catalog order, at most ``workers`` of one campaign at a
+time.  A plain executor dies with the first
 worker that segfaults, OOMs, or ``os._exit``s, and a CPU-bound hung
 child blocks it forever, because the simulated-time watchdog cannot see
 *real-time* hangs.  A campaign over thousands of flaky unit-test
@@ -66,11 +67,11 @@ An observed campaign's forked profiles record their spans — the
 runner's ``retry``/``fault`` events included — into their own
 :class:`~repro.core.observe.Observation` and ship it back on the
 outcome; the campaign adopts them in catalog order, so the span trace
-matches a serial run's.
+matches an in-process run's.
 
 A lease carries the confirmations the profiles before it in catalog
 order have committed, so at one profile per campaign at a time (the
-full evaluation at ``workers 1``) every blacklist read is a serial
+full evaluation at ``workers 1``) every blacklist read is an in-process
 run's.  With more of a campaign's profiles out at once, a profile does
 not see the confirmations of those still running: run-to-run
 byte-identity at ``workers > 1`` requires decoupled profiles (a
@@ -89,7 +90,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.common import transport as net
 from repro.core import distrib, parallel
-from repro.core.registry import UnitTest
 
 #: consecutive worker deaths (without a completed profile in between)
 #: that trip the crash-loop circuit breaker.
@@ -102,20 +102,10 @@ IDLE, BUSY, DEAD = "idle", "busy", "dead"
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry point
 # ---------------------------------------------------------------------------
-def run_profiles_parallel(campaign: Any, profiles: Sequence[Any],
-                          checkpoint: Optional[Any],
-                          tests_by_name: Mapping[str, UnitTest]
-                          ) -> Dict[str, Any]:
-    """Fan one campaign's ``profiles`` over ``campaign.config.workers``
-    supervised workers (``Campaign._run_locally`` at ``workers > 1``);
-    outcomes come back keyed by test name."""
-    return run_pool([parallel.Job(campaign, profiles, checkpoint,
-                                  tests_by_name)], campaign.config.workers)
-
-
-def run_pool(jobs: Sequence[parallel.Job], width: int) -> Dict[str, Any]:
+def run_profiles_parallel(jobs: Sequence[parallel.Job],
+                          width: int) -> Dict[str, Any]:
     """Run every job's profiles on one pool of up to ``width`` workers,
     at most ``workers`` of one campaign at a time; outcomes come back
     keyed by test name.  Each campaign the pool serves reports its

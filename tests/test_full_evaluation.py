@@ -3,8 +3,8 @@
 Most share one cached full campaign (the ``full_report`` session
 fixture, ~20s) and assert the evaluation's headline numbers and shapes.
 The tests at the end prove that running every application's profiles on
-one supervised pool (``orchestrator.run_campaigns_pooled``) reports
-exactly what the in-process loop reports, except the pool's own
+one supervised pool (``orchestrator.run_campaigns`` on two usable CPUs)
+reports exactly what the in-process front reports, except the pool's own
 ``supervision`` counters.
 """
 
@@ -25,11 +25,12 @@ import pytest
 from repro import cli
 from repro.apps import catalog
 from repro.common.faults import DiskFaultPlan, FaultPlan
-from repro.core import orchestrator, parallel
+from repro.core import parallel, supervise
 from repro.core.checkpoint import CheckpointError
 from repro.core.orchestrator import (Campaign, CampaignConfig,
-                                     application_campaigns, run_full_campaign,
-                                     run_campaigns_pooled)
+                                     ProfileOutcome, application_campaigns,
+                                     run_campaigns, run_full_campaign)
+from repro.core.prerun import prerun_corpus
 from repro.core.report import (app_report_to_dict, findings_projection,
                                render_stage_counts, render_summary,
                                render_unsafe_params)
@@ -207,21 +208,20 @@ def _records(reports):
 
 
 def _pooled(config):
-    """Every app on one pool two workers wide; fails if a profile ran in
-    this process instead (a pool that ran nothing would hide behind an
-    identical result)."""
+    """Every app on one pool two workers wide (two usable CPUs); fails if
+    a profile ran in this process instead (a pool that ran nothing would
+    hide behind an identical result)."""
     parent, real_run = os.getpid(), Campaign._run_profile_contained
 
-    def run(self, profile):
+    def run(self, profile, tracker):
         assert os.getpid() != parent, \
             "%s ran in-process" % profile.test.full_name
-        return real_run(self, profile)
+        return real_run(self, profile, tracker)
 
-    Campaign._run_profile_contained = run
-    try:
-        return run_campaigns_pooled(application_campaigns(config), 2)
-    finally:
-        Campaign._run_profile_contained = real_run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Campaign, "_run_profile_contained", run)
+        patch.setattr(parallel, "usable_cpus", lambda: 2)
+        return run_campaigns(application_campaigns(config))
 
 
 def _in_process(config):
@@ -290,11 +290,9 @@ def test_lanes_match_in_process_with_store_then_incremental(tmp_path):
     assert all(plan["reused"] == len(plan["profiles"]) for plan in plans)
 
 
-FALLBACKS = {
-    "distributed": {"distributed": "127.0.0.1:0"},
-    "no-fork": {},
-    "one-cpu": {},
-}
+#: a fleet that never joins degrades at once
+NO_FLEET = {"distributed": "127.0.0.1:0", "dist_join_grace_s": 0.01}
+FALLBACKS = {"distributed": NO_FLEET, "no-fork": {}, "one-cpu": {}}
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
@@ -305,16 +303,39 @@ def test_each_fallback_condition_runs_in_process(monkeypatch, name):
     elif name == "one-cpu":
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
-    def no_pool(campaigns, width):
-        raise AssertionError("pooled despite a fallback condition")
+    def no_pool(*args):
+        raise AssertionError("a pool started despite a fallback condition")
 
-    # a distributed run would start a coordinator and wait for a fleet
     ran = []
-    monkeypatch.setattr(orchestrator, "run_campaigns_pooled", no_pool)
-    monkeypatch.setattr(Campaign, "run",
-                        lambda self: ran.append(self.app) or self.app)
-    report = run_full_campaign(CampaignConfig(**FALLBACKS[name]))
-    assert report.apps == ran == list(catalog.APP_NAMES)
+
+    def run(self, profile, tracker):
+        ran.append((os.getpid(), profile.test.full_name))
+        return ProfileOutcome()
+
+    monkeypatch.setattr(supervise.Supervisor, "__init__", no_pool)
+    monkeypatch.setattr(Campaign, "_run_profile_contained", run)
+    campaigns = application_campaigns(CampaignConfig(**FALLBACKS[name]))
+    if name == "distributed":
+        # the fleet's remainder takes the local rule: one app's runs here
+        campaigns = campaigns[:1]
+    reports = run_campaigns(campaigns)
+    assert [report.app for report in reports] \
+        == [campaign.app for campaign in campaigns]
+    assert ran == [(os.getpid(), profile.test.full_name)
+                   for campaign in campaigns
+                   for profile in prerun_corpus(campaign.tests)
+                   if profile.usable]
+    if name == "distributed":
+        assert reports[0].distribution.degraded_to_local
+
+
+def test_fleet_remainder_of_two_apps_runs_on_the_pool(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    reports = run_campaigns(application_campaigns(CampaignConfig(
+        only_params=frozenset(), **NO_FLEET))[:2])
+    assert all(report.distribution.degraded_to_local for report in reports)
+    assert reports[0].supervision is reports[1].supervision
+    assert reports[0].supervision.workers_spawned == 2
 
 
 POOLED_UNDER = {
@@ -361,7 +382,7 @@ def test_killed_worker_is_redelivered(tmp_path, monkeypatch,
     marker, real_run = str(tmp_path / "killed"), \
         Campaign._run_profile_contained
 
-    def run(self, profile):
+    def run(self, profile, tracker):
         if self.app == "yarn":
             try:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
@@ -369,7 +390,7 @@ def test_killed_worker_is_redelivered(tmp_path, monkeypatch,
                 pass
             else:
                 os.kill(os.getpid(), signal.SIGKILL)
-        return real_run(self, profile)
+        return real_run(self, profile, tracker)
 
     monkeypatch.setattr(Campaign, "_run_profile_contained", run)
     reports = _pooled(CampaignConfig())
@@ -437,12 +458,13 @@ def test_lanes_exit_promptly_when_their_parent_dies(tmp_path):
     parent = os.fork()
     if parent == 0:  # pragma: no cover - the pool's parent
         try:
-            def stuck(self, profile):
+            def stuck(self, profile, tracker):
                 open(os.path.join(busy, str(os.getpid())), "w").close()
                 time.sleep(120)
 
             Campaign._run_profile_contained = stuck
-            run_campaigns_pooled(campaigns, 2)
+            parallel.usable_cpus = lambda: 2
+            run_campaigns(campaigns)
         finally:
             os._exit(1)
     try:

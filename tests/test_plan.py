@@ -35,7 +35,8 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.confagent import current_agent
 from repro.core.jobqueue import JobSpecError, canonical_spec
 from repro.core.orchestrator import (Campaign, CampaignCancelled,
-                                     CampaignConfig, run_campaigns_pooled)
+                                     CampaignConfig, application_campaigns,
+                                     run_campaigns)
 from repro.core.plan import (PLAN_NEW, PLAN_RERUN, PLAN_REUSE,
                              SAMPLE_DISSIMILARITY, SAMPLE_PAIRWISE,
                              SAMPLE_RANDOM_K, profile_key, sample_cells)
@@ -423,7 +424,8 @@ class TestCatalogPositionFold:
     confirmations of exactly the profiles before it in catalog order,
     not those of every profile the plan reuses."""
 
-    def edited_run(self, tmp_path, rerun):
+    def edited_run(self, tmp_path, rerun=Campaign.run, **config):
+        """The edited campaign, rerun with ``config`` on a warm store."""
         from repro.apps import catalog
         spec = catalog.spec_for("hdfs")
         edited = ParamRegistry(spec.registry.app)
@@ -440,23 +442,37 @@ class TestCatalogPositionFold:
 
         store = str(tmp_path / "store")
         campaign(spec.registry, store_path=store).run()
-        report = rerun(campaign(edited, store_path=store, incremental=True))
+        report = rerun(campaign(edited, store_path=store, incremental=True,
+                                **config))
         summary = plan_dict(report)
         assert summary["rerun"] and summary["reused"]
         assert findings(report) == findings(campaign(edited).run())
         return report
 
     def test_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
-        self.edited_run(tmp_path, Campaign.run)
+        self.edited_run(tmp_path)
 
     @pytest.mark.skipif(not parallel.fork_available(), reason="needs fork")
-    def test_pooled_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path):
-        # the full evaluation's pool at --workers 1: the reused profiles
-        # are folded before it starts, so each lease must carry only the
-        # confirmations of the profiles before it
+    def test_pooled_incremental_hdfs_edit_equals_a_cold_run(self, tmp_path,
+                                                            monkeypatch):
+        # the full evaluation's pool at --workers 1, two usable CPUs and
+        # a second app beside hdfs: the reused profiles are folded before
+        # it starts, so each lease must carry only the confirmations of
+        # the profiles before it
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        yarn, = [campaign for campaign in application_campaigns()
+                 if campaign.app == "yarn"]
         report = self.edited_run(
-            tmp_path, lambda campaign: run_campaigns_pooled([campaign], 2)[0])
-        assert report.supervision.workers_spawned == 1
+            tmp_path, lambda campaign: run_campaigns([campaign, yarn])[0])
+        assert report.supervision.workers_spawned == 2
+
+    def test_fleet_degrade_incremental_hdfs_edit_equals_a_cold_run(
+            self, tmp_path):
+        # no worker joins, so the coordinator degrades and every pending
+        # profile runs here, each from its lease's confirmations
+        report = self.edited_run(tmp_path, distributed="127.0.0.1:0",
+                                 dist_join_grace_s=0.05)
+        assert report.distribution.degraded_to_local
 
 
 class TestInterruptionAndResume:

@@ -32,6 +32,9 @@ class TestFrequentFailureTracker:
         tracker.record_unsafe("p", "test2")
         assert not tracker.allowed("p")
         assert tracker.failure_count("p") == 2
+        tracker.record_unsafe("a", "test2")
+        assert tracker.confirmations() == [("a", "test2"), ("p", "test1"),
+                                           ("p", "test2")]
 
 
 class TestPooledTester:

@@ -73,9 +73,9 @@ class TestSummary:
         assert summary.tests_with_uncertain_confs == 1
 
 
-def fields_but_wall(profile):
+def profile_fields(profile):
     return {f.name: getattr(profile, f.name)
-            for f in dataclasses.fields(profile) if f.name != "prerun_wall_s"}
+            for f in dataclasses.fields(profile)}
 
 
 class TestPerProcessReuse:
@@ -94,7 +94,7 @@ class TestPerProcessReuse:
             set_ipc_sharing(previous)
         for test, again, new in zip(tests, repeat, fresh):
             assert again.test is test
-            assert fields_but_wall(again) == fields_but_wall(new), \
+            assert profile_fields(again) == profile_fields(new), \
                 test.full_name
 
     def test_the_switch_changes_profiles(self, corpus):
@@ -108,22 +108,20 @@ class TestPerProcessReuse:
             set_ipc_sharing(previous)
         shared = [prerun_test(test) for test in tests]
         differ = [a.test.full_name for a, b in zip(shared, unshared)
-                  if fields_but_wall(a) != fields_but_wall(b)]
+                  if profile_fields(a) != profile_fields(b)]
         assert len(differ) > len(tests) // 2
 
     def test_returned_profiles_are_independent(self):
         test = two_service_test()
-        fresh = fields_but_wall(prerun_test(test))
+        fresh = profile_fields(prerun_test(test))
         first = prerun_corpus([test])[0]
         first.groups["Service"] = 99
         first.params_by_group["Service"].add("mutated")
         first.uncertain_params.add("mutated")
         first.explicit_sets.add("mutated")
         next(iter(first.read_sites.values()))["mutated"] = 1
-        first.prerun_wall_s = 99.0
         second = prerun_corpus([test])[0]
-        assert fields_but_wall(second) == fresh
-        assert second.prerun_wall_s != 99.0
+        assert profile_fields(second) == fresh
 
     def test_same_name_different_body_gets_its_own_profile(self):
         name = "TestSynth.testShared"
@@ -133,20 +131,20 @@ class TestPerProcessReuse:
         assert two.groups == {"Service": 2}
         assert lone.groups.get(UNIT_TEST) == 1
         assert not none.starts_nodes
-        assert [fields_but_wall(p) for p in prerun_corpus(
+        assert [profile_fields(p) for p in prerun_corpus(
             [two.test, lone.test, none.test])] == \
-            [fields_but_wall(p) for p in (two, lone, none)]
+            [profile_fields(p) for p in (two, lone, none)]
 
     def test_threads_prerunning_at_once_get_fresh_profiles(self):
         tests = [two_service_test("TestSynth.testRace%d" % i)
                  for i in range(3)] + [no_node_test("TestSynth.testRace")]
-        fresh = [fields_but_wall(prerun_test(test)) for test in tests]
+        fresh = [profile_fields(prerun_test(test)) for test in tests]
         results = [None] * 4
         barrier = threading.Barrier(len(results))
 
         def prerun(index):
             barrier.wait()
-            results[index] = [fields_but_wall(p)
+            results[index] = [profile_fields(p)
                               for p in prerun_corpus(tests)]
 
         threads = [threading.Thread(target=prerun, args=(i,))

@@ -332,14 +332,3 @@ class TestCancelAccounting:
         pending_handle.cancel()  # never popped: a flag write, no error
         assert fired_handle.cancelled
         assert pending_handle.cancelled
-
-    def test_pending_events_matches_legacy_scan(self):
-        sim = Simulator()
-        timers = [sim.schedule(float(i), int) for i in range(40)]
-        for timer in timers[::4]:
-            timer.cancel()
-        scan = sum(1 for _, _, t in sim._heap if not t.cancelled)
-        assert sim.pending_events() == scan
-        sim.run_until(10.5)
-        scan = sum(1 for _, _, t in sim._heap if not t.cancelled)
-        assert sim.pending_events() == scan
