@@ -56,10 +56,13 @@ def test_table5_instance_reduction(benchmark):
             assert excluded / counts.after_prerun <= 0.10
 
     hours = report.total_machine_hours
+    # the paper's testbed: "up to 100 physical machines and allocate 20
+    # Docker containers on each"
+    projected = hours / (100 * 20)
     print("\nmodelled machine time: %.1f hours (paper: 4,652 machine hours "
           "on up to 100 machines)" % hours)
     print("projected wall time on the paper's 100x20-container testbed: "
           "%.2f hours (paper's equivalent: %.2f hours)"
-          % (report.projected_wall_hours(), 4652 / 2000))
+          % (projected, 4652 / 2000))
     assert hours > 0
-    assert report.projected_wall_hours() < hours
+    assert projected < hours

@@ -299,9 +299,13 @@ class Coordinator:
             transports = list(self._transports)
         if self._listener is not None:
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
+                # wakes the accept thread: closing alone leaves it blocked
+                # in accept() and the port in LISTEN, so the next bind on
+                # it fails
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
+            self._listener.close()
         for transport_ in transports:
             transport_.close()
 

@@ -59,12 +59,20 @@ sound only when the unit test does not explicitly ``set`` that parameter
 (an injected value shadows explicit sets).  The pre-run records each
 test's explicitly-set parameters, and callers pass them as
 ``no_collapse`` so those parameters keep their own cache slots.
+
+Keys and seeds hash the ``repr`` of a canonical form, so
+:func:`canonical_content` hands out the form together with that text,
+both cached on the assignment object (see :mod:`repro.core.testgen`);
+a homogeneous assignment's collapsed form is kept with the registry it
+was collapsed against and served only to that same registry object.
+Each cache memoises the key of every text it has hashed.  Hits are
+handed out as exact copies (:func:`copy_outcome`), so nothing a caller
+does to an outcome reaches the memo.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.common.faults import fault_seed as stable_seed
@@ -73,6 +81,7 @@ from repro.core.testgen import (HeteroAssignment, HomoAssignment,
 
 #: Canonical form of "no value injected anywhere" — the original run.
 ORIGINAL: Tuple[str, ...] = ("original",)
+_ORIGINAL_TEXT = repr(ORIGINAL)
 
 
 def canonical_assignment(assignment: Any,
@@ -85,31 +94,54 @@ def canonical_assignment(assignment: Any,
     homogeneous default-value collapse; parameters in ``no_collapse``
     (explicitly set by the unit test) are exempt from it.
     """
+    return canonical_content(assignment, registry, no_collapse)[0]
+
+
+def canonical_content(assignment: Any, registry: Optional[Any] = None,
+                      no_collapse: Iterable[str] = ()
+                      ) -> Tuple[Tuple[Any, ...], str]:
+    """``(canonical_assignment(...), its repr)``, from the caches the
+    assignment object carries."""
     if assignment is None:
-        return ORIGINAL
+        return ORIGINAL, _ORIGINAL_TEXT
     if isinstance(assignment, HomoAssignment):
-        exempt = set(no_collapse)
-        kept = []
-        for name, value in assignment.canonical()[1]:
-            if registry is not None and name not in exempt:
-                param = registry.maybe_get(name)
-                if param is not None and type(param.default) is type(value) \
-                        and param.default == value:
-                    # Injecting the default is indistinguishable from not
-                    # injecting: the configuration would have returned the
-                    # registry default anyway (the test never sets it).
-                    continue
-            kept.append((name, value))
-        if not kept:
-            return ORIGINAL
-        return ("homo", tuple(kept))
+        exempt = frozenset(no_collapse)
+        cached = assignment.__dict__.get("_collapsed")
+        if cached is not None and cached[0] is registry \
+                and cached[1] == exempt:
+            return cached[2], cached[3]
+        canonical = _collapse(assignment, registry, exempt)
+        text = repr(canonical)
+        object.__setattr__(assignment, "_collapsed",
+                           (registry, exempt, canonical, text))
+        return canonical, text
     if isinstance(assignment, HeteroAssignment):
-        return assignment.canonical()
+        return assignment.canonical(), assignment.canonical_text()
     if isinstance(assignment, ParamAssignment):
-        return ("hetero", (assignment.canonical(),))
+        return (("hetero", (assignment.canonical(),)),
+                "('hetero', (%s,))" % assignment.canonical_text())
     # Unknown assignment type: fall back to its repr so distinct objects
     # at least never share a slot spuriously via an empty form.
-    return ("opaque", type(assignment).__name__, repr(assignment))
+    canonical = ("opaque", type(assignment).__name__, repr(assignment))
+    return canonical, repr(canonical)
+
+
+def _collapse(assignment: HomoAssignment, registry: Optional[Any],
+              exempt: frozenset) -> Tuple[Any, ...]:
+    kept = []
+    for name, value in assignment.canonical()[1]:
+        if registry is not None and name not in exempt:
+            param = registry.maybe_get(name)
+            if param is not None and type(param.default) is type(value) \
+                    and param.default == value:
+                # Injecting the default is indistinguishable from not
+                # injecting: the configuration would have returned the
+                # registry default anyway (the test never sets it).
+                continue
+        kept.append((name, value))
+    if not kept:
+        return ORIGINAL
+    return ("homo", tuple(kept))
 
 
 def fingerprint(canonical: Any) -> str:
@@ -117,16 +149,26 @@ def fingerprint(canonical: Any) -> str:
     return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
 
 
-def execution_seed(test_name: str, canonical: Any, trial: int) -> int:
+def execution_seed(test_name: str, canonical: Any, trial: int,
+                   text: Optional[str] = None) -> int:
     """The trial seed for one execution, derived from *content*.
 
     Deriving seeds from the canonical assignment (rather than from
     display labels) means two executions with identical content always
     run under the same seed — so they are byte-identical and the cache
     may serve one for the other even when the execution is seed-
-    sensitive.
+    sensitive.  ``text`` is ``repr(canonical)`` when the caller has it.
     """
-    return stable_seed(test_name, repr(canonical), trial)
+    return stable_seed(test_name,
+                       repr(canonical) if text is None else text, trial)
+
+
+def copy_outcome(outcome: Any) -> Any:
+    """An exact copy of a memoised outcome: the same attribute values in
+    a new object, without ``dataclasses.replace``'s re-construction."""
+    twin = object.__new__(type(outcome))
+    twin.__dict__.update(outcome.__dict__)
+    return twin
 
 
 class ExecutionCache:
@@ -150,17 +192,32 @@ class ExecutionCache:
             (str(k), repr(v)) for k, v in (context or {}).items())))
         self._deterministic: Dict[str, Any] = {}
         self._seeded: Dict[Tuple[str, int], Any] = {}
+        #: (test name, canonical text) -> key, so a form looked up again
+        #: (every confirmation trial) is hashed once.
+        self._keys: Dict[Tuple[str, str], str] = {}
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
 
     # ------------------------------------------------------------------
-    def _key(self, test_name: str, canonical: Any) -> str:
-        return fingerprint((self.context_key, test_name, canonical))
+    def _key(self, test_name: str, canonical: Any,
+             text: Optional[str] = None) -> str:
+        """``fingerprint((context_key, test_name, canonical))``; ``text``
+        is ``repr(canonical)`` when the caller has it."""
+        if text is None:
+            text = repr(canonical)
+        key = self._keys.get((test_name, text))
+        if key is None:
+            # the repr of a 3-tuple, spelled out around the given text
+            key = self._keys[(test_name, text)] = hashlib.sha256(
+                ("(%r, %r, %s)" % (self.context_key, test_name, text))
+                .encode("utf-8")).hexdigest()
+        return key
 
-    def lookup(self, test_name: str, canonical: Any, seed: int) -> Optional[Any]:
+    def lookup(self, test_name: str, canonical: Any, seed: int,
+               text: Optional[str] = None) -> Optional[Any]:
         """The memoized outcome, or None.  Counts a hit or a miss."""
-        key = self._key(test_name, canonical)
+        key = self._key(test_name, canonical, text)
         outcome = self._deterministic.get(key)
         if outcome is None:
             outcome = self._seeded.get((key, seed))
@@ -168,10 +225,10 @@ class ExecutionCache:
             self.misses += 1
             return None
         self.hits += 1
-        return replace(outcome)
+        return copy_outcome(outcome)
 
     def store(self, test_name: str, canonical: Any, seed: int, outcome: Any,
-              seed_sensitive: bool) -> bool:
+              seed_sensitive: bool, text: Optional[str] = None) -> bool:
         """Memoize one outcome; returns False when it is uncacheable.
 
         ``seed_sensitive`` must be True when the execution consulted
@@ -181,8 +238,8 @@ class ExecutionCache:
         if outcome.infra:
             self.bypasses += 1
             return False
-        frozen = replace(outcome)
-        key = self._key(test_name, canonical)
+        frozen = copy_outcome(outcome)
+        key = self._key(test_name, canonical, text)
         if seed_sensitive:
             self._seeded[(key, seed)] = frozen
         else:

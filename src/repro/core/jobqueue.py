@@ -409,10 +409,17 @@ class JobQueue:
             job = self.jobs[job_id]
             return list(job.events[index:]), job.state in TERMINAL_STATES
 
-    def wait_for_change(self, timeout: float) -> None:
-        """Block until any event/transition happens (or timeout)."""
+    def wait_for_events(self, job_id: str, index: int,
+                        timeout: float) -> None:
+        """Block (up to ``timeout``) while the job has no event past
+        ``index`` and is not terminal.  The check and the wait share one
+        critical section, so a transition made since the caller read
+        its events cannot slip between them and go unnoticed."""
+        job = self.get(job_id)
         with self.changed:
-            self.changed.wait(timeout)
+            self.changed.wait_for(
+                lambda: len(job.events) > index
+                or job.state in TERMINAL_STATES, timeout)
 
     def checkpoint_path_for(self, digest: str) -> str:
         """The digest-keyed journal shared by all jobs with this spec."""

@@ -30,7 +30,7 @@ from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.execcache import ExecutionCache
 from repro.core.observe import MetricsRegistry, Observation, ProgressReporter
 from repro.core.plan import (PLAN_DECISIONS, PLAN_REUSE, SAMPLE_MODES,
-                             CampaignPlan, build_plan, profile_key,
+                             CampaignPlan, build_plan, profile_keys,
                              sample_cells)
 from repro.core.pooling import FrequentFailureTracker, PooledTester, PoolStats
 from repro.core.prerun import PreRunSummary, TestProfile, prerun_corpus
@@ -362,6 +362,8 @@ class Campaign:
         #: per-run incremental plan (repro.core.plan.CampaignPlan; built
         #: in _prepare when config.incremental, else None).
         self._plan: Optional[CampaignPlan] = None
+        #: per-run profile keys by test (see _profile_keys).
+        self._keys: Optional[Dict[str, str]] = None
         #: supervised-pool counters for the current run (reset in
         #: _prepare; repro.core.supervise hands in its pool's).
         self.supervision = SupervisionStats()
@@ -460,6 +462,7 @@ class Campaign:
         # both need it, and rebuilding it per restored profile made large
         # resumes quadratic.
         tests_by_name = {t.full_name: t for t in self.tests}
+        self._keys = None
         self._plan = self._build_plan(usable, checkpoint)
         self.supervision = SupervisionStats()
         self.distribution = DistributionStats()
@@ -700,10 +703,17 @@ class Campaign:
             journaled = checkpoint.plan_record(self.app)
             if journaled is not None:
                 return CampaignPlan.from_dict(journaled)
-        plan = build_plan(self, usable, store)
+        plan = build_plan(self, usable, store, self._profile_keys(usable))
         if checkpoint is not None:
             checkpoint.record_plan(self.app, plan.to_dict())
         return plan
+
+    def _profile_keys(self, usable: Sequence[TestProfile]) -> Dict[str, str]:
+        """Each usable profile's plan key, computed once per run: the
+        plan and the store's profile records both need them."""
+        if self._keys is None:
+            self._keys = profile_keys(self, usable)
+        return self._keys
 
     def _fold_planned_profile(self, profile: TestProfile,
                               checkpoint: Optional[CampaignCheckpoint],
@@ -762,6 +772,7 @@ class Campaign:
         """
         if self._store is None:
             return
+        keys = self._profile_keys(profiles)
         for profile in profiles:
             name = profile.test.full_name
             if self._plan is not None \
@@ -770,7 +781,7 @@ class Campaign:
             outcome = outcome_by_test.get(name)
             if outcome is None or outcome.error:
                 continue
-            key = profile_key(self, profile)
+            key = keys[name]
             confirmed = outcome.confirmed
             record = parallel.profile_outcome_to_dict(outcome)
             stored = self._store.lookup_profile(key)
@@ -1060,12 +1071,13 @@ class Campaign:
                     list(self.generator.strategies_for_group(group_size)),
                     {name: len(pairs_by_param[name]) for name in params})
                 for strategy in self.generator.strategies_for_group(group_size):
+                    generated = {name: self.generator.assignments(
+                                     self.registry.get(name), group, strategy)
+                                 for name in params}
                     for layer in range(layers):
-                        units = [self.generator.assignment(
-                                     self.registry.get(name), group, strategy,
-                                     pairs_by_param[name][layer])
+                        units = [generated[name][layer]
                                  for name in params
-                                 if layer < len(pairs_by_param[name])
+                                 if layer < len(generated[name])
                                  and (kept is None
                                       or (strategy, layer, name) in kept)]
                         if units:

@@ -26,13 +26,19 @@ parameter whose confirmation trajectory may change is demoted to RERUN.
 Parameters only ever cleared as safe never trip the closure, so the
 common case (a diff touching a few parameters in a safe-dominated
 registry) still reuses almost everything.
+
+Keys are derived once: :func:`param_digest` is kept on each (frozen)
+``ParamDef``, which every campaign over the same registry shares, and a
+campaign takes :func:`profile_keys` once per run, hashing its settings
+once, for both its plan and the profile records it appends.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.execcache import fingerprint, stable_seed
 
@@ -138,9 +144,15 @@ def param_digest(param: Any) -> str:
     a changed default, candidate list, enum domain, kind or tag set
     invalidates every stored profile that tested the parameter — while
     the registry-wide *name* digest (``corpus_digest``) stays put.
+    Kept on the (frozen) definition: an edited one is a new object.
     """
-    return fingerprint((param.name, param.kind, param.default,
-                        param.candidates, param.values, tuple(param.tags)))
+    digest = param.__dict__.get("_param_digest")
+    if digest is None:
+        digest = fingerprint((param.name, param.kind, param.default,
+                              param.candidates, param.values,
+                              tuple(param.tags)))
+        object.__setattr__(param, "_param_digest", digest)
+    return digest
 
 
 def plan_settings_digest(config: Any) -> str:
@@ -164,7 +176,18 @@ def profile_testable_params(campaign: Any, profile: Any) -> Set[str]:
     return names
 
 
-def profile_key(campaign: Any, profile: Any) -> str:
+def profile_keys(campaign: Any, profiles: Sequence[Any]) -> Dict[str, str]:
+    """:func:`profile_key` of each profile, by test name, hashing the
+    campaign's settings once.  Keys are interned: a plan that a caller
+    keeps then shares each unchanged key with every earlier run's."""
+    settings = plan_settings_digest(campaign.config)
+    return {profile.test.full_name:
+            sys.intern(profile_key(campaign, profile, settings))
+            for profile in profiles}
+
+
+def profile_key(campaign: Any, profile: Any,
+                settings: Optional[str] = None) -> str:
     """Content key of one unit-test profile.
 
     Two campaigns produce the same key for a test exactly when a fresh
@@ -172,10 +195,13 @@ def profile_key(campaign: Any, profile: Any) -> str:
     contract already assumes) to reproduce the stored outcome: same
     behaviour-shaping settings, same group structure, same testable
     parameters with identical definitions, same explicitly-set params
-    (they steer homogeneous collapse in the runner).
+    (they steer homogeneous collapse in the runner).  ``settings`` is
+    :func:`plan_settings_digest` of the campaign's config when the
+    caller has it.
     """
-    parts: List[Any] = [plan_settings_digest(campaign.config),
-                        profile.test.full_name,
+    if settings is None:
+        settings = plan_settings_digest(campaign.config)
+    parts: List[Any] = [settings, profile.test.full_name,
                         tuple(sorted(profile.explicit_sets))]
     for group in sorted(profile.groups):
         names = sorted(name for name in profile.testable_params(group)
@@ -257,11 +283,11 @@ class CampaignPlan:
         return plan
 
 
-def build_plan(campaign: Any, usable: Sequence[Any], store: Any
-               ) -> CampaignPlan:
-    """Classify every usable profile against the store's records."""
+def build_plan(campaign: Any, usable: Sequence[Any], store: Any,
+               keys: Mapping[str, str]) -> CampaignPlan:
+    """Classify every usable profile against the store's records;
+    ``keys`` is :func:`profile_keys` of ``usable``."""
     plan = CampaignPlan()
-    keys = {p.test.full_name: profile_key(campaign, p) for p in usable}
     decisions: Dict[str, str] = {}
     for profile in usable:
         name = profile.test.full_name

@@ -59,7 +59,13 @@ class UnitTest:
 
     @property
     def full_name(self) -> str:
-        return "%s::%s" % (self.app, self.name)
+        # Built once per test: every execution keys by it, and reports
+        # that keep it then share one string instead of a copy each.
+        name = self.__dict__.get("_full_name")
+        if name is None:
+            name = "%s::%s" % (self.app, self.name)
+            object.__setattr__(self, "_full_name", name)
+        return name
 
 
 class Corpus:

@@ -246,14 +246,6 @@ class CampaignReport:
     def total_machine_hours(self) -> float:
         return sum(a.machine_time_s for a in self.apps) / 3600.0
 
-    def projected_wall_hours(self, machines: int = 100,
-                             containers_per_machine: int = 20) -> float:
-        """Wall time if the campaign fanned out like the paper's testbed
-        ("we used up to 100 physical machines and allocate 20 Docker
-        containers on each")."""
-        slots = max(machines * containers_per_machine, 1)
-        return self.total_machine_hours / slots
-
     # ------------------------------------------------------------------
     # cross-campaign deduplication: HBase tests rediscover HDFS params,
     # every Hadoop app rediscovers Hadoop Common params, etc.  Table 3

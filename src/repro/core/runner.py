@@ -23,7 +23,7 @@ from repro.common.errors import InfrastructureError
 from repro.common.faults import FaultInjector, FaultPlan, fault_scope
 from repro.common.simulation import SimTimeLimitExceeded, sim_time_limit
 from repro.core.confagent import ConfAgent
-from repro.core.execcache import (ExecutionCache, canonical_assignment,
+from repro.core.execcache import (ExecutionCache, canonical_content,
                                   execution_seed, stable_seed)
 from repro.core.registry import TestContext, UnitTest
 from repro.core.stats import DEFAULT_ALPHA, TrialTally
@@ -178,8 +178,13 @@ class TestRunner:
     def canonical_form(self, assignment: Optional[Any]) -> Tuple[Any, ...]:
         """Canonical content form of ``assignment`` under this runner's
         registry and collapse exclusions (see repro.core.execcache)."""
-        return canonical_assignment(assignment, registry=self.registry,
-                                    no_collapse=self.collapse_exclude)
+        return self._content(assignment)[0]
+
+    def _content(self, assignment: Optional[Any]
+                 ) -> Tuple[Tuple[Any, ...], str]:
+        """``(canonical form, its repr)`` of ``assignment``."""
+        return canonical_content(assignment, self.registry,
+                                 self.collapse_exclude)
 
     # ------------------------------------------------------------------
     # single execution
@@ -221,10 +226,13 @@ class TestRunner:
                  seed: int, canonical: Optional[Tuple[Any, ...]] = None
                  ) -> RunOutcome:
         cache = self.cache
+        text = None
         if cache is not None:
-            if canonical is None:
-                canonical = self.canonical_form(assignment)
-            cached = cache.lookup(test.full_name, canonical, seed)
+            # the assignment's cached form comes with its cached text
+            content = self._content(assignment)
+            if canonical is None or canonical is content[0]:
+                canonical, text = content
+            cached = cache.lookup(test.full_name, canonical, seed, text)
             if cached is not None:
                 if cache.charge_hits:
                     self._charge()
@@ -250,7 +258,7 @@ class TestRunner:
         if cache is not None:
             seed_sensitive = self.fault_plan is not None or outcome.rng_used
             if not cache.store(test.full_name, canonical, seed, outcome,
-                               seed_sensitive=seed_sensitive) \
+                               seed_sensitive=seed_sensitive, text=text) \
                     and not cache.charge_hits:
                 self.cache_bypasses += 1
         return outcome
@@ -323,16 +331,17 @@ class TestRunner:
         identical executions (e.g. the all-defaults homogeneous baseline
         shared by every parameter of a test) share seeds — and therefore
         outcomes, and therefore cache slots."""
-        hetero_c = self.canonical_form(assignment)
+        name = test.full_name
+        hetero_c, hetero_t = self._content(assignment)
         hetero = self.execute(test, assignment,
-                              execution_seed(test.full_name, hetero_c, 0),
+                              execution_seed(name, hetero_c, 0, hetero_t),
                               canonical=hetero_c)
         homos: List[RunOutcome] = []
         for side in range(assignment.sides()):
             homo = assignment.homo_variant(side)
-            homo_c = self.canonical_form(homo)
+            homo_c, homo_t = self._content(homo)
             homos.append(self.execute(
-                test, homo, execution_seed(test.full_name, homo_c, 0),
+                test, homo, execution_seed(name, homo_c, 0, homo_t),
                 canonical=homo_c))
         return hetero, homos
 
@@ -404,21 +413,23 @@ class TestRunner:
         trial = 1
         void_trials = 0
         sides = assignment.sides()
-        hetero_c = self.canonical_form(assignment)
-        homo_cs = [self.canonical_form(assignment.homo_variant(side))
+        name = test.full_name
+        hetero_c, hetero_t = self._content(assignment)
+        homo_cs = [self._content(assignment.homo_variant(side))
                    for side in range(sides)]
         while (not tally.significant(self.alpha)
                and tally.hetero_trials < self.max_trials
                and not tally.hopeless(self.alpha, self.max_trials)):
             hetero = self.execute(
                 test, assignment,
-                execution_seed(test.full_name, hetero_c, trial),
+                execution_seed(name, hetero_c, trial, hetero_t),
                 canonical=hetero_c)
             side = trial % sides
+            homo_c, homo_t = homo_cs[side]
             homo = self.execute(
                 test, assignment.homo_variant(side),
-                execution_seed(test.full_name, homo_cs[side], trial),
-                canonical=homo_cs[side])
+                execution_seed(name, homo_c, trial, homo_t),
+                canonical=homo_c)
             trial += 1
             if hetero.infra or homo.infra:
                 # A persistent harness failure is not evidence either way;

@@ -374,7 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if not remaining:
                     return
                 continue
-            queue.wait_for_change(0.5)
+            queue.wait_for_events(job_id, index, 0.5)
 
     def _registry(self, app: str, query: Dict[str, List[str]]) -> None:
         from repro.apps import catalog

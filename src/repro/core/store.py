@@ -38,10 +38,12 @@ an aspiration:
   the writer and the store continues read-only; the campaign's findings
   never depend on the store being writable.
 * **Decode once per process.**  ``open`` keeps, per segment, the serving
-  state it built for each ``(app, digest)``, keyed by a SHA-256 of the
+  state it built for each ``(app, digest)`` and the byte offsets of each
+  application's entry and profile frames, keyed by a SHA-256 of the
   segment's bytes.  A later open in the same process re-reads and
-  re-hashes every segment but decodes only new or changed ones, so a
-  warm open serves exactly what a full scan would.
+  re-hashes every segment but parses only new or changed ones; another
+  ``(app, digest)`` of known bytes decodes just its application's
+  frames.  So a warm open serves exactly what a full scan would.
 
 The serving path plugs into the campaign as
 :class:`StoreBackedExecutionCache`, a drop-in ``ExecutionCache`` whose
@@ -57,15 +59,16 @@ import os
 import struct
 import threading
 import zlib
+from array import array
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple, Union)
+from dataclasses import asdict, dataclass, field
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from repro.common.errors import ReproError
 from repro.common.faults import DiskFaultPlan, FaultyFile
 from repro.core.checkpoint import fsync_directory
-from repro.core.execcache import ExecutionCache
+from repro.core.execcache import ExecutionCache, copy_outcome
 from repro.core.runner import RunOutcome
 
 try:  # advisory locking is POSIX-only; the store degrades to lock-free
@@ -157,41 +160,55 @@ def iter_frames(data: bytes) -> Iterator[Tuple[str, Any]]:
     — a false marker inside a payload merely fails its CRC and the scan
     moves on.
     """
+    for kind, value, _ in _frames(data):
+        yield kind, value
+
+
+def _frames(data: bytes) -> Iterator[Tuple[str, Any, int]]:
+    """:func:`iter_frames`' events, each with the byte offset where it
+    starts (for a record, its frame's magic marker)."""
     offset, size = 0, len(data)
     while offset < size:
         start = data.find(MAGIC, offset)
         if start < 0:
-            yield ("corrupt", offset)
+            yield ("corrupt", offset, offset)
             return
         if start > offset:
-            yield ("corrupt", offset)
+            yield ("corrupt", offset, offset)
         header_end = start + len(MAGIC) + _FRAME_HEADER.size
         if header_end > size:
-            yield ("truncated", start)
+            yield ("truncated", start, start)
             return
         length, crc = _FRAME_HEADER.unpack(
             data[start + len(MAGIC):header_end])
         if length > MAX_RECORD:
-            yield ("corrupt", start)
+            yield ("corrupt", start, start)
             offset = start + 1
             continue
         end = header_end + length
         if end > size:
-            yield ("truncated", start)
+            yield ("truncated", start, start)
             return
         payload = data[header_end:end]
         if zlib.crc32(payload) != crc:
-            yield ("corrupt", start)
+            yield ("corrupt", start, start)
             offset = start + 1
             continue
         try:
             record = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            yield ("corrupt", start)
+            yield ("corrupt", start, start)
             offset = start + 1
             continue
-        yield ("record", record)
+        yield ("record", record, start)
         offset = end
+
+
+def _decode_at(data: bytes, start: int) -> Any:
+    """The payload of the verified frame that starts at ``start``."""
+    header_end = start + len(MAGIC) + _FRAME_HEADER.size
+    length, _ = _FRAME_HEADER.unpack(data[start + len(MAGIC):header_end])
+    return json.loads(data[header_end:header_end + length].decode("utf-8"))
 
 
 @dataclass
@@ -202,11 +219,53 @@ class _SegmentScan:
     records: List[Dict[str, Any]] = field(default_factory=list)
     corrupt: int = 0
     truncated: int = 0
+    #: see :class:`_SegmentIndex`.
+    frames: Dict[str, "array[int]"] = field(default_factory=dict)
+    reports: int = 0
+    future: bool = False
 
     @property
     def damaged(self) -> bool:
         """True when the scan hit any corrupt record or truncated tail."""
         return bool(self.corrupt or self.truncated)
+
+    def add(self, record: Dict[str, Any], start: int) -> None:
+        """Keep one intact record, whose frame starts at ``start``."""
+        self.records.append(record)
+        kind = record.get("kind")
+        if kind == "entry" or kind == "profile":
+            app = record.get("app")
+            if isinstance(app, str):
+                self.frames.setdefault(app, array("q")).append(start)
+        elif kind == "report":
+            self.reports += 1
+        elif kind == "header":
+            version = record.get("version")
+            if isinstance(version, int) and version > STORE_VERSION:
+                self.future = True
+
+    def index(self) -> "_SegmentIndex":
+        return _SegmentIndex(self.name, len(self.records), self.corrupt,
+                             self.truncated, self.reports, self.future,
+                             self.frames)
+
+
+@dataclass(frozen=True)
+class _SegmentIndex:
+    """A parsed segment without its records: where each application's
+    entry and profile frames start (each verified when the bytes were
+    first parsed), and the counts every open folds in."""
+
+    name: str
+    records: int
+    corrupt: int
+    truncated: int
+    reports: int
+    #: a header from a newer format version: serve by a full scan.
+    future: bool
+    #: app -> start offset of each of its entry and profile frames, in
+    #: file order.
+    frames: Dict[str, "array[int]"]
 
 
 def _read_segment(path: str) -> Optional[bytes]:
@@ -227,10 +286,10 @@ def _scan_data(name: str, data: Optional[bytes]) -> _SegmentScan:
     if data is None:  # unreadable
         scan.corrupt += 1
         return scan
-    for kind, value in iter_frames(data):
+    for kind, value, start in _frames(data):
         if kind == "record":
             if isinstance(value, dict):
-                scan.records.append(value)
+                scan.add(value, start)
             else:
                 scan.corrupt += 1
         elif kind == "corrupt":
@@ -285,11 +344,39 @@ class _Served:
 
 def _serve_scan(scan: _SegmentScan, app: str, digest: int) -> _Served:
     """The serving state of one scanned segment for ``(app, digest)``."""
+    served = _serve_records(scan.name, scan.records, app, digest,
+                            scan.corrupt, scan.truncated)
+    if served.error is None and scan.damaged:
+        served.counts["salvaged_records"] = len(scan.records)
+    return served
+
+
+def _serve_index(index: _SegmentIndex, data: bytes, app: str,
+                 digest: int) -> _Served:
+    """:func:`_serve_scan` of the bytes ``index`` was built from,
+    decoding only ``app``'s entry and profile frames: every other record
+    is one :func:`_serve_records` skips or only counts."""
+    if index.future:
+        return _serve_scan(_scan_data(index.name, data), app, digest)
+    served = _serve_records(
+        index.name, (_decode_at(data, start)
+                     for start in index.frames.get(app, ())),
+        app, digest, index.corrupt, index.truncated)
+    if index.reports:
+        served.counts["reports_loaded"] = index.reports
+    if index.corrupt or index.truncated:
+        served.counts["salvaged_records"] = index.records
+    return served
+
+
+def _serve_records(name: str, records: Iterable[Dict[str, Any]], app: str,
+                   digest: int, corrupt: int, truncated: int) -> _Served:
+    """Fold one segment's intact records, in file order."""
     served = _Served()
     counts = served.counts
     counts["segments"] = 1
-    counts["corrupt_records"] = scan.corrupt
-    counts["truncated_tails"] = scan.truncated
+    counts["corrupt_records"] = corrupt
+    counts["truncated_tails"] = truncated
 
     def bump(name: str) -> None:
         counts[name] = counts.get(name, 0) + 1
@@ -297,7 +384,7 @@ def _serve_scan(scan: _SegmentScan, app: str, digest: int) -> _Served:
     # equal outcomes share one object: lookups hand out copies anyway.
     outcomes: Dict[Tuple[Any, ...], RunOutcome] = {}
     loaded = 0
-    for record in scan.records:
+    for record in records:
         kind = record.get("kind")
         if kind == "header":
             version = record.get("version")
@@ -305,7 +392,7 @@ def _serve_scan(scan: _SegmentScan, app: str, digest: int) -> _Served:
                 served.error = (
                     "store segment %s was written by format version %d; "
                     "this build reads up to version %d — refusing to guess"
-                    % (scan.name, version, STORE_VERSION))
+                    % (name, version, STORE_VERSION))
                 return served
             continue
         if kind == "report":
@@ -350,13 +437,13 @@ def _serve_scan(scan: _SegmentScan, app: str, digest: int) -> _Served:
             served.seeded[(key, int(seed))] = outcome
         loaded += 1
     counts["entries_loaded"] = loaded
-    if scan.damaged:
-        counts["salvaged_records"] = len(scan.records)
     return served
 
 
-#: Segment name -> (SHA-256 of its bytes, {(app, digest): _Served}).
-_SegmentMemo = Dict[str, Tuple[bytes, Dict[Tuple[str, int], _Served]]]
+#: Segment name -> (SHA-256 of its bytes, their index,
+#: {(app, digest): _Served}).
+_SegmentMemo = Dict[str, Tuple[bytes, _SegmentIndex,
+                               Dict[Tuple[str, int], _Served]]]
 
 #: Per-process decoded segments, per segments directory, most recently
 #: opened last.  Only ``ResultStore.open`` reads it; see
@@ -386,8 +473,9 @@ def _decoded_segments(segments_dir: str, paths: Sequence[str]
 def _serve_segment(memo: _SegmentMemo, path: str, app: str,
                    digest: int) -> _Served:
     """The serving state of one segment for ``(app, digest)``: from
-    ``memo`` when this process already decoded these exact bytes for
-    this substrate, else from a full scan, which is then memoised."""
+    ``memo`` when this process already served these exact bytes to this
+    substrate, from their index when it parsed them for another, else
+    from a full scan, which is then memoised with its index."""
     name = os.path.basename(path)
     data = _read_segment(path)
     if data is None:
@@ -395,13 +483,20 @@ def _serve_segment(memo: _SegmentMemo, path: str, app: str,
     sha = hashlib.sha256(data).digest()
     with _DECODED_LOCK:
         cached = memo.get(name)
-        if cached is None or cached[0] != sha:
-            cached = memo[name] = (sha, {})
-        served = cached[1].get((app, digest))
-    if served is None:
-        served = _serve_scan(_scan_data(name, data), app, digest)
-        with _DECODED_LOCK:
-            cached[1][(app, digest)] = served
+        served = None
+        if cached is not None and cached[0] == sha:
+            served = cached[2].get((app, digest))
+    if served is not None:
+        return served
+    if cached is None or cached[0] != sha:
+        scan = _scan_data(name, data)
+        cached = (sha, scan.index(), {})
+        served = _serve_scan(scan, app, digest)
+    else:
+        served = _serve_index(cached[1], data, app, digest)
+    with _DECODED_LOCK:
+        memo[name] = cached
+        cached[2][(app, digest)] = served
     return served
 
 
@@ -545,11 +640,11 @@ class ResultStore:
             outcome = self._det.get(key)
             if outcome is not None:
                 self.stats.hits += 1
-                return replace(outcome), False
+                return copy_outcome(outcome), False
             outcome = self._seeded.get((key, seed))
             if outcome is not None:
                 self.stats.hits += 1
-                return replace(outcome), True
+                return copy_outcome(outcome), True
             self.stats.misses += 1
             return None, False
 
@@ -923,16 +1018,16 @@ class StoreBackedExecutionCache(ExecutionCache):
         super().__init__(context)
         self.backing = backing
 
-    def lookup(self, test_name: str, canonical: Any,
-               seed: int) -> Optional[Any]:
+    def lookup(self, test_name: str, canonical: Any, seed: int,
+               text: Optional[str] = None) -> Optional[Any]:
         """Memory first, then disk; a disk hit is promoted into memory."""
-        key = self._key(test_name, canonical)
+        key = self._key(test_name, canonical, text)
         outcome = self._deterministic.get(key)
         if outcome is None:
             outcome = self._seeded.get((key, seed))
         if outcome is not None:
             self.hits += 1
-            return replace(outcome)
+            return copy_outcome(outcome)
         stored, seed_sensitive = self.backing.lookup_entry(key, seed)
         if stored is None:
             self.misses += 1
@@ -942,16 +1037,16 @@ class StoreBackedExecutionCache(ExecutionCache):
             self._seeded[(key, seed)] = stored
         else:
             self._deterministic[key] = stored
-        return replace(stored)
+        return copy_outcome(stored)
 
     def store(self, test_name: str, canonical: Any, seed: int, outcome: Any,
-              seed_sensitive: bool) -> bool:
+              seed_sensitive: bool, text: Optional[str] = None) -> bool:
         """Cache in memory, and persist iff the cache accepted the entry
         (so nothing uncacheable — infra outcomes — ever reaches disk)."""
         cached = super().store(test_name, canonical, seed, outcome,
-                               seed_sensitive)
+                               seed_sensitive, text)
         if cached:
-            self.backing.append_entry(self._key(test_name, canonical),
+            self.backing.append_entry(self._key(test_name, canonical, text),
                                       seed if seed_sensitive else None,
                                       outcome)
         return cached

@@ -13,6 +13,23 @@ Responsibilities, in the paper's order:
   (group gets v1, everyone else v2, and the swap) and, for groups with at
   least two nodes, the round-robin-within-group strategy (§4).
 * **Analytic instance counting** — the "Original" row of Table 5.
+
+Everything here is a pure function of frozen inputs, and a warm rerun
+asks for the same values again and again, so each is derived once per
+object and kept in that object's ``__dict__`` (written with
+``object.__setattr__``; a copy or pickle carries the cache with the
+content it was derived from):
+
+* an assignment's canonical form and its text (``canonical`` and
+  ``canonical_text``), and a pooled assignment's homogeneous variants;
+* a parameter's value pairs and generated assignments, on its
+  :class:`ParamDef`, which every campaign over the same registry shares
+  (an edited definition is a new object, so it starts empty).
+
+Caches are keyed by identity or exact text, never by ``==`` over values:
+``1``, ``1.0`` and ``True`` compare equal but differ in the ``repr`` that
+feeds every content key and seed.  Two threads that fill the same slot
+store equal values, so a lost race only costs the work twice.
 """
 
 from __future__ import annotations
@@ -88,10 +105,23 @@ class ParamAssignment:
         with the first pin of a name) but are sorted afterwards so incidental ordering does
         not split cache slots or seeds.
         """
-        pinned = _first_wins_pairs(self.pinned)
-        return ("param", self.param, self.group, tuple(self.group_values),
-                self.other_value,
-                tuple(sorted(pinned, key=lambda kv: (kv[0], repr(kv[1])))))
+        canonical = self.__dict__.get("_canonical")
+        if canonical is None:
+            pinned = _first_wins_pairs(self.pinned)
+            canonical = ("param", self.param, self.group,
+                         tuple(self.group_values), self.other_value,
+                         tuple(sorted(pinned,
+                                      key=lambda kv: (kv[0], repr(kv[1])))))
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
+
+    def canonical_text(self) -> str:
+        """``repr(self.canonical())``, the text content keys hash."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = repr(self.canonical())
+            object.__setattr__(self, "_text", text)
+        return text
 
     def distinct_values(self) -> Tuple[Any, ...]:
         out: List[Any] = []
@@ -150,8 +180,26 @@ class HeteroAssignment:
     def canonical(self) -> Tuple[Any, ...]:
         """Stable content form; pooled order is irrelevant to injection
         (parameters are unique), so members are sorted by parameter."""
-        return ("hetero", tuple(sorted((a.canonical() for a in self.assignments),
-                                       key=lambda c: c[1])))
+        canonical = self.__dict__.get("_canonical")
+        if canonical is None:
+            canonical = ("hetero", tuple(
+                a.canonical() for a in self._by_param()))
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
+
+    def canonical_text(self) -> str:
+        """``repr(self.canonical())``, joined from the members' cached
+        texts: a tuple's repr is its items' reprs, comma-separated."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            members = [a.canonical_text() for a in self._by_param()]
+            text = "('hetero', (%s%s))" % (", ".join(members),
+                                           "," if len(members) == 1 else "")
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _by_param(self) -> List[ParamAssignment]:
+        return sorted(self.assignments, key=lambda a: a.param)
 
     def sides(self) -> int:
         """Number of homogeneous variants implied (max distinct values)."""
@@ -159,15 +207,25 @@ class HeteroAssignment:
 
     def homo_variant(self, side: int) -> "HomoAssignment":
         """Homogeneous configuration i of Definition 3.1: every entity gets
-        parameter p's i-th distinct value (clamped per parameter)."""
-        values = {}
-        pinned: Dict[str, Any] = {}
-        for assignment in self.assignments:
-            distinct = assignment.distinct_values()
-            values[assignment.param] = distinct[min(side, len(distinct) - 1)]
-            pinned.update(dict(assignment.pinned))
-        return HomoAssignment(values=tuple(values.items()),
-                              pinned=tuple(pinned.items()))
+        parameter p's i-th distinct value (clamped per parameter).  Built
+        once per side, so the first trial and every confirmation trial
+        share one variant and its cached content forms."""
+        variants = self.__dict__.get("_homo_variants")
+        if variants is None:
+            variants = {}
+            object.__setattr__(self, "_homo_variants", variants)
+        variant = variants.get(side)
+        if variant is None:
+            values = {}
+            pinned: Dict[str, Any] = {}
+            for assignment in self.assignments:
+                distinct = assignment.distinct_values()
+                values[assignment.param] = distinct[min(side,
+                                                        len(distinct) - 1)]
+                pinned.update(dict(assignment.pinned))
+            variant = variants[side] = HomoAssignment(
+                values=tuple(values.items()), pinned=tuple(pinned.items()))
+        return variant
 
     def subset(self, params: Sequence[str]) -> "HeteroAssignment":
         keep = set(params)
@@ -198,9 +256,13 @@ class HomoAssignment:
         """Stable content form (see also
         :func:`repro.core.execcache.canonical_assignment`, which folds
         default-value injections onto the original configuration)."""
-        effective = _first_wins_pairs(self.pinned + self.values)
-        return ("homo", tuple(sorted(effective,
-                                     key=lambda kv: (kv[0], repr(kv[1])))))
+        canonical = self.__dict__.get("_canonical")
+        if canonical is None:
+            effective = _first_wins_pairs(self.pinned + self.values)
+            canonical = ("homo", tuple(sorted(
+                effective, key=lambda kv: (kv[0], repr(kv[1])))))
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
 
 def _first_wins_pairs(pairs: Tuple[Tuple[str, Any], ...]
@@ -240,21 +302,33 @@ class TestGenerator:
         #: cap on value pairs per parameter, keeping instance counts sane
         #: for parameters with many candidate values.
         self.max_value_pairs = max_value_pairs
+        #: parameter name -> its rules, in ``dependency_rules`` order.
+        self._rules_by_param: Dict[str, Tuple[DependencyRule, ...]] = {}
+        for rule in self.dependency_rules:
+            self._rules_by_param[rule.param] = \
+                self._rules_by_param.get(rule.param, ()) + (rule,)
 
     # ------------------------------------------------------------------
     # value selection
     # ------------------------------------------------------------------
     def value_pairs(self, param: ParamDef) -> List[Tuple[Any, Any]]:
         """Unordered pairs of candidate values, default-first."""
-        candidates = param.candidate_values()
-        pairs = [pair for pair in itertools.combinations(candidates, 2)
-                 if pair[0] != pair[1]]
-        return pairs[:self.max_value_pairs]
+        by_cap = param.__dict__.get("_value_pairs")
+        if by_cap is None:
+            by_cap = {}
+            object.__setattr__(param, "_value_pairs", by_cap)
+        pairs = by_cap.get(self.max_value_pairs)
+        if pairs is None:
+            candidates = param.candidate_values()
+            pairs = by_cap[self.max_value_pairs] = tuple(
+                pair for pair in itertools.combinations(candidates, 2)
+                if pair[0] != pair[1])[:self.max_value_pairs]
+        return list(pairs)
 
     def pinned_for(self, param: str, value: Any) -> Tuple[Tuple[str, Any], ...]:
         return tuple((rule.companion, rule.companion_value)
-                     for rule in self.dependency_rules
-                     if rule.param == param and rule.value == value)
+                     for rule in self._rules_by_param.get(param, ())
+                     if rule.value == value)
 
     # ------------------------------------------------------------------
     # assignment strategies (§4 "select representative value assignment")
@@ -285,6 +359,28 @@ class TestGenerator:
         return ParamAssignment(param=param.name, group=group,
                                group_values=group_values, other_value=other,
                                pinned=pinned)
+
+    def assignments(self, param: ParamDef, group: str, strategy: str
+                    ) -> Tuple[ParamAssignment, ...]:
+        """:meth:`assignment` for each of ``param``'s value pairs, in
+        order, built once and kept on ``param`` per (group, strategy,
+        pair cap).  The entry holds ``param``'s dependency rules and is
+        served only to a generator whose rules for ``param`` are the
+        same objects, since ``pinned_for`` matches rule values by ``==``
+        and an equal rule may pin a value with a different ``repr``."""
+        rules = self._rules_by_param.get(param.name, ())
+        generated = param.__dict__.get("_assignments")
+        if generated is None:
+            generated = {}
+            object.__setattr__(param, "_assignments", generated)
+        slot = (group, strategy, self.max_value_pairs)
+        entry = generated.get(slot)
+        if entry is None or len(entry[0]) != len(rules) \
+                or any(a is not b for a, b in zip(entry[0], rules)):
+            entry = generated[slot] = (rules, tuple(
+                self.assignment(param, group, strategy, pair)
+                for pair in self.value_pairs(param)))
+        return entry[1]
 
     # ------------------------------------------------------------------
     # instance enumeration

@@ -14,6 +14,7 @@ The headline invariants:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -39,6 +40,24 @@ FIXTURES = {
 }
 
 
+@pytest.fixture(scope="session")
+def _audits():
+    """audit_app(app) at default settings, by app, run on first use."""
+    return {}
+
+
+@pytest.fixture
+def audit_of(_audits):
+    """One default audit per app per session; each call returns an
+    independent copy.  Tests that edit a registry, scope the audit or
+    compare two runs keep calling audit_app themselves."""
+    def audit(app):
+        if app not in _audits:
+            _audits[app] = audit_app(app)
+        return copy.deepcopy(_audits[app])
+    return audit
+
+
 def flink_campaign(**kw):
     spec = catalog.spec_for("flink")
     return Campaign("flink", spec.registry,
@@ -51,16 +70,16 @@ def flink_campaign(**kw):
 # ---------------------------------------------------------------------------
 class TestFixtures:
     @pytest.mark.parametrize("app", sorted(FIXTURES))
-    def test_fixtures_get_their_planted_verdicts(self, app):
-        stats = audit_app(app)
+    def test_fixtures_get_their_planted_verdicts(self, app, audit_of):
+        stats = audit_of(app)
         for param, verdict in FIXTURES[app].items():
             assert stats.verdict_for(param) == verdict, param
 
     @pytest.mark.parametrize("app", sorted(FIXTURES))
-    def test_fixture_tags_match_verdicts(self, app):
+    def test_fixture_tags_match_verdicts(self, app, audit_of):
         """The tags are the contract: anything tagged as a fixture must
         be flagged with the verdict its tag announces."""
-        stats = audit_app(app)
+        stats = audit_of(app)
         spec = catalog.spec_for(app)
         tagged = {p.name: p.tags for p in spec.registry
                   if FIXTURE_UNREAD_TAG in p.tags or FIXTURE_INERT_TAG in p.tags}
@@ -69,22 +88,22 @@ class TestFixtures:
             want = UNREAD if FIXTURE_UNREAD_TAG in tags else READ_BUT_INERT
             assert stats.verdict_for(name) == want
 
-    def test_fixtures_are_flagged_not_exempt(self):
-        stats = audit_app("hdfs")
+    def test_fixtures_are_flagged_not_exempt(self, audit_of):
+        stats = audit_of("hdfs")
         flagged = {f.param for f in stats.flagged()}
         for param in FIXTURES["hdfs"]:
             assert param in flagged
 
-    def test_inert_fixture_has_read_sites_and_probes(self):
-        stats = audit_app("hdfs")
+    def test_inert_fixture_has_read_sites_and_probes(self, audit_of):
+        stats = audit_of("hdfs")
         finding = next(f for f in stats.findings
                        if f.param == "dfs.datanode.metrics.logger.period.seconds")
         assert finding.verdict == READ_BUT_INERT
         assert finding.read_sites, "INERT requires at least one read site"
         assert finding.probes > 0, "INERT must be established by probing"
 
-    def test_unread_fixture_never_probed(self):
-        stats = audit_app("yarn")
+    def test_unread_fixture_never_probed(self, audit_of):
+        stats = audit_of("yarn")
         finding = next(f for f in stats.findings
                        if f.param == "yarn.nodemanager.disk-health-checker.enable")
         assert finding.verdict == UNREAD
@@ -96,20 +115,20 @@ class TestFixtures:
 # ---------------------------------------------------------------------------
 class TestNoFalsePositives:
     @pytest.mark.parametrize("app", catalog.APP_NAMES)
-    def test_no_reported_parameter_is_flagged(self, app):
+    def test_no_reported_parameter_is_flagged(self, app, audit_of):
         """A parameter the evaluation reports (true problem or §7.1 FP)
         is by construction read AND behaviourally live — the audit must
         never flag it."""
-        stats = audit_app(app)
+        stats = audit_of(app)
         spec = catalog.spec_for(app)
         reported = set(spec.expected_unsafe) | set(spec.expected_false_positives)
         flagged = {f.param for f in stats.flagged()}
         assert not (flagged & reported)
 
-    def test_single_candidate_params_conservatively_wired(self):
+    def test_single_candidate_params_conservatively_wired(self, audit_of):
         """Path-like parameters offer no candidate value pairs, so there
         is nothing to probe with — the audit must not guess INERT."""
-        stats = audit_app("hdfs")
+        stats = audit_of("hdfs")
         finding = next(f for f in stats.findings
                        if f.param == "dfs.datanode.data.dir")
         assert finding.verdict == WIRED
@@ -143,8 +162,8 @@ class TestDeterminism:
     def test_two_runs_identical(self):
         assert audit_app("flink").to_dict() == audit_app("flink").to_dict()
 
-    def test_counts_reconcile(self):
-        stats = audit_app("flink")
+    def test_counts_reconcile(self, audit_of):
+        stats = audit_of("flink")
         assert (stats.wired + stats.unread + stats.inert
                 == stats.params_total == len(stats.findings))
         assert stats.machine_time_s == stats.probe_executions * 60.0

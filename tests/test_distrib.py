@@ -442,6 +442,25 @@ class TestCoordinatorProtocol:
         assert coordinator.stats.lease_expiries == 1
         assert coordinator.stats.redeliveries == 1
 
+    def test_two_coordinators_bind_one_port_in_turn(self):
+        """A finished coordinator releases its port and its accept
+        thread, so the next campaign's coordinator binds the same one."""
+        port = _free_port()
+        for _ in range(2):
+            campaign, _, profiles = make_coordinator(dist_join_grace_s=0.1)
+            coordinator = Coordinator(
+                campaign, profiles, None,
+                {t.full_name: t for t in campaign.tests}, port=port)
+            outcomes, remaining = coordinator.serve()
+            assert coordinator.address[1] == port
+            assert not outcomes and len(remaining) == len(profiles)
+        deadline = time.monotonic() + 2.0
+        while any(t.name == "dist-accept" for t in threading.enumerate()) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(t.name == "dist-accept"
+                       for t in threading.enumerate())
+
     def test_join_grace_expiry_degrades(self):
         _, coordinator, _ = make_coordinator(dist_join_grace_s=0.1)
         with coordinator.cond:

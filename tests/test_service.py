@@ -246,6 +246,44 @@ def test_events_stream_is_ndjson_and_terminal(daemon):
     assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
 
 
+def test_events_stream_sees_a_transition_made_after_its_read(
+        tmp_path, monkeypatch):
+    """The job turns terminal between the stream's read of its events
+    and its wait for more: the stream must end at once, not sleep out
+    its wait for a wakeup that has already happened."""
+    queue = JobQueue(str(tmp_path / "state"))
+    queue.start()
+    queue.stop()  # no scheduler: the job stays queued until cancelled
+    job = queue.submit({"app": "flink", "store": False})
+    read = JobQueue.events_since
+
+    def cancel_after_read(self, job_id, index):
+        events, terminal = read(self, job_id, index)
+        if not terminal:
+            self.cancel(job_id)
+        return events, terminal
+
+    monkeypatch.setattr(JobQueue, "events_since", cancel_after_read)
+    server = _ServiceServer(("127.0.0.1", 0), CampaignService(queue))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        start = time.monotonic()
+        with urllib.request.urlopen(
+                "http://127.0.0.1:%d/v1/campaigns/%s/events"
+                % (server.server_address[1], job.id), timeout=30) as resp:
+            raw = resp.read()
+        elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    states = [json.loads(line).get("state")
+              for line in raw.decode().splitlines()]
+    assert states == ["queued", "cancelled"]
+    assert elapsed < 0.25, elapsed
+
+
 # ---------------------------------------------------------------------------
 # auth
 # ---------------------------------------------------------------------------
